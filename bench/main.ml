@@ -550,16 +550,14 @@ let ablation_pool () =
       let db = Database.create ~strategies:[ strategy ] ~pool_capacity:4096 doc in
       ignore (Executor.run ~hint:(Tm_plan.Hint.Force strategy) db twig);
       Database.drop_caches db;
-      Tm_storage.Buffer_pool.reset_stats db.Database.pool;
       let t0 = Monotonic_clock.now () in
-      ignore (Executor.run ~hint:(Tm_plan.Hint.Force strategy) db twig);
+      let s = (Executor.run ~hint:(Tm_plan.Hint.Force strategy) db twig).Executor.stats in
       let cold = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e6 in
-      let s = Tm_storage.Buffer_pool.stats db.Database.pool in
       say "%s | %s | %s | %s"
         (fmt_cell (Database.strategy_name strategy))
         (fmt_cell (Printf.sprintf "%.2f" cold))
-        (fmt_cell (string_of_int s.Tm_storage.Buffer_pool.misses))
-        (fmt_cell (string_of_int s.Tm_storage.Buffer_pool.logical_reads)))
+        (fmt_cell (string_of_int s.Tm_exec.Stats.pool_misses))
+        (fmt_cell (string_of_int s.Tm_exec.Stats.logical_reads)))
     Database.[ RP; DP; Edge; DG_edge ]
 
 (* ------------------------------------------------------------------ *)

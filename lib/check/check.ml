@@ -498,23 +498,7 @@ let report_to_string r =
   in
   String.concat "\n" (head :: List.map line r.violations)
 
-(* Minimal JSON writing, following Tm_obs.Export's conventions. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = "\"" ^ json_escape s ^ "\""
+let json_string = Tm_obs.Export.json_string
 let json_opt_int = function Some i -> string_of_int i | None -> "null"
 let json_opt_string = function Some s -> json_string s | None -> "null"
 

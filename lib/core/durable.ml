@@ -54,7 +54,9 @@
 
     The handle serializes writers with an internal mutex (single-writer
     discipline); readers never take it — they run against epoch-pinned
-    snapshots (see {!Tm_storage.Epoch}). *)
+    snapshots (see {!Tm_storage.Epoch}). A directory or database has at
+    most one live handle, which alone may update the database until
+    {!close}: anything else raises {!Updates.Writer_conflict}. *)
 
 open Tm_storage
 module Wal = Tm_wal.Wal
@@ -211,6 +213,19 @@ let decode_op s =
 (* Creation and recovery                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* One writer per directory and per database: [f] runs with both
+   claimed, and its failure releases them ({!close} does otherwise). A
+   second create, even forced, or an open would rewrite the log a live
+   handle still appends to. *)
+let claiming dir db f =
+  let key = try Unix.realpath dir with Unix.Unix_error (_, _, _) -> dir in
+  Updates.claim_durable ~dir:key db;
+  match f () with
+  | v -> v
+  | exception e ->
+    Updates.release_durable db;
+    raise e
+
 let handle_of dir db wal =
   let t =
     {
@@ -229,6 +244,7 @@ let handle_of dir db wal =
 
 let create ?(force = false) ~dir db =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  claiming dir db @@ fun () ->
   (* Never silently destroy an existing database: the directory may
      hold committed transactions that were not yet checkpointed, and
      the [Wal.create]/[Persist.save] below would wipe both the log and
@@ -320,6 +336,7 @@ type recovery = {
 
 let open_ dir =
   let db = Persist.load (snapshot_path dir) in
+  claiming dir db @@ fun () ->
   let wpath = wal_path dir in
   let scan = scan_retry wpath in
   (* Group the valid prefix's frames per transaction, in file order. *)
@@ -494,12 +511,15 @@ let checkpoint t =
       Tm_obs.Flight.emit Tm_obs.Flight.Checkpoint t.db.Database.last_txn 0 "")
 
 let close t =
-  Mutex.protect t.lock (fun () ->
-      if t.batch_depth = 0 && t.unsynced then begin
-        Wal.sync t.wal;
-        t.unsynced <- false
-      end;
-      Wal.close t.wal);
+  Fun.protect
+    ~finally:(fun () -> Updates.release_durable t.db)
+    (fun () ->
+      Mutex.protect t.lock (fun () ->
+          if t.batch_depth = 0 && t.unsynced then begin
+            Wal.sync t.wal;
+            t.unsynced <- false
+          end;
+          Wal.close t.wal));
   (* Deregister from the status gauges (but only if a newer handle has
      not already taken over; CAS compares the option physically, so
      match on the stored value instead). *)

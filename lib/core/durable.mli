@@ -63,6 +63,8 @@ val create : ?force:bool -> dir:string -> Database.t -> t
     checkpointed; {!open_} recovers those. [~force:true] overwrites.
     @raise Invalid_argument if [dir] already holds a database and
     [force] is false.
+    @raise Updates.Writer_conflict if [dir] or [db] already has a live
+    handle ([force] does not override this).
     @raise Persist.Bad_snapshot for databases containing pruning
     closures (they cannot be snapshotted). *)
 
@@ -79,7 +81,9 @@ val open_ : string -> t * recovery
     uncommitted tails, and reopen the log for appending.
     @raise Persist.Bad_snapshot if the snapshot is damaged.
     @raise Recovery_error if replay diverges from the logged page
-    CRCs. *)
+    CRCs.
+    @raise Updates.Writer_conflict if the directory already has a live
+    handle. *)
 
 val insert_subtree : t -> parent:int -> Tm_xml.Xml_tree.node -> int
 (** {!Updates.insert_subtree} as one logged transaction; returns the
@@ -111,8 +115,10 @@ val checkpoint : t -> unit
     transaction. *)
 
 val close : t -> unit
-(** Sync any deferred commits and close the log. The database itself
-    needs no closing (its "disk" is the in-process pager). *)
+(** Sync any deferred commits and close the log, and release the
+    directory and the database for another writer (also when the sync
+    fails). The database itself needs no closing (its "disk" is the
+    in-process pager). *)
 
 (** {1 Logical-operation codec} — exposed for log inspection and
     crash-matrix tests. *)

@@ -83,10 +83,6 @@ type result = {
   trace_id : int;  (** process-unique query id (journal / log correlation) *)
 }
 
-(* Mirrors of the Stats counters in the obs sink (same handles, by name,
-   as Tm_joins.Engine uses) so span deltas reconcile against Stats. *)
-let c_rows_produced = Tm_obs.Obs.counter "exec.rows_produced"
-let c_join_steps = Tm_obs.Obs.counter "exec.join_steps"
 let c_fallbacks = Tm_obs.Obs.counter "executor.fallbacks"
 let h_query_ms = Tm_obs.Obs.histogram "query.ms"
 let row_buckets = [| 1.; 10.; 100.; 1_000.; 10_000.; 100_000. |]
@@ -157,16 +153,15 @@ let schema_probe_of pattern =
 (* Shared join pipeline                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* One relational join, instrumented: Stats counters always, and — when
-   the obs sink is on — a span plus per-algorithm latency / output-row
-   histograms. Every join in every plan goes through here. *)
-let join_pair ~(stats : Stats.t) ~kind a b =
+(* One relational join, instrumented: the query's cost record always,
+   and — when the obs sink is on — a span plus per-algorithm latency /
+   output-row histograms. Every join in every plan goes through here. *)
+let join_pair ~kind a b =
+  let stats = Stats.current () in
   stats.Stats.join_steps <- stats.Stats.join_steps + 1;
-  Tm_obs.Obs.incr c_join_steps;
   let rows = ref 0 in
   let on_result () =
     stats.Stats.rows_produced <- stats.Stats.rows_produced + 1;
-    Tm_obs.Obs.incr c_rows_produced;
     incr rows
   in
   let do_join () =
@@ -191,13 +186,13 @@ let join_pair ~(stats : Stats.t) ~kind a b =
         out)
   end
 
-let join_all ~(stats : Stats.t) ~kind relations =
+let join_all ~kind relations =
   match relations with
   | [] -> invalid_arg "join_all: no relations"
-  | r :: rest -> List.fold_left (fun acc r -> join_pair ~stats ~kind acc r) r rest
+  | r :: rest -> List.fold_left (fun acc r -> join_pair ~kind acc r) r rest
 
-let finish ~stats ~out_uid relations =
-  let joined = join_all ~stats ~kind:`Hash relations in
+let finish ~out_uid relations =
+  let joined = join_all ~kind:`Hash relations in
   Relation.column_values joined out_uid
 
 (* The rendered form of a compiled path, e.g. [//a/b = "v"] — used by
@@ -226,65 +221,65 @@ let eval_spanned (db : Database.t) i cp f =
           Tm_obs.Obs.annotate "rows" (string_of_int (Relation.cardinality rel));
         rel)
 
+(* A pool task's body: [work] under a cost record of its own, traced as
+   a root span on the executing domain (named and annotated by [span])
+   when the sink is on. [gather] grafts the spans and merges the records
+   into the submitting query's, in task order. *)
+let in_task span work =
+  let stats = Stats.create () in
+  Stats.with_record stats (fun () ->
+      if not (Tm_obs.Obs.enabled ()) then (work (), None, stats)
+      else
+        let name, meta = span () in
+        let domain = ("domain", string_of_int (Domain.self () :> int)) in
+        let v, trace = Tm_obs.Obs.trace ~meta:(domain :: meta) name work in
+        (v, trace, stats))
+
+let gather results =
+  let into = Stats.current () in
+  List.map
+    (fun (v, span, stats) ->
+      Option.iter Tm_obs.Obs.adopt span;
+      Stats.merge_into ~into stats;
+      v)
+    results
+
 (* Evaluate every compiled path to its binding relation — the Section
    5.1.2 per-PCsubpath lookups, which share no state and are the plans'
    natural unit of parallelism. With a pool of more than one job the
-   evaluations fan out across domains: each task gets a private
-   {!Stats.t} (merged back afterwards) and records its spans under a
-   task-local trace whose root the coordinator adopts in path order, so
-   [--analyze] shows the same "path:N" tree annotated with the domain
-   that ran it. Relation order always matches [cpaths] order.
+   evaluations fan out across domains: each task installs a private
+   {!Stats.t} (merged into the query's record afterwards) and records
+   its spans under a task-local trace whose root the coordinator adopts
+   in path order, so [--analyze] shows the same "path:N" tree annotated
+   with the domain that ran it. Relation order always matches [cpaths]
+   order.
 
    [watch i rel] is invoked with each path's index and finished binding
    relation — the mid-query adaptivity probe. It may raise (abandoning
    the attempt); in pool mode the raise propagates out of the task and
    back through [Pool.map]. *)
-let eval_paths ?par ?(cancel = Cancel.never) ?watch (db : Database.t) ~(stats : Stats.t) eval
-    cpaths =
+let eval_paths ?par ?(cancel = Cancel.never) ?watch (db : Database.t) eval cpaths =
   let observe i rel = match watch with Some w -> w i rel | None -> () in
   let fan_out pool =
-    let record = Tm_obs.Obs.enabled () in
-    let results =
-      Tm_par.Pool.map pool
-        (fun (i, cp) ->
-          (* Deadline check at task start: a task that begins after the
-             deadline does no work; Pool.await carries the Cancelled
-             exception back to the coordinator. *)
-          Cancel.check cancel;
-          let stats' = Stats.create () in
-          let work () =
-            let rel = eval ~stats:stats' cp in
-            if Tm_obs.Obs.in_trace () then
-              Tm_obs.Obs.annotate "rows" (string_of_int (Relation.cardinality rel));
-            rel
-          in
-          if not record then begin
-            let rel = work () in
-            observe i rel;
-            (rel, None, stats')
-          end
-          else begin
-            let rel, span =
-              Tm_obs.Obs.trace
-                ~meta:
-                  [
-                    ("path", path_label db cp);
-                    ("domain", string_of_int (Domain.self () :> int));
-                  ]
-                (Printf.sprintf "path:%d" (i + 1))
-                work
-            in
-            observe i rel;
-            (rel, span, stats')
-          end)
-        (List.mapi (fun i cp -> (i, cp)) cpaths)
-    in
-    List.map
-      (fun (rel, span, stats') ->
-        (match span with Some s -> Tm_obs.Obs.adopt s | None -> ());
-        Stats.merge_into ~into:stats stats';
-        rel)
-      results
+    Tm_par.Pool.map pool
+      (fun (i, cp) ->
+        (* Deadline check at task start: a task that begins after the
+           deadline does no work; Pool.await carries the Cancelled
+           exception back to the coordinator. *)
+        Cancel.check cancel;
+        let ((rel, _, _) as outcome) =
+          in_task
+            (fun () -> (Printf.sprintf "path:%d" (i + 1), [ ("path", path_label db cp) ]))
+            (fun () ->
+              let rel = eval cp in
+              if Tm_obs.Obs.in_trace () then
+                Tm_obs.Obs.annotate "rows" (string_of_int (Relation.cardinality rel));
+              rel)
+        in
+        observe i rel;
+        outcome)
+      (List.mapi (fun i cp -> (i, cp)) cpaths)
+    |> gather
   in
   match par with
   | Some pool when Tm_par.Pool.jobs pool > 1 && List.length cpaths > 1 -> fan_out pool
@@ -292,7 +287,7 @@ let eval_paths ?par ?(cancel = Cancel.never) ?watch (db : Database.t) ~(stats : 
     List.mapi
       (fun i cp ->
         Cancel.check cancel;
-        let rel = eval_spanned db i cp (fun () -> eval ~stats cp) in
+        let rel = eval_spanned db i cp (fun () -> eval cp) in
         observe i rel;
         rel)
       cpaths
@@ -315,11 +310,9 @@ let estimate (db : Database.t) cp =
 
 (* [head_offset]: 0 for rooted rows (idlist = [i1..ik]); used with
    DATAPATHS head rows where idlist excludes the head. *)
-let eval_family_rooted fam ~(stats : Stats.t) ~head cp =
-  stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
+let eval_family_rooted fam ~head cp =
   let schema = schema_probe_of cp.pattern in
   let on_hit acc (hit : Family.hit) =
-    stats.Stats.entries_scanned <- stats.Stats.entries_scanned + 1;
     let schema_tags = Array.of_list (Schema_path.to_list hit.Family.h_schema) in
     let ids = Array.of_list hit.Family.h_ids in
     let id_at p = ids.(p) in
@@ -337,18 +330,16 @@ let eval_family_rooted fam ~(stats : Stats.t) ~head cp =
   in
   relation_of_rows cp rows
 
-let eval_rp fam ~stats cp = eval_family_rooted fam ~stats ~head:None cp
-let eval_dp_free fam ~stats cp = eval_family_rooted fam ~stats ~head:(Some 0) cp
+let eval_rp fam cp = eval_family_rooted fam ~head:None cp
+let eval_dp_free fam cp = eval_family_rooted fam ~head:(Some 0) cp
 
 (* ------------------------------------------------------------------ *)
 (* RP plan: one lookup per path, merge joins on branch points          *)
 (* ------------------------------------------------------------------ *)
 
-let run_rp ?par ?cancel ?watch (db : Database.t) fam ~stats ~out_uid cpaths =
-  let relations =
-    eval_paths ?par ?cancel ?watch db ~stats (fun ~stats cp -> eval_rp fam ~stats cp) cpaths
-  in
-  let joined = join_all ~stats ~kind:`Merge relations in
+let run_rp ?par ?cancel ?watch (db : Database.t) fam ~out_uid cpaths =
+  let relations = eval_paths ?par ?cancel ?watch db (eval_rp fam) cpaths in
+  let joined = join_all ~kind:`Merge relations in
   Relation.column_values joined out_uid
 
 (* ------------------------------------------------------------------ *)
@@ -358,7 +349,7 @@ let run_rp ?par ?cancel ?watch (db : Database.t) fam ~stats ~out_uid cpaths =
 (* Probe DATAPATHS for the part of [cp] at or below step [idx_b],
    rooted at head id [h]. Returns rows over the needed columns at
    steps >= idx_b. *)
-let dp_probe fam ~(stats : Stats.t) cp ~idx_b ~h =
+let dp_probe fam cp ~idx_b ~h =
   let n = Array.length cp.pattern in
   (* probe pattern: the head's own tag, then the steps below it *)
   let probe_pattern =
@@ -366,11 +357,10 @@ let dp_probe fam ~(stats : Stats.t) cp ~idx_b ~h =
         if i = 0 then (Twig.Child, snd cp.pattern.(idx_b)) else cp.pattern.(idx_b + i))
   in
   let needed_below = List.filter (fun i -> i >= idx_b) cp.needed_idx in
-  stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
+  let stats = Stats.current () in
   stats.Stats.inlj_probes <- stats.Stats.inlj_probes + 1;
   let schema = schema_probe_of probe_pattern in
   let on_hit acc (hit : Family.hit) =
-    stats.Stats.entries_scanned <- stats.Stats.entries_scanned + 1;
     let schema_tags = Array.of_list (Schema_path.to_list hit.Family.h_schema) in
     let ids = Array.of_list hit.Family.h_ids in
     (* schema position 0 is the head itself; ids exclude the head *)
@@ -400,49 +390,29 @@ let deepest_shared_idx cp bound_cols =
 
 (* Run the INLJ probes of one path, one per branch binding. With a
    pool, the bindings are fanned out in contiguous chunks: each chunk
-   probes with its own Stats (merged back) and records its probe spans
-   under a "probes" trace the coordinator adopts beneath the open
+   probes under its own Stats record (merged back) and records its probe
+   spans under a "probes" trace the coordinator adopts beneath the open
    "path:N" span — so analyze output still attributes every probe,
    now labelled with the domain that ran it. *)
-let dp_probe_all ?par ?(cancel = Cancel.never) fam ~(stats : Stats.t) cp ~idx_b b_values =
+let dp_probe_all ?par ?(cancel = Cancel.never) fam cp ~idx_b b_values =
   let sequential () =
     List.rev_map
       (fun h ->
         Cancel.check cancel;
-        dp_probe fam ~stats cp ~idx_b ~h)
+        dp_probe fam cp ~idx_b ~h)
       b_values
   in
   let fan_out pool =
-    let record = Tm_obs.Obs.enabled () in
-    let results =
-      Tm_par.Pool.map_chunked pool
-        (fun hs ->
-          (* One deadline check per probe chunk: cancellation latency is
-             bounded by a chunk of probes, not the whole binding list. *)
-          Cancel.check cancel;
-          let stats' = Stats.create () in
-          let work () = List.rev_map (fun h -> dp_probe fam ~stats:stats' cp ~idx_b ~h) hs in
-          if not record then (work (), None, stats')
-          else begin
-            let rels, span =
-              Tm_obs.Obs.trace
-                ~meta:
-                  [
-                    ("domain", string_of_int (Domain.self () :> int));
-                    ("probes", string_of_int (List.length hs));
-                  ]
-                "probes" work
-            in
-            (rels, span, stats')
-          end)
-        b_values
-    in
-    List.concat_map
-      (fun (rels, span, stats') ->
-        (match span with Some s -> Tm_obs.Obs.adopt s | None -> ());
-        Stats.merge_into ~into:stats stats';
-        rels)
-      results
+    Tm_par.Pool.map_chunked pool
+      (fun hs ->
+        (* One deadline check per probe chunk: cancellation latency is
+           bounded by a chunk of probes, not the whole binding list. *)
+        Cancel.check cancel;
+        in_task
+          (fun () -> ("probes", [ ("probes", string_of_int (List.length hs)) ]))
+          (fun () -> List.rev_map (fun h -> dp_probe fam cp ~idx_b ~h) hs))
+      b_values
+    |> gather |> List.concat
   in
   match par with
   | Some pool when Tm_par.Pool.jobs pool > 1 && List.length b_values > 1 -> fan_out pool
@@ -468,19 +438,15 @@ let indexed_order (db : Database.t) ?order cpaths =
    joins — DATAPATHS reduced to ROOTPATHS-style planning, isolating the
    contribution of index-nested-loop joins to Figure 12(d). *)
 let run_dp ?(use_inlj = true) ?par ?(cancel = Cancel.never) ?watch ?order (db : Database.t)
-    fam ~stats ~out_uid cpaths =
-  if not use_inlj then
-    finish ~stats ~out_uid
-      (eval_paths ?par ~cancel ?watch db ~stats
-         (fun ~stats cp -> eval_dp_free fam ~stats cp)
-         cpaths)
+    fam ~out_uid cpaths =
+  if not use_inlj then finish ~out_uid (eval_paths ?par ~cancel ?watch db (eval_dp_free fam) cpaths)
   else
   let observe i rel = match watch with Some w -> w i rel | None -> () in
   match indexed_order db ?order cpaths with
   | [] -> invalid_arg "run_dp: no paths"
   | (oi, first) :: rest ->
     Cancel.check cancel;
-    let first_rel = eval_spanned db 0 first (fun () -> eval_dp_free fam ~stats first) in
+    let first_rel = eval_spanned db 0 first (fun () -> eval_dp_free fam first) in
     observe oi first_rel;
     let acc = ref first_rel in
     List.iteri
@@ -495,16 +461,16 @@ let run_dp ?(use_inlj = true) ?par ?(cancel = Cancel.never) ?watch ?order (db : 
             -1
         in
         if idx_b < 0 then begin
-          let r = eval_spanned db i cp (fun () -> eval_dp_free fam ~stats cp) in
+          let r = eval_spanned db i cp (fun () -> eval_dp_free fam cp) in
           observe oi r;
-          acc := join_pair ~stats ~kind:`Hash !acc r
+          acc := join_pair ~kind:`Hash !acc r
         end
         else begin
           let b_uid = cp.uids.(idx_b) in
           let b_values = Relation.column_values !acc b_uid in
           let probe_rel =
             eval_spanned db i cp (fun () ->
-                let probes = dp_probe_all ?par ~cancel fam ~stats cp ~idx_b b_values in
+                let probes = dp_probe_all ?par ~cancel fam cp ~idx_b b_values in
                 List.fold_left
                   (fun rel r ->
                     Relation.create (Relation.columns r) (r.Relation.rows @ rel.Relation.rows))
@@ -512,7 +478,7 @@ let run_dp ?(use_inlj = true) ?par ?(cancel = Cancel.never) ?watch ?order (db : 
                      (List.filter (fun i -> i >= idx_b) cp.needed_idx))))
                   probes)
           in
-          acc := join_pair ~stats ~kind:`Hash !acc probe_rel
+          acc := join_pair ~kind:`Hash !acc probe_rel
         end)
       rest;
     Relation.column_values !acc out_uid
@@ -524,7 +490,8 @@ let run_dp ?(use_inlj = true) ?par ?(cancel = Cancel.never) ?watch ?order (db : 
 (* Bottom-up climb from [leaf] along [cp.pattern], enumerating all
    bindings of pattern steps to the leaf's ancestor chain. One backward
    lookup per level climbed (each is a join with the Edge table). *)
-let edge_climb (db : Database.t) ~(stats : Stats.t) cp leaf =
+let edge_climb (db : Database.t) cp leaf =
+  let stats = Stats.current () in
   let edge = db.Database.edge in
   let n = Array.length cp.pattern in
   let parent node =
@@ -584,7 +551,8 @@ let edge_rows_of_bindings cp bindings =
     bindings
 
 (* Top-down evaluation for structure-only paths. *)
-let edge_topdown (db : Database.t) ~(stats : Stats.t) cp =
+let edge_topdown (db : Database.t) cp =
+  let stats = Stats.current () in
   let edge = db.Database.edge in
   let expand_children node tag =
     stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
@@ -625,7 +593,8 @@ let edge_topdown (db : Database.t) ~(stats : Stats.t) cp =
   let final = step 0 [ (0, []) ] in
   List.map snd final
 
-let eval_edge_path (db : Database.t) ~(stats : Stats.t) cp =
+let eval_edge_path (db : Database.t) cp =
+  let stats = Stats.current () in
   let n = Array.length cp.pattern in
   let leaf_tag = snd cp.pattern.(n - 1) in
   (* filter top-down bindings by the leaf's Edge-tuple value *)
@@ -646,27 +615,24 @@ let eval_edge_path (db : Database.t) ~(stats : Stats.t) cp =
     | Some v, _ when leaf_tag <> Decompose.wildcard ->
       stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
       let leaves = Edge_table.lookup_value db.Database.edge ~tag:leaf_tag ~value:v in
-      List.concat_map (fun leaf -> edge_climb db ~stats cp leaf) leaves
+      List.concat_map (fun leaf -> edge_climb db cp leaf) leaves
     | None, Some r when leaf_tag <> Decompose.wildcard ->
       (* value-index range scan, then the usual bottom-up climbs *)
       stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
       let lo, hi = vbounds r in
       let leaves = Edge_table.lookup_value_range db.Database.edge ~tag:leaf_tag ~lo ~hi in
-      List.concat_map (fun leaf -> edge_climb db ~stats cp leaf) leaves
+      List.concat_map (fun leaf -> edge_climb db cp leaf) leaves
     | Some v, _ ->
       (* wildcard leaf with a value predicate: no (tag, value) key
          exists, so expand top-down and filter on the Edge tuple *)
-      filter_leaf_value (String.equal v) (edge_topdown db ~stats cp)
-    | None, Some r -> filter_leaf_value (Twig.range_matches r) (edge_topdown db ~stats cp)
-    | None, None -> edge_topdown db ~stats cp
+      filter_leaf_value (String.equal v) (edge_topdown db cp)
+    | None, Some r -> filter_leaf_value (Twig.range_matches r) (edge_topdown db cp)
+    | None, None -> edge_topdown db cp
   in
   relation_of_rows cp (edge_rows_of_bindings cp bindings)
 
-let run_edge ?par ?cancel ?watch db ~stats ~out_uid cpaths =
-  finish ~stats ~out_uid
-    (eval_paths ?par ?cancel ?watch db ~stats
-       (fun ~stats cp -> eval_edge_path db ~stats cp)
-       cpaths)
+let run_edge ?par ?cancel ?watch db ~out_uid cpaths =
+  finish ~out_uid (eval_paths ?par ?cancel ?watch db (eval_edge_path db) cpaths)
 
 (* ------------------------------------------------------------------ *)
 (* DG+Edge and IF+Edge plans                                           *)
@@ -676,7 +642,8 @@ let run_edge ?par ?cancel ?watch db ~stats ~out_uid cpaths =
    path of [path_len] tags; needed ids sit at known schema positions,
    so the climb is [path_len - 1 - min_needed_pos] backward lookups
    (the paper's "5-way join" when the branch point is 5 levels up). *)
-let climb_known_path (db : Database.t) ~(stats : Stats.t) ~path_len ~needed_schema_pos leaf =
+let climb_known_path (db : Database.t) ~path_len ~needed_schema_pos leaf =
+  let stats = Stats.current () in
   let edge = db.Database.edge in
   let min_pos = List.fold_left min (path_len - 1) needed_schema_pos in
   let chain = Hashtbl.create 8 in
@@ -700,7 +667,8 @@ let climb_known_path (db : Database.t) ~(stats : Stats.t) ~path_len ~needed_sche
    [structure_lookup] returns the instance leaf ids of a concrete
    rooted schema path (DG exact lookup); [value_leaf_ids] when the path
    has a value predicate. *)
-let eval_guide_path (db : Database.t) ~(stats : Stats.t) ~guide ~fabric cp =
+let eval_guide_path (db : Database.t) ~guide ~fabric cp =
+  let stats = Stats.current () in
   let use_fabric = fabric <> None in
   let matches = catalog_matches db.Database.catalog cp.pattern in
   let leaf_tag = snd cp.pattern.(Array.length cp.pattern - 1) in
@@ -731,36 +699,26 @@ let eval_guide_path (db : Database.t) ~(stats : Stats.t) ~guide ~fabric cp =
       (fun ((entry : Schema_catalog.entry), positions_list) ->
         (* leaf instances of this concrete rooted path *)
         let leaf_ids =
-          if use_fabric && cp.value <> None then begin
-            stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
+          let single_ids acc (hit : Family.hit) =
+            match hit.Family.h_ids with [ id ] -> id :: acc | _ -> acc
+          in
+          if use_fabric && cp.value <> None then
             Family.scan (Option.get fabric) ~value:cp.value
               ~schema:(Family.Exact entry.Schema_catalog.path)
-              (fun acc (hit : Family.hit) ->
-                stats.Stats.entries_scanned <- stats.Stats.entries_scanned + 1;
-                match hit.Family.h_ids with [ id ] -> id :: acc | _ -> acc)
-              []
-          end
+              single_ids []
           else if use_fabric && cp.range <> None then begin
             (* Index Fabric key order is (path, value): the range scan
                stays contiguous within this concrete path *)
-            stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
             let lo, hi = vbounds (Option.get cp.range) in
             Family.scan_value_range (Option.get fabric) ~lo ~hi
               ~schema:(Family.Exact entry.Schema_catalog.path)
-              (fun acc (hit : Family.hit) ->
-                stats.Stats.entries_scanned <- stats.Stats.entries_scanned + 1;
-                match hit.Family.h_ids with [ id ] -> id :: acc | _ -> acc)
-              []
+              single_ids []
           end
           else begin
-            stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
             let structural =
               Family.scan guide ~value:None
                 ~schema:(Family.Exact entry.Schema_catalog.path)
-                (fun acc (hit : Family.hit) ->
-                  stats.Stats.entries_scanned <- stats.Stats.entries_scanned + 1;
-                  match hit.Family.h_ids with [ id ] -> id :: acc | _ -> acc)
-                []
+                single_ids []
             in
             match value_set with
             | Some set ->
@@ -787,7 +745,7 @@ let eval_guide_path (db : Database.t) ~(stats : Stats.t) ~guide ~fabric cp =
             let needed_schema_pos = List.map (fun i -> positions.(i)) cp.needed_idx in
             List.filter_map
               (fun leaf ->
-                climb_known_path db ~stats ~path_len ~needed_schema_pos leaf
+                climb_known_path db ~path_len ~needed_schema_pos leaf
                 |> Option.map Array.of_list)
               leaf_ids)
           positions_list)
@@ -795,39 +753,28 @@ let eval_guide_path (db : Database.t) ~(stats : Stats.t) ~guide ~fabric cp =
   in
   relation_of_rows cp rows
 
-let run_guide ?par ?cancel ?watch db ~stats ~out_uid ~guide ~fabric cpaths =
-  finish ~stats ~out_uid
-    (eval_paths ?par ?cancel ?watch db ~stats
-       (fun ~stats cp -> eval_guide_path db ~stats ~guide ~fabric cp)
-       cpaths)
+let run_guide ?par ?cancel ?watch db ~out_uid ~guide ~fabric cpaths =
+  finish ~out_uid (eval_paths ?par ?cancel ?watch db (eval_guide_path db ~guide ~fabric) cpaths)
 
 (* ------------------------------------------------------------------ *)
 (* ASR plan                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let eval_asr_path (db : Database.t) asrs ~(stats : Stats.t) cp =
+let eval_asr_path (db : Database.t) asrs cp =
   let matches = catalog_matches db.Database.catalog cp.pattern in
   let rows =
     List.concat_map
       (fun ((entry : Schema_catalog.entry), positions_list) ->
-        stats.Stats.structures_accessed <- stats.Stats.structures_accessed + 1;
-        stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
+        let tuple acc ids = Array.of_list ids :: acc in
         let tuples =
           match cp.range with
           | Some r ->
             let lo, hi = vbounds r in
-            Asr.scan_relation_range asrs ~path:entry.Schema_catalog.path ~lo ~hi
-              (fun acc ids ->
-                stats.Stats.entries_scanned <- stats.Stats.entries_scanned + 1;
-                Array.of_list ids :: acc)
-              []
+            Asr.scan_relation_range asrs ~path:entry.Schema_catalog.path ~lo ~hi tuple []
           | None ->
             Asr.scan_relation asrs ~path:entry.Schema_catalog.path
               ?value:(match cp.value with Some v -> Some (Some v) | None -> Some None)
-              (fun acc ids ->
-                stats.Stats.entries_scanned <- stats.Stats.entries_scanned + 1;
-                Array.of_list ids :: acc)
-              []
+              tuple []
         in
         List.concat_map
           (fun positions ->
@@ -837,11 +784,8 @@ let eval_asr_path (db : Database.t) asrs ~(stats : Stats.t) cp =
   in
   relation_of_rows cp rows
 
-let run_asr ?par ?cancel ?watch db asrs ~stats ~out_uid cpaths =
-  finish ~stats ~out_uid
-    (eval_paths ?par ?cancel ?watch db ~stats
-       (fun ~stats cp -> eval_asr_path db asrs ~stats cp)
-       cpaths)
+let run_asr ?par ?cancel ?watch db asrs ~out_uid cpaths =
+  finish ~out_uid (eval_paths ?par ?cancel ?watch db (eval_asr_path db asrs) cpaths)
 
 (* ------------------------------------------------------------------ *)
 (* JI plan                                                             *)
@@ -850,7 +794,8 @@ let run_asr ?par ?cancel ?watch db asrs ~stats ~out_uid cpaths =
 (* First (driver) path: candidate leaves from the value index (or all
    pairs of the matching rooted subpaths), then one backward lookup per
    needed position per matching rooted path. *)
-let eval_ji_driver (db : Database.t) ji ~(stats : Stats.t) cp =
+let eval_ji_driver (db : Database.t) ji cp =
+  let stats = Stats.current () in
   let matches = catalog_matches db.Database.catalog cp.pattern in
   let leaf_tag = snd cp.pattern.(Array.length cp.pattern - 1) in
   let leaf_candidates =
@@ -966,7 +911,8 @@ let eval_ji_driver (db : Database.t) ji ~(stats : Stats.t) cp =
 
 (* Subsequent path probed from branch ids: forward lookups along the
    matching materialized subpaths below the branch. *)
-let eval_ji_probe (db : Database.t) ji ~(stats : Stats.t) cp ~idx_b ~b_values =
+let eval_ji_probe (db : Database.t) ji cp ~idx_b ~b_values =
+  let stats = Stats.current () in
   let n = Array.length cp.pattern in
   let tag_b = snd cp.pattern.(idx_b) in
   let probe_pattern =
@@ -1079,13 +1025,13 @@ let eval_ji_probe (db : Database.t) ji ~(stats : Stats.t) cp ~idx_b ~b_values =
   let cols = Array.of_list (List.map (fun i -> cp.uids.(i)) needed_below) in
   Relation.distinct (Relation.create cols rows)
 
-let run_ji ?(cancel = Cancel.never) ?watch ?order (db : Database.t) ji ~stats ~out_uid cpaths =
+let run_ji ?(cancel = Cancel.never) ?watch ?order (db : Database.t) ji ~out_uid cpaths =
   let observe i rel = match watch with Some w -> w i rel | None -> () in
   match indexed_order db ?order cpaths with
   | [] -> invalid_arg "run_ji: no paths"
   | (oi, first) :: rest ->
     Cancel.check cancel;
-    let first_rel = eval_spanned db 0 first (fun () -> eval_ji_driver db ji ~stats first) in
+    let first_rel = eval_spanned db 0 first (fun () -> eval_ji_driver db ji first) in
     observe oi first_rel;
     let acc = ref first_rel in
     List.iteri
@@ -1094,15 +1040,15 @@ let run_ji ?(cancel = Cancel.never) ?watch ?order (db : Database.t) ji ~stats ~o
         let i = j + 1 in
         match deepest_shared_idx cp (Relation.columns !acc) with
         | None ->
-          let r = eval_spanned db i cp (fun () -> eval_ji_driver db ji ~stats cp) in
+          let r = eval_spanned db i cp (fun () -> eval_ji_driver db ji cp) in
           observe oi r;
-          acc := join_pair ~stats ~kind:`Hash !acc r
+          acc := join_pair ~kind:`Hash !acc r
         | Some idx_b ->
           let b_values = Relation.column_values !acc cp.uids.(idx_b) in
           let probe_rel =
-            eval_spanned db i cp (fun () -> eval_ji_probe db ji ~stats cp ~idx_b ~b_values)
+            eval_spanned db i cp (fun () -> eval_ji_probe db ji cp ~idx_b ~b_values)
           in
-          acc := join_pair ~stats ~kind:`Hash !acc probe_rel)
+          acc := join_pair ~kind:`Hash !acc probe_rel)
       rest;
     Relation.column_values !acc out_uid
 
@@ -1161,68 +1107,22 @@ let classify_unusable = function
     Some (Printf.sprintf "I/O error at %s after retries (%s)" site detail)
   | _ -> None
 
-(** Evaluate [twig] under [hint] ({!Tm_plan.Hint.Auto} — the cost-based
-    planner, the default; [Force s] — one strategy, no adaptivity;
-    [Pin p] — a previously obtained plan verbatim). [dp_use_inlj:false]
-    disables index-nested-loop joins for DP (ablation). When the obs
-    sink is on, the whole evaluation is recorded under a root span
-    returned in [trace]. The result carries the {!Tm_plan.Plan.t} that
-    produced the answer.
-
-    {b Mid-query adaptivity} (Auto only): each path's finished binding
-    relation is checked against the plan's estimate; a path blowing it
-    past {!Tm_plan.Planner.should_replan} trips the attempt's
-    cancellation token (stopping in-flight pool tasks), and the query
-    is re-planned with the observed cardinality — at most
-    {!Tm_plan.Planner.max_replans} times, counted in [replans] and the
-    journal.
-
-    {b Graceful degradation} (default): when the planned strategy's
-    index is unusable — not materialized, a page fails its checksum
-    ({!Pager.Corrupt_page}) or I/O keeps failing after the buffer
-    pool's retries, or a lossy index variant rejects the query shape
-    ({!Family.Unsupported}: [//] under Section 4.2 schema compression,
-    or a Section 4.3-pruned head id) — the executor falls back through
-    DP, RP and JI, and finally to the naive in-memory matcher, which
-    depends on no index at all. Abandoned attempts are recorded in
-    [fallbacks] (and in [reason] and the trace); the answer is always
-    oracle-correct. [strict:true] disables all fallback and lets the
-    first failure propagate typed.
-
-    {b Deadlines}: [deadline_ms] arms a cancellation token checked
-    between per-path evaluations and between INLJ probe chunks — on
-    the coordinating domain and inside pool tasks alike. Expiry raises
-    {!Timeout} carrying the stats of the work already done. Timeouts
-    are never caught by fallback or replanning (a slow query is slow
-    under every strategy).
-
-    [cancel] is an ambient cancellation token (e.g. a serving layer's
-    per-request deadline): it becomes the {e parent} of every
-    attempt-scoped token, so tripping it — explicitly or by its own
-    deadline — aborts the query with {!Timeout}, while the replan
-    machinery cancelling an attempt token never propagates up into the
-    caller's token. [deadline_ms] still bounds this call on its own;
-    with both, whichever expires first wins.
-
-    [pool] fans the per-path lookups (and DP probe batches) out across
-    the given domain pool; [jobs] (used when [pool] is absent) spins up
-    an ephemeral pool for just this query — convenient, but a domain
-    spawn costs milliseconds, so callers issuing many queries should
-    create one pool and pass it. JI plans always run sequentially
-    (their probe chain threads bindings from path to path). *)
+(* The entry point; the interface documents hints, mid-query
+   adaptivity, graceful degradation, deadlines and pools. *)
 let run ?(dp_use_inlj = true) ?(hint = Tm_plan.Hint.Auto) ?(strict = false) ?cancel:parent
     ?deadline_ms ?pool ?jobs (db : Database.t) twig =
   let trace_id = Tm_obs.Journal.next_id () in
-  let journal_on = Tm_obs.Journal.enabled () in
   let t_start = Monotonic_clock.now () in
   let latency_ms () =
     Int64.to_float (Int64.sub (Monotonic_clock.now ()) t_start) /. 1e6
   in
-  let jstart =
-    if journal_on then
-      Some (Tm_obs.Obs.gc_snapshot (), Tm_storage.Buffer_pool.stats db.Database.pool)
-    else None
-  in
+  (* The query's one cost record, installed for its whole extent below:
+     every layer that works for the query charges it, and spans, the
+     journal, the flight recorder and the /metrics totals read it. The
+     journal's collector counts are the only Gc.quick_stat readings a
+     query takes, and only with the journal on. *)
+  let stats = Stats.create () in
+  let gc0 = if Tm_obs.Journal.enabled () then Some (Gc.quick_stat ()) else None in
   let jobs_used =
     match pool with
     | Some p -> Tm_par.Pool.jobs p
@@ -1235,7 +1135,9 @@ let run ?(dp_use_inlj = true) ?(hint = Tm_plan.Hint.Auto) ?(strict = false) ?can
     | cpaths -> Some cpaths
     | exception Unknown_tag -> None
   in
+  (* Planning reads statistics pages: charged to the query's record. *)
   let initial_plan =
+    Stats.with_record stats @@ fun () ->
     match compiled with
     | None -> (
       match hint with
@@ -1269,7 +1171,6 @@ let run ?(dp_use_inlj = true) ?(hint = Tm_plan.Hint.Auto) ?(strict = false) ?can
               ("planner statistics unusable: " ^ why)
           | Some _ | None -> raise e)))
   in
-  let stats = Stats.create () in
   let fallbacks = ref [] in
   let note_fallback strategy why =
     fallbacks := (strategy, why) :: !fallbacks;
@@ -1281,7 +1182,6 @@ let run ?(dp_use_inlj = true) ?(hint = Tm_plan.Hint.Auto) ?(strict = false) ?can
   in
   (* --- Mid-query adaptivity state (Auto hints only) --------------- *)
   let adaptive = match hint with Tm_plan.Hint.Auto -> true | _ -> false in
-  let replans = ref 0 in
   let replan_notes = ref [] in
   (* Observed (path index, actual rows) pairs accumulated across
      replans; each replanning round feeds them back as overrides. *)
@@ -1312,18 +1212,16 @@ let run ?(dp_use_inlj = true) ?(hint = Tm_plan.Hint.Auto) ?(strict = false) ?can
      immediately. *)
   let run_strategy par ~cancel ~watch ~order strategy ~out_uid cpaths =
     match Database.require db strategy with
-    | Database.Built_rootpaths fam ->
-      run_rp ?par ~cancel ?watch db fam ~stats ~out_uid cpaths
+    | Database.Built_rootpaths fam -> run_rp ?par ~cancel ?watch db fam ~out_uid cpaths
     | Database.Built_datapaths fam ->
-      run_dp ~use_inlj:dp_use_inlj ?par ~cancel ?watch ~order db fam ~stats ~out_uid cpaths
-    | Database.Built_edge -> run_edge ?par ~cancel ?watch db ~stats ~out_uid cpaths
+      run_dp ~use_inlj:dp_use_inlj ?par ~cancel ?watch ~order db fam ~out_uid cpaths
+    | Database.Built_edge -> run_edge ?par ~cancel ?watch db ~out_uid cpaths
     | Database.Built_dataguide guide ->
-      run_guide ?par ~cancel ?watch db ~stats ~out_uid ~guide ~fabric:None cpaths
+      run_guide ?par ~cancel ?watch db ~out_uid ~guide ~fabric:None cpaths
     | Database.Built_index_fabric { fabric; dataguide } ->
-      run_guide ?par ~cancel ?watch db ~stats ~out_uid ~guide:dataguide
-        ~fabric:(Some fabric) cpaths
-    | Database.Built_asr asrs -> run_asr ?par ~cancel ?watch db asrs ~stats ~out_uid cpaths
-    | Database.Built_ji ji -> run_ji ~cancel ?watch ~order db ji ~stats ~out_uid cpaths
+      run_guide ?par ~cancel ?watch db ~out_uid ~guide:dataguide ~fabric:(Some fabric) cpaths
+    | Database.Built_asr asrs -> run_asr ?par ~cancel ?watch db asrs ~out_uid cpaths
+    | Database.Built_ji ji -> run_ji ~cancel ?watch ~order db ji ~out_uid cpaths
   in
   let attempt_chain par ~cancel ~watch (plan : Tm_plan.Plan.t) ~out_uid cpaths =
     let requested = plan.Tm_plan.Plan.strategy in
@@ -1363,7 +1261,7 @@ let run ?(dp_use_inlj = true) ?(hint = Tm_plan.Hint.Auto) ?(strict = false) ?can
     (match parent with Some p -> Cancel.check p | None -> ());
     let watching =
       adaptive
-      && !replans < Tm_plan.Planner.max_replans
+      && stats.Stats.replans < Tm_plan.Planner.max_replans
       && Array.length plan.Tm_plan.Plan.cover > 1
     in
     (* Attempt tokens chain to the caller's [cancel] as parent: the
@@ -1387,7 +1285,6 @@ let run ?(dp_use_inlj = true) ?(hint = Tm_plan.Hint.Auto) ?(strict = false) ?can
       let i, est, actual =
         match Atomic.exchange blown None with Some b -> b | None -> assert false
       in
-      incr replans;
       stats.Stats.replans <- stats.Stats.replans + 1;
       observed := (i, actual) :: List.remove_assoc i !observed;
       let note =
@@ -1395,9 +1292,9 @@ let run ?(dp_use_inlj = true) ?(hint = Tm_plan.Hint.Auto) ?(strict = false) ?can
           actual est
       in
       replan_notes := note :: !replan_notes;
-      Tm_obs.Flight.emit Tm_obs.Flight.Replan !replans 0 note;
+      Tm_obs.Flight.emit Tm_obs.Flight.Replan stats.Stats.replans 0 note;
       if Tm_obs.Obs.in_trace () then
-        Tm_obs.Obs.annotate (Printf.sprintf "replan:%d" !replans) note;
+        Tm_obs.Obs.annotate (Printf.sprintf "replan:%d" stats.Stats.replans) note;
       let plan' =
         match plan_twig ~overrides:!observed db ~shape cpaths with
         | p -> p
@@ -1431,18 +1328,12 @@ let run ?(dp_use_inlj = true) ?(hint = Tm_plan.Hint.Auto) ?(strict = false) ?can
       ("query:" ^ Database.strategy_name initial_plan.Tm_plan.Plan.strategy)
       body
   in
-  let record_journal ~(plan : Tm_plan.Plan.t) ~strategy ~reason ~fallbacks ~via_naive ~rows
-      ~ms outcome =
-    match jstart with
+  let record_journal ~(plan : Tm_plan.Plan.t) ~strategy ~reason ~fallbacks ~via_naive ~rows ~ms
+      outcome =
+    match gc0 with
     | None -> ()
-    | Some (gc0, pool0) ->
-      let p1 = Tm_storage.Buffer_pool.stats db.Database.pool in
-      let reads = p1.Tm_storage.Buffer_pool.logical_reads - pool0.Tm_storage.Buffer_pool.logical_reads in
-      let misses = p1.Tm_storage.Buffer_pool.misses - pool0.Tm_storage.Buffer_pool.misses in
-      let hit_rate =
-        if reads = 0 then None
-        else Some (float_of_int (reads - misses) /. float_of_int reads)
-      in
+    | Some g0 ->
+      let g1 = Gc.quick_stat () in
       Tm_obs.Journal.record
         {
           Tm_obs.Journal.j_id = trace_id;
@@ -1459,13 +1350,17 @@ let run ?(dp_use_inlj = true) ?(hint = Tm_plan.Hint.Auto) ?(strict = false) ?can
           j_est_rows =
             (if Array.length plan.Tm_plan.Plan.cover = 0 then None
              else Some plan.Tm_plan.Plan.est_rows);
-          j_replans = !replans;
           j_latency_ms = ms;
-          j_pool_hit_rate = hit_rate;
+          j_stats = stats;
           j_jobs = jobs_used;
           j_txn = db.Database.last_txn;
           j_outcome = outcome;
-          j_gc = Tm_obs.Obs.gc_since gc0;
+          j_gc =
+            {
+              Tm_obs.Journal.g_major_words = g1.Gc.major_words -. g0.Gc.major_words;
+              g_minor_gcs = g1.Gc.minor_collections - g0.Gc.minor_collections;
+              g_major_gcs = g1.Gc.major_collections - g0.Gc.major_collections;
+            };
         }
   in
   match
@@ -1474,16 +1369,19 @@ let run ?(dp_use_inlj = true) ?(hint = Tm_plan.Hint.Auto) ?(strict = false) ?can
        query (and its pool workers, via the registered propagator) reads
        is served at the pinned one — the result is consistently pre- or
        post-commit, never torn. *)
-    Tm_storage.Epoch.with_pin db.Database.pager (fun () ->
-        Tm_obs.Obs.with_context trace_id (fun () ->
-            match pool with
-            | Some p -> run_with (Some p)
-            | None -> (
-              match jobs with
-              | Some j when j > 1 -> Tm_par.Pool.with_pool ~jobs:j (fun p -> run_with (Some p))
-              | Some _ | None -> run_with None)))
+    Stats.with_record stats (fun () ->
+        Tm_storage.Epoch.with_pin db.Database.pager (fun () ->
+            Tm_obs.Context.with_context trace_id (fun () ->
+                match pool with
+                | Some p -> run_with (Some p)
+                | None -> (
+                  match jobs with
+                  | Some j when j > 1 -> Tm_par.Pool.with_pool ~jobs:j (fun p -> run_with (Some p))
+                  | Some _ | None -> run_with None))))
   with
   | (final_plan, ids, strategy, via_naive), trace ->
+    (* The record is final once uninstalled: every consumer reads it now. *)
+    Tm_obs.Obs.add_query stats;
     let fallbacks = List.rev !fallbacks in
     let reason = final_plan.Tm_plan.Plan.reason in
     let reason =
@@ -1507,9 +1405,9 @@ let run ?(dp_use_inlj = true) ?(hint = Tm_plan.Hint.Auto) ?(strict = false) ?can
     let ms = latency_ms () in
     let rows = List.length ids in
     Tm_obs.Obs.observe h_query_ms ms;
-    Tm_obs.Flight.emit_traced trace_id Tm_obs.Flight.Query_end rows !replans "";
-    record_journal ~plan:final_plan ~strategy ~reason ~fallbacks ~via_naive ~rows ~ms
-      Tm_obs.Journal.Completed;
+    Tm_obs.Flight.emit_traced trace_id Tm_obs.Flight.Query_end rows stats.Stats.replans "";
+    record_journal ~plan:final_plan ~strategy ~reason ~fallbacks ~via_naive ~rows
+      ~ms Tm_obs.Journal.Completed;
     {
       ids;
       stats;
@@ -1518,11 +1416,12 @@ let run ?(dp_use_inlj = true) ?(hint = Tm_plan.Hint.Auto) ?(strict = false) ?can
       fallbacks;
       via_naive;
       plan = final_plan;
-      replans = !replans;
+      replans = stats.Stats.replans;
       trace;
       trace_id;
     }
   | exception Cancel.Cancelled ->
+    Tm_obs.Obs.add_query stats;
     let deadline =
       match deadline_ms with
       | Some ms -> ms
@@ -1541,6 +1440,7 @@ let run ?(dp_use_inlj = true) ?(hint = Tm_plan.Hint.Auto) ?(strict = false) ?can
     raise (Timeout { ms = deadline; stats })
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
+    Tm_obs.Obs.add_query stats;
     record_journal ~plan:initial_plan ~strategy:initial_plan.Tm_plan.Plan.strategy
       ~reason:initial_plan.Tm_plan.Plan.reason ~fallbacks:(List.rev !fallbacks)
       ~via_naive:false ~rows:0 ~ms:(latency_ms ())
@@ -1619,9 +1519,7 @@ let branch_cardinality (db : Database.t) cp =
      branch-point projection the executor would keep *)
   let cp = { cp with needed_idx = [ Array.length cp.pattern - 1 ] } in
   match Database.find_rootpaths db with
-  | Some fam ->
-    let stats = Stats.create () in
-    Relation.cardinality (eval_family_rooted fam ~stats ~head:None cp)
+  | Some fam -> Relation.cardinality (eval_family_rooted fam ~head:None cp)
   | None -> estimate db cp
 
 (** The per-branch result sizes of a twig (one entry per linear path),

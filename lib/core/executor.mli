@@ -17,6 +17,10 @@ exception Timeout of { ms : float; stats : Tm_exec.Stats.t }
 type result = {
   ids : int list;  (** sorted distinct data-node ids of the output node *)
   stats : Tm_exec.Stats.t;
+      (** the query's cost record — §6 counts, buffer reads and misses,
+          minor words — charged by every domain that worked for it and
+          by nothing else; the journal entry, the root span and the
+          [query.*] metrics totals read this same record *)
   strategy : Database.strategy;  (** the strategy actually executed *)
   reason : string;
       (** one-line justification ("as requested" for forced plans, the

@@ -17,6 +17,43 @@ open Tm_xmldb
 open Tm_index
 module T = Tm_xml.Xml_tree
 
+exception Writer_conflict of string
+
+let () =
+  Printexc.register_printer (function
+    | Writer_conflict s -> Some (Printf.sprintf "Writer_conflict(%s)" s)
+    | _ -> None)
+
+(* Live durable handles as (directory, database) pairs: one writer per
+   directory (by canonical path) and per database (physically). An
+   owned database takes updates only inside its handle's logged
+   transaction, whose writer is the calling domain; anything else would
+   bypass the WAL and the epoch versions pinned readers rely on. Kept
+   here, outside {!Database.t}, so ownership never reaches a snapshot. *)
+let owners : (string * Database.t) list Atomic.t = Atomic.make []
+
+let rec claim_durable ~dir (db : Database.t) =
+  let cur = Atomic.get owners in
+  if List.exists (fun (d, o) -> String.equal d dir || o == db) cur then
+    raise
+      (Writer_conflict
+         (dir ^ ": the directory or the database already has a live Durable handle; close it"))
+  else if not (Atomic.compare_and_set owners cur ((dir, db) :: cur)) then claim_durable ~dir db
+
+let rec release_durable (db : Database.t) =
+  let cur = Atomic.get owners in
+  if not (Atomic.compare_and_set owners cur (List.filter (fun (_, o) -> o != db) cur)) then
+    release_durable db
+
+let check_writer fn (db : Database.t) =
+  if
+    List.exists (fun (_, o) -> o == db) (Atomic.get owners)
+    && not (Tm_storage.Pager.in_txn_writer db.Database.pager)
+  then
+    raise
+      (Writer_conflict
+         (fn ^ ": the database has a live Durable handle; update it through the handle"))
+
 (* Rooted id chain of a node, via backward-link climbs (O(depth)). *)
 let id_chain (db : Database.t) id =
   let rec climb acc id =
@@ -107,6 +144,7 @@ let rec assign_ids (db : Database.t) (n : T.node) =
     @raise Invalid_argument if [parent] is unknown or is the virtual
     root (insert a new document by building a new database). *)
 let insert_subtree (db : Database.t) ~parent (subtree : T.node) =
+  check_writer "Updates.insert_subtree" db;
   if parent = 0 then invalid_arg "Updates.insert_subtree: cannot attach at the virtual root";
   if T.is_value subtree then invalid_arg "Updates.insert_subtree: subtree root must be an element";
   let chain = id_chain db parent in
@@ -135,6 +173,7 @@ let insert_subtree (db : Database.t) ~parent (subtree : T.node) =
 
     @raise Invalid_argument if [id] is unknown or is a document root. *)
 let delete_subtree (db : Database.t) id =
+  check_writer "Updates.delete_subtree" db;
   let chain = id_chain db id in
   if List.length chain < 2 then
     invalid_arg "Updates.delete_subtree: cannot delete a document root";

@@ -69,9 +69,9 @@ let compare_key = List.compare Int.compare
 (** Natural hash join of [a] and [b] on their shared columns. The output
     columns are [a]'s columns followed by [b]'s non-shared columns. If
     there are no shared columns this is a cross product (never needed by
-    the planner, but well-defined). Calls [on_probe] once per probe and
-    [on_result] once per output row, letting the caller account work. *)
-let hash_join ?(on_probe = fun () -> ()) ?(on_result = fun () -> ()) a b =
+    the planner, but well-defined). Calls [on_result] once per output
+    row, letting the caller account work. *)
+let hash_join ?(on_result = fun () -> ()) a b =
   let shared = shared_columns a b in
   let a_idx = List.map (fun c -> Option.get (column_index a c)) shared in
   let b_idx = List.map (fun c -> Option.get (column_index b c)) shared in
@@ -85,7 +85,6 @@ let hash_join ?(on_probe = fun () -> ()) ?(on_result = fun () -> ()) a b =
   let rows =
     List.concat_map
       (fun brow ->
-        on_probe ();
         Hashtbl.find_all table (key_of brow b_idx)
         |> List.map (fun arow ->
                on_result ();

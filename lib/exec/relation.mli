@@ -18,7 +18,7 @@ val shared_columns : t -> t -> int list
 val project : t -> int list -> t
 val distinct : t -> t
 
-val hash_join : ?on_probe:(unit -> unit) -> ?on_result:(unit -> unit) -> t -> t -> t
+val hash_join : ?on_result:(unit -> unit) -> t -> t -> t
 (** Natural hash join on shared columns (cross product when none).
     Output columns: left's, then right's non-shared. *)
 

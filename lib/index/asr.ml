@@ -66,10 +66,22 @@ let size_bytes t =
 
 let find_relation t path = Hashtbl.find_opt t.relations (Schema_path.encode path)
 
+(* A relation scan is one structure accessed and one index lookup on
+   the calling domain's query cost record, and each tuple handed to the
+   caller one entry scanned. *)
+let charged f =
+  let q = Tm_exec.Stats.current () in
+  q.Tm_exec.Stats.structures_accessed <- q.Tm_exec.Stats.structures_accessed + 1;
+  q.Tm_exec.Stats.index_lookups <- q.Tm_exec.Stats.index_lookups + 1;
+  fun acc ids ->
+    q.Tm_exec.Stats.entries_scanned <- q.Tm_exec.Stats.entries_scanned + 1;
+    f acc ids
+
 (** Fold over the id tuples of relation [path] whose leaf value matches
     [value] ([Some None] = structural rows, [None] = all rows — a full
     relation scan). Each tuple is the rooted id list [i1..ik]. *)
 let scan_relation t ~path ?value f acc =
+  let f = charged f in
   match find_relation t path with
   | None -> acc
   | Some rel ->
@@ -87,6 +99,7 @@ let scan_relation t ~path ?value f acc =
     the lexicographic range (bounds are (value, inclusive); [None] is
     open) — one contiguous scan of the value-ordered relation. *)
 let scan_relation_range t ~path ~lo ~hi f acc =
+  let f = charged f in
   match find_relation t path with
   | None -> acc
   | Some rel ->

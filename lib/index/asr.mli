@@ -29,7 +29,9 @@ val scan_relation :
   'a
 (** Fold over the rooted id tuples of one relation. [~value:(Some v)]
     selects tuples whose leaf value is [v]; [~value:None] the
-    structural rows; omitting scans every instance once. *)
+    structural rows; omitting scans every instance once. The scan is
+    charged to the calling domain's {!Tm_exec.Stats.current} record:
+    one structure, one index lookup, one entry per tuple folded. *)
 
 val matching_paths : t -> Tm_xmldb.Schema_path.t -> Tm_xmldb.Schema_catalog.entry list
 (** Rooted paths ending in the suffix — the relations a [//] pattern
@@ -50,4 +52,5 @@ val scan_relation_range :
   'a ->
   'a
 (** Fold over the tuples of one relation whose leaf value lies in the
-    lexicographic range — one contiguous scan. *)
+    lexicographic range — one contiguous scan, charged like
+    {!scan_relation}. *)

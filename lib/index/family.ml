@@ -391,23 +391,30 @@ let bound_ok ~is_lo (b : vbound option) v =
     let c = String.compare v bv in
     if is_lo then if inc then c >= 0 else c > 0 else if inc then c <= 0 else c < 0
 
+(* Accounting: a probe is one index lookup (charged before the probe is
+   validated, so a lossy member refusing it still counts), and each hit
+   handed to the caller is one entry scanned, both on the calling
+   domain's query cost record; a span per probe lets EXPLAIN ANALYZE
+   attribute B+-tree and buffer-pool work to the index that caused it. *)
+let probed t f = Tm_obs.Obs.with_span ("probe:" ^ t.config.cfg_name) f
+
+let start_probe () =
+  let q = Tm_exec.Stats.current () in
+  q.Tm_exec.Stats.index_lookups <- q.Tm_exec.Stats.index_lookups + 1;
+  q
+
+let hit (q : Tm_exec.Stats.t) f acc h =
+  q.Tm_exec.Stats.entries_scanned <- q.Tm_exec.Stats.entries_scanned + 1;
+  f acc h
+
 (** Range scan over the [Value] component: rows whose (non-null) value
     lies within the bounds and whose schema matches the probe. The
     member's key must contain [Value] (ROOTPATHS, DATAPATHS, Index
     Fabric); value-first key order makes the scan contiguous up to the
     prefix-extension false positives the post-filter removes.
     @raise Unsupported when the key layout lacks a [Value] component. *)
-(* Observability: one counter increment per probe and per entry
-   touched, and a span per probe so EXPLAIN ANALYZE can attribute
-   B+-tree and buffer-pool work to the index that caused it. *)
-let c_probes = Tm_obs.Obs.counter "family.probes"
-let c_entries = Tm_obs.Obs.counter "family.entries_scanned"
-
-let probed t f =
-  Tm_obs.Obs.incr c_probes;
-  Tm_obs.Obs.with_span ("probe:" ^ t.config.cfg_name) f
-
 let scan_value_range t ?head ~lo ~hi ~schema f acc =
+  let q = start_probe () in
   if not (List.exists (function Value -> true | _ -> false) t.config.key) then
     raise (Unsupported (t.config.cfg_name ^ ": no value component to range-scan"));
   (* the prefix up to (excluding) the value component: probe with an
@@ -424,7 +431,6 @@ let scan_value_range t ?head ~lo ~hi ~schema f acc =
     | None -> Codec.prefix_successor prefix
   in
   let fold_f acc key payload =
-    Tm_obs.Obs.incr c_entries;
     let _, v, s = decode_key t key in
     let value_ok =
       match v with
@@ -437,15 +443,16 @@ let scan_value_range t ?head ~lo ~hi ~schema f acc =
       | Suffix p -> Schema_path.has_suffix s p
       | Any_schema -> true
     in
-    if value_ok && schema_ok then f acc { h_schema = s; h_value = v; h_ids = decode_ids t payload }
+    if value_ok && schema_ok then
+      hit q f acc { h_schema = s; h_value = v; h_ids = decode_ids t payload }
     else acc
   in
   probed t (fun () -> Bptree.fold_range t.tree ~lo:lo_key ~hi:hi_key fold_f acc)
 
 let scan t ?head ?value ?exact_len ~schema f acc =
+  let q = start_probe () in
   let prefix, was_exact = scan_prefix t ?head ?value schema in
   let fold_f acc key payload =
-    Tm_obs.Obs.incr c_entries;
     let _, v, s = decode_key t key in
     let len_ok = match exact_len with None -> true | Some n -> Schema_path.length s = n in
     let value_ok =
@@ -462,7 +469,7 @@ let scan t ?head ?value ?exact_len ~schema f acc =
       | Any_schema -> true
     in
     if len_ok && value_ok && schema_ok then
-      f acc { h_schema = s; h_value = v; h_ids = decode_ids t payload }
+      hit q f acc { h_schema = s; h_value = v; h_ids = decode_ids t payload }
     else acc
   in
   probed t (fun () ->
@@ -471,7 +478,3 @@ let scan t ?head ?value ?exact_len ~schema f acc =
            count, so nothing real lies in [key, key ^ sep)) *)
         Bptree.fold_range t.tree ~lo:prefix ~hi:(Some (prefix ^ sep)) fold_f acc
       else Bptree.fold_prefix t.tree ~prefix fold_f acc)
-
-(** Entries a probe would touch (selectivity estimation / accounting). *)
-let probe_cost t ?head ?value ~schema () =
-  scan t ?head ?value ~schema (fun acc _ -> acc + 1) 0

@@ -99,10 +99,10 @@ val scan :
 (** One index lookup. [~value:(Some v)] selects value rows, [~value:None]
     the structural (null) rows; omitting it leaves the value
     unconstrained. [exact_len] additionally requires the matched schema
-    path length. @raise Unsupported per the member's layout. *)
-
-val probe_cost : t -> ?head:int -> ?value:string option -> schema:schema_probe -> unit -> int
-(** Entries a probe touches (estimation/accounting helper). *)
+    path length. The lookup and every hit passed to the fold are
+    charged to the calling domain's {!Tm_exec.Stats.current} record
+    ([index_lookups], [entries_scanned]).
+    @raise Unsupported per the member's layout. *)
 
 type vbound = string * bool
 (** One bound of a value-range probe: (value, inclusive). *)
@@ -118,7 +118,7 @@ val scan_value_range :
   'a
 (** Range scan over the [Value] component (lexicographic bounds) — the
     "complex conditions on values" extension of paper Section 7,
-    contiguous thanks to value-first key order.
+    contiguous thanks to value-first key order. Charged like {!scan}.
     @raise Unsupported when the member's key lacks a [Value] component. *)
 
 (** {1 Fsck support}

@@ -18,11 +18,6 @@ open Tm_exec
 
 type result = { ids : int list; stats : Stats.t }
 
-(* Shared with the executor's pipeline (same counter handle by name):
-   lets traces over either engine reconcile against Stats. *)
-let c_rows_produced = Tm_obs.Obs.counter "exec.rows_produced"
-let c_join_steps = Tm_obs.Obs.counter "exec.join_steps"
-
 let axis_of = function Twig.Child -> Structural_join.Child | Twig.Descendant -> Structural_join.Descendant
 
 (* Stream (start-sorted candidate ids) for one twig node, [] when the
@@ -65,11 +60,14 @@ let doc_roots_only (ctx : Context.t) ids =
 (* Binary structural semi-joins                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Each engine run installs its record for the run's extent, so page
+   reads and allocation land beside the counts it bumps itself, and its
+   spans show them. *)
 let run_stj (ctx : Context.t) (twig : Twig.t) =
   let stats = Stats.create () in
+  Stats.with_record stats @@ fun () ->
   let semijoin ~axis ~ancs ~descs =
     stats.Stats.join_steps <- stats.Stats.join_steps + 1;
-    Tm_obs.Obs.incr c_join_steps;
     Structural_join.semijoin ctx.Context.region ~axis ~ancs ~descs
   in
   (* bottom-up: candidates satisfying each node's subtree pattern *)
@@ -126,6 +124,7 @@ type ps_entry = { node : int; parent_open : int }
 
 let run_pathstack (ctx : Context.t) (twig : Twig.t) =
   let stats = Stats.create () in
+  Stats.with_record stats @@ fun () ->
   let region = ctx.Context.region in
   let out_uid = (Twig.output_node twig).Twig.uid in
   let branch_uids = List.map (fun n -> n.Twig.uid) (Twig.branch_nodes twig) in
@@ -242,7 +241,6 @@ let run_pathstack (ctx : Context.t) (twig : Twig.t) =
            needed_idx)
     in
     stats.Stats.rows_produced <- stats.Stats.rows_produced + List.length !rows;
-    Tm_obs.Obs.add c_rows_produced (List.length !rows);
     Relation.distinct (Relation.create cols (List.map to_row !rows))
   in
   let relations =
@@ -257,7 +255,6 @@ let run_pathstack (ctx : Context.t) (twig : Twig.t) =
       List.fold_left
         (fun acc r ->
           stats.Stats.join_steps <- stats.Stats.join_steps + 1;
-          Tm_obs.Obs.incr c_join_steps;
           Tm_obs.Obs.with_span "join:hash" (fun () -> Relation.hash_join acc r))
         r rest
   in

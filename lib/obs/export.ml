@@ -1,5 +1,5 @@
 (** Exporters over the {!Obs} sink: a human-readable trace tree, JSON
-    (traces and metrics), and Prometheus-style text metrics. *)
+    metrics, Chrome trace events, and Prometheus-style text metrics. *)
 
 (* ------------------------------------------------------------------ *)
 (* Minimal JSON writing                                                *)
@@ -38,38 +38,27 @@ let span_suffix (s : Obs.span) =
   List.iter
     (fun (k, v) -> if not (String.equal k "path") then push (Printf.sprintf "%s=%s" k v))
     s.Obs.s_meta;
-  (match Obs.pool_hit_rate s with
-  | Some r ->
-    push
-      (Printf.sprintf "pool=%.1f%% (%d hit/%d miss)" (100.0 *. r)
-         (Obs.span_count "buffer_pool.hits" s)
-         (Obs.span_count "buffer_pool.misses" s))
-  | None -> ());
-  (match s.Obs.s_gc with
-  | Some g when g.Obs.g_minor_words > 0.0 || g.Obs.g_major_words > 0.0 ->
-    let words w =
-      if w >= 1e6 then Printf.sprintf "%.1fMw" (w /. 1e6)
-      else if w >= 1e3 then Printf.sprintf "%.1fkw" (w /. 1e3)
-      else Printf.sprintf "%.0fw" w
-    in
-    push
-      (Printf.sprintf "alloc=%s%s" (words g.Obs.g_minor_words)
-         (if g.Obs.g_minor_gcs + g.Obs.g_major_gcs > 0 then
-            Printf.sprintf " gc=%d+%d" g.Obs.g_minor_gcs g.Obs.g_major_gcs
-          else ""))
-  | Some _ | None -> ());
-  let interesting =
-    List.filter
-      (fun (k, _) -> not (String.length k >= 12 && String.equal (String.sub k 0 12) "buffer_pool."))
-      s.Obs.s_counts
-  in
-  (match interesting with
+  let st = s.Obs.s_stats in
+  Option.iter
+    (fun r ->
+      push
+        (Printf.sprintf "pool=%.1f%% (%d read/%d miss)" (100.0 *. r)
+           st.Tm_exec.Stats.logical_reads st.Tm_exec.Stats.pool_misses))
+    (Tm_exec.Stats.pool_hit_rate st);
+  (let w = float_of_int st.Tm_exec.Stats.minor_words in
+   if w >= 1e6 then push (Printf.sprintf "alloc=%.1fMw" (w /. 1e6))
+   else if w >= 1e3 then push (Printf.sprintf "alloc=%.1fkw" (w /. 1e3))
+   else if w > 0.0 then push (Printf.sprintf "alloc=%.0fw" w));
+  (* the §6 counts the operator moved; pool and allocation are above *)
+  (match
+     List.filter
+       (fun (k, v) -> v <> 0 && not (List.mem k [ "logical_reads"; "pool_misses"; "minor_words" ]))
+       (Tm_exec.Stats.fields st)
+   with
   | [] -> ()
-  | _ :: _ ->
+  | counts ->
     push
-      ("["
-      ^ String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) interesting)
-      ^ "]"));
+      ("[" ^ String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) counts) ^ "]"));
   String.concat "  " (List.rev !parts)
 
 (* Index-nested-loop plans open one probe span per binding; past this
@@ -148,38 +137,6 @@ let trace_to_string (s : Obs.span) =
   render_span buf "" "" s;
   Buffer.contents buf
 
-let pp_trace ppf s = Format.pp_print_string ppf (trace_to_string s)
-
-let rec span_to_json (s : Obs.span) =
-  let fields =
-    [
-      ("name", json_string s.Obs.s_name);
-      ("elapsed_ms", json_float (Obs.elapsed_ms s));
-      ( "meta",
-        "{"
-        ^ String.concat ","
-            (List.map (fun (k, v) -> json_string k ^ ":" ^ json_string v) s.Obs.s_meta)
-        ^ "}" );
-      ( "counts",
-        "{"
-        ^ String.concat ","
-            (List.map (fun (k, v) -> json_string k ^ ":" ^ string_of_int v) s.Obs.s_counts)
-        ^ "}" );
-      ( "gc",
-        match s.Obs.s_gc with
-        | None -> "null"
-        | Some g ->
-          Printf.sprintf
-            "{\"minor_words\":%s,\"major_words\":%s,\"minor_gcs\":%d,\"major_gcs\":%d}"
-            (json_float g.Obs.g_minor_words) (json_float g.Obs.g_major_words) g.Obs.g_minor_gcs
-            g.Obs.g_major_gcs );
-      ("children", "[" ^ String.concat "," (List.map span_to_json s.Obs.s_children) ^ "]");
-    ]
-  in
-  "{" ^ String.concat "," (List.map (fun (k, v) -> json_string k ^ ":" ^ v) fields) ^ "}"
-
-let trace_to_json s = span_to_json s
-
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event export                                           *)
 (* ------------------------------------------------------------------ *)
@@ -199,16 +156,9 @@ let trace_to_chrome (root : Obs.span) =
     first := false;
     let args =
       List.map (fun (k, v) -> json_string k ^ ":" ^ json_string v) s.Obs.s_meta
-      @ List.map (fun (k, v) -> json_string k ^ ":" ^ string_of_int v) s.Obs.s_counts
-      @ (match s.Obs.s_gc with
-        | Some g ->
-          [
-            "\"gc_minor_words\":" ^ json_float g.Obs.g_minor_words;
-            "\"gc_major_words\":" ^ json_float g.Obs.g_major_words;
-            "\"gc_minor_gcs\":" ^ string_of_int g.Obs.g_minor_gcs;
-            "\"gc_major_gcs\":" ^ string_of_int g.Obs.g_major_gcs;
-          ]
-        | None -> [])
+      @ List.map
+          (fun (k, v) -> json_string k ^ ":" ^ string_of_int v)
+          (Tm_exec.Stats.fields s.Obs.s_stats)
     in
     Buffer.add_string buf
       (Printf.sprintf
@@ -349,15 +299,14 @@ let summary h =
 (* Derived gauges                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The buffer pool counts hits/misses per stripe but accumulates them
-   into the two global counters; the pool-wide hit rate is derived here
-   once at export time rather than maintained on the hot path. *)
+(* The pool-wide hit rate over every finished query's reads, derived
+   once at export time from the [query.*] totals ({!Obs.add_query})
+   rather than maintained on the hot path. *)
 let pool_hit_rate () =
-  let counters = Obs.counters () in
-  let get k = match List.assoc_opt k counters with Some v -> v | None -> 0 in
-  let hits = get "buffer_pool.hits" and misses = get "buffer_pool.misses" in
-  if hits + misses = 0 then None
-  else Some (float_of_int hits /. float_of_int (hits + misses))
+  let total k = Option.value ~default:0 (List.assoc_opt ("query." ^ k) (Obs.counters ())) in
+  let reads = total "logical_reads" in
+  if reads = 0 then None
+  else Some (float_of_int (reads - total "pool_misses") /. float_of_int reads)
 
 (* Every gauge an exporter should surface: registered gauges plus the
    derived pool-wide hit rate. *)

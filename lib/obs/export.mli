@@ -1,6 +1,6 @@
 (** Exporters over the {!Obs} sink: human-readable trace trees, JSON
-    (traces and metrics), Chrome trace-event JSON, and
-    Prometheus-style text metrics. *)
+    metrics, Chrome trace-event JSON, and Prometheus-style text
+    metrics. *)
 
 (** {1 JSON helpers} *)
 
@@ -19,17 +19,14 @@ val json_float : float -> string
 
 val trace_to_string : Obs.span -> string
 (** Render a span tree with per-operator elapsed time, annotations,
-    buffer-pool hit rates and counter deltas. *)
-
-val pp_trace : Format.formatter -> Obs.span -> unit
-
-val trace_to_json : Obs.span -> string
+    buffer-pool hit rate, allocation and the nonzero fields of each
+    span's cost-record delta. *)
 
 val trace_to_chrome : Obs.span -> string
 (** Chrome trace-event JSON (an array of ["ph":"X"] complete events
     with [ts]/[dur] in microseconds, relative to the root span), as
-    loaded by [chrome://tracing] and Perfetto. Span meta, counter
-    deltas and GC deltas ride along in each event's [args]. *)
+    loaded by [chrome://tracing] and Perfetto. Span meta and the span's
+    cost-record delta ride along in each event's [args]. *)
 
 (** {1 Flight-recorder timelines} *)
 
@@ -61,8 +58,9 @@ val summary : Obs.histogram -> (string * float) list
 (** {1 Derived gauges} *)
 
 val pool_hit_rate : unit -> float option
-(** Pool-wide buffer hit rate derived from the global hit/miss counters
-    at export time ([None] before any pool traffic). *)
+(** Buffer hit rate over every finished query's reads, derived from the
+    [query.logical_reads] and [query.pool_misses] totals at export time
+    ([None] before any query read a page with the sink on). *)
 
 val all_gauges : unit -> (string * float) list
 (** Registered {!Obs.gauge}s plus the derived [buffer_pool.hit_rate]. *)

@@ -11,6 +11,13 @@
     fleet-style EXPLAIN history the paper's Section 6 evaluation reads
     off DB2's instrumentation one query at a time. *)
 
+(* From two Gc.quick_stat readings around the query (see the .mli). *)
+type gc_delta = {
+  g_major_words : float;  (** words allocated in / promoted to the major heap *)
+  g_minor_gcs : int;  (** minor collections *)
+  g_major_gcs : int;  (** major collection cycles *)
+}
+
 type outcome =
   | Completed
   | Timed_out of float  (** the expired deadline, ms *)
@@ -28,15 +35,14 @@ type entry = {
   j_via_naive : bool;
   j_rows : int;
   j_est_rows : int option;  (** the plan's estimated result rows, when planned *)
-  j_replans : int;  (** mid-query replans before the answer *)
   j_latency_ms : float;
-  j_pool_hit_rate : float option;  (** buffer-pool hit rate over the query *)
+  j_stats : Tm_exec.Stats.t;  (** the query's cost record: §6 counts, buffer reads, minor words *)
   j_jobs : int;
   j_txn : int;
       (** last durably committed transaction folded into the database
           when the query ran (0 = a database never durably updated) *)
   j_outcome : outcome;
-  j_gc : Obs.gc_delta;  (** GC/allocation deltas over the query *)
+  j_gc : gc_delta;  (** collector activity over the query *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -187,8 +193,9 @@ let entry_to_string e =
   | Some est when est <> e.j_rows ->
     Buffer.add_string buf (Printf.sprintf ", est=%d" est)
   | Some _ | None -> ());
-  if e.j_replans > 0 then Buffer.add_string buf (Printf.sprintf ", replans=%d" e.j_replans);
-  (match e.j_pool_hit_rate with
+  if e.j_stats.Tm_exec.Stats.replans > 0 then
+    Buffer.add_string buf (Printf.sprintf ", replans=%d" e.j_stats.Tm_exec.Stats.replans);
+  (match Tm_exec.Stats.pool_hit_rate e.j_stats with
   | Some r -> Buffer.add_string buf (Printf.sprintf ", pool=%.1f%%" (100.0 *. r))
   | None -> ());
   if e.j_txn > 0 then Buffer.add_string buf (Printf.sprintf ", txn=%d" e.j_txn);
@@ -231,19 +238,23 @@ let entry_to_json e =
       (match e.j_est_rows with
       | Some est -> Printf.sprintf "\"est_rows\":%d," est
       | None -> "\"est_rows\":null,");
-      Printf.sprintf "\"replans\":%d," e.j_replans;
+      Printf.sprintf "\"replans\":%d," e.j_stats.Tm_exec.Stats.replans;
       Printf.sprintf "\"latency_ms\":%s," (json_of_float e.j_latency_ms);
-      (match e.j_pool_hit_rate with
+      (match Tm_exec.Stats.pool_hit_rate e.j_stats with
       | Some r -> Printf.sprintf "\"pool_hit_rate\":%s," (json_of_float r)
       | None -> "\"pool_hit_rate\":null,");
+      Printf.sprintf "\"stats\":{%s},"
+        (String.concat ","
+           (List.map
+              (fun (k, v) -> Printf.sprintf "%s:%d" (json_of_string k) v)
+              (Tm_exec.Stats.fields e.j_stats)));
       Printf.sprintf "\"jobs\":%d," e.j_jobs;
       Printf.sprintf "\"txn\":%d," e.j_txn;
       Printf.sprintf "\"outcome\":%s," outcome;
       Printf.sprintf
-        "\"gc\":{\"minor_words\":%s,\"major_words\":%s,\"minor_gcs\":%d,\"major_gcs\":%d}"
-        (json_of_float e.j_gc.Obs.g_minor_words)
-        (json_of_float e.j_gc.Obs.g_major_words)
-        e.j_gc.Obs.g_minor_gcs e.j_gc.Obs.g_major_gcs;
+        "\"gc\":{\"major_words\":%s,\"minor_gcs\":%d,\"major_gcs\":%d}"
+        (json_of_float e.j_gc.g_major_words)
+        e.j_gc.g_minor_gcs e.j_gc.g_major_gcs;
       "}";
     ]
 

@@ -5,6 +5,16 @@
     [trace id mod stripes], so concurrent domains rarely contend.
     Oldest entries are overwritten per stripe. *)
 
+(** Collector activity over a query, from the two {!Gc.quick_stat}
+    readings the executor takes around it when the journal is on
+    (per-domain on OCaml 5, so the coordinating domain's; minor words
+    come exactly, from every domain, in [j_stats]). *)
+type gc_delta = {
+  g_major_words : float;  (** words allocated in / promoted to the major heap *)
+  g_minor_gcs : int;  (** minor collections *)
+  g_major_gcs : int;  (** major collection cycles *)
+}
+
 (** How the query ended. *)
 type outcome =
   | Completed
@@ -23,15 +33,14 @@ type entry = {
   j_via_naive : bool;
   j_rows : int;
   j_est_rows : int option;  (** the plan's estimated result rows, when planned *)
-  j_replans : int;  (** mid-query replans before the answer *)
   j_latency_ms : float;
-  j_pool_hit_rate : float option;  (** buffer-pool hit rate over the query *)
+  j_stats : Tm_exec.Stats.t;  (** the query's cost record: §6 counts, buffer reads, minor words *)
   j_jobs : int;
   j_txn : int;
       (** last durably committed transaction folded into the database
           when the query ran (0 = a database never durably updated) *)
   j_outcome : outcome;
-  j_gc : Obs.gc_delta;  (** GC/allocation deltas over the query *)
+  j_gc : gc_delta;  (** collector activity over the query *)
 }
 
 val next_id : unit -> int

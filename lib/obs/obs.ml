@@ -8,20 +8,18 @@
     the benchmark harness relies on. When enabled, counters accumulate
     globally (exported by {!Export}) and {!trace} additionally captures
     a tree of named spans; each span records its wall-clock time and
-    the deltas of every registered counter over its extent, which is
-    how EXPLAIN ANALYZE attributes buffer-pool hits or rows produced to
-    individual plan operators without the operators knowing about each
-    other.
+    the delta of the query's cost record ({!Tm_exec.Stats}) over its
+    extent, which is how EXPLAIN ANALYZE attributes buffer reads,
+    entries and rows to individual plan operators without the operators
+    knowing about each other.
 
     Domain-safety: counters are {!Atomic.t}s, histogram updates are
     guarded by one mutex (both only when the sink is on), and the
     active trace stack is {e domain-local} — each domain records its
     own span tree, and a finished tree can be grafted into another
     domain's open trace with {!adopt} (how the parallel executor shows
-    per-domain path spans under one query trace). Counter deltas on a
-    span are deltas of the {e global} counters over the span's extent:
-    with concurrent domains they include the other domains' traffic,
-    so per-operator attribution is exact only where one domain runs. *)
+    per-domain path spans under one query trace). The cost record is
+    domain-local too, so a span counts its own query's work only. *)
 
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
@@ -49,17 +47,6 @@ let registered lock tbl order name make =
         v)
 
 (* ------------------------------------------------------------------ *)
-(* Trace context                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* The ambient trace id lives in {!Context}, below both this module and
-   {!Flight}, so the flight recorder can tag events with it without a
-   dependency cycle. These are thin aliases kept for the existing
-   callers. *)
-let context = Context.get
-let with_context = Context.with_context
-
-(* ------------------------------------------------------------------ *)
 (* Counters                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -79,6 +66,18 @@ let add c n = if Atomic.get enabled_flag then ignore (Atomic.fetch_and_add c.c_v
 let incr c = add c 1
 let value c = Atomic.get c.c_value
 let counters () = List.rev_map (fun c -> (c.c_name, Atomic.get c.c_value)) !counter_order
+
+(* Process-wide totals of the per-query cost record: one [query.<field>]
+   counter per {!Tm_exec.Stats} field, added once per finished query
+   rather than bumped by the code doing the work. *)
+let query_totals =
+  List.map
+    (fun (name, _) -> counter ("query." ^ name))
+    (Tm_exec.Stats.fields (Tm_exec.Stats.create ()))
+
+let add_query st =
+  if Atomic.get enabled_flag then
+    List.iter2 (fun c (_, v) -> add c v) query_totals (Tm_exec.Stats.fields st)
 
 (* ------------------------------------------------------------------ *)
 (* Histograms                                                          *)
@@ -151,7 +150,7 @@ let default_warn_handler w = Printf.eprintf "warning: [%s] %s\n%!" w.w_site w.w_
 let set_warn_handler h = Mutex.protect warn_lock (fun () -> warn_handler := h)
 
 let warn ~site msg =
-  let w = { w_time = Unix.gettimeofday (); w_ctx = context (); w_site = site; w_msg = msg } in
+  let w = { w_time = Unix.gettimeofday (); w_ctx = Context.get (); w_site = site; w_msg = msg } in
   let h =
     Mutex.protect warn_lock (fun () ->
         warn_ring.(!warn_written mod warn_capacity) <- Some w;
@@ -212,69 +211,24 @@ let reset () =
 (* Spans and traces                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* GC activity over a span's extent, from {!Gc.quick_stat} deltas. On
-   OCaml 5 the allocation counters are per-domain, which matches the
-   domain-local trace stack: a span's numbers describe the domain that
-   recorded it. *)
-type gc_delta = {
-  g_minor_words : float;  (** words allocated in the minor heap *)
-  g_major_words : float;  (** words allocated in / promoted to the major heap *)
-  g_minor_gcs : int;  (** minor collections *)
-  g_major_gcs : int;  (** major collection cycles *)
-}
-
 type span = {
   s_name : string;
   mutable s_start_ns : int64;  (** monotonic-clock open time *)
   mutable s_elapsed_ns : int64;
   mutable s_meta : (string * string) list;  (** free-form annotations *)
-  mutable s_counts : (string * int) list;  (** counter deltas over the span *)
-  mutable s_gc : gc_delta option;  (** GC/allocation deltas over the span *)
+  mutable s_stats : Tm_exec.Stats.t;  (** the cost record's delta over the span *)
   mutable s_children : span list;  (** execution order once finished *)
 }
 
-(* [Gc.quick_stat]'s word counters are only refreshed at collection
-   boundaries on OCaml 5, which would read as zero across most spans;
-   [Gc.minor_words ()] reads the live allocation pointer, so minor
-   words are exact. Major words stay quick_stat-grained (promotions
-   are counted at the collections that do them). *)
-let gc_snapshot () =
-  let s = Gc.quick_stat () in
-  {
-    g_minor_words = Gc.minor_words ();
-    g_major_words = s.Gc.major_words;
-    g_minor_gcs = s.Gc.minor_collections;
-    g_major_gcs = s.Gc.major_collections;
-  }
-
-let gc_since g0 =
-  let g1 = gc_snapshot () in
-  {
-    g_minor_words = g1.g_minor_words -. g0.g_minor_words;
-    g_major_words = g1.g_major_words -. g0.g_major_words;
-    g_minor_gcs = g1.g_minor_gcs - g0.g_minor_gcs;
-    g_major_gcs = g1.g_major_gcs - g0.g_major_gcs;
-  }
-
 (* The active trace is a stack of open spans, innermost first, each
-   carrying the counter snapshot taken when it opened. Spans outside a
-   {!trace} extent are not recorded (the stack is empty). The stack is
-   domain-local: concurrent domains each build their own tree and never
-   see each other's open spans. *)
-let trace_stack_key :
-    (span * (counter * int) list * int64 * gc_delta) list ref Domain.DLS.key =
+   carrying the cost-record snapshot and clock reading taken when it
+   opened. Spans outside a {!trace} extent are not recorded (the stack
+   is empty). The stack is domain-local: concurrent domains each build
+   their own tree and never see each other's open spans. *)
+let trace_stack_key : (span * Tm_exec.Stats.t * int64) list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
 let trace_stack () = Domain.DLS.get trace_stack_key
-
-let snapshot () = List.rev_map (fun c -> (c, Atomic.get c.c_value)) !counter_order
-
-let deltas snap =
-  List.filter_map
-    (fun (c, v0) ->
-      let d = Atomic.get c.c_value - v0 in
-      if d <> 0 then Some (c.c_name, d) else None)
-    snap
 
 let fresh_span ?(meta = []) name =
   {
@@ -282,8 +236,7 @@ let fresh_span ?(meta = []) name =
     s_start_ns = 0L;
     s_elapsed_ns = 0L;
     s_meta = meta;
-    s_counts = [];
-    s_gc = None;
+    s_stats = Tm_exec.Stats.create ();
     s_children = [];
   }
 
@@ -291,24 +244,24 @@ let in_trace () = match !(trace_stack ()) with [] -> false | _ :: _ -> true
 
 let annotate k v =
   match !(trace_stack ()) with
-  | (s, _, _, _) :: _ -> s.s_meta <- s.s_meta @ [ (k, v) ]
+  | (s, _, _) :: _ -> s.s_meta <- s.s_meta @ [ (k, v) ]
   | [] -> ()
 
 let adopt child =
   match !(trace_stack ()) with
-  | (s, _, _, _) :: _ -> s.s_children <- child :: s.s_children
+  | (s, _, _) :: _ -> s.s_children <- child :: s.s_children
   | [] -> ()
 
-let close_span s snap t0 gc0 =
+let close_span s snap t0 =
   s.s_elapsed_ns <- Int64.sub (Monotonic_clock.now ()) t0;
-  s.s_counts <- deltas snap;
-  s.s_gc <- Some (gc_since gc0);
+  s.s_stats <- Tm_exec.Stats.since snap;
   s.s_children <- List.rev s.s_children
 
 let open_entry s =
+  let snap = Tm_exec.Stats.snapshot () in
   let t0 = Monotonic_clock.now () in
   s.s_start_ns <- t0;
-  (s, snapshot (), t0, gc_snapshot ())
+  (s, snap, t0)
 
 let with_span ?meta name f =
   let stack = trace_stack () in
@@ -325,11 +278,11 @@ let with_span ?meta name f =
     stack := open_entry s :: !stack;
     let finish () =
       match !stack with
-      | (s', snap, t0, gc0) :: rest when s' == s ->
-        close_span s snap t0 gc0;
+      | (s', snap, t0) :: rest when s' == s ->
+        close_span s snap t0;
         stack := rest;
         (match rest with
-        | (parent, _, _, _) :: _ -> parent.s_children <- s :: parent.s_children
+        | (parent, _, _) :: _ -> parent.s_children <- s :: parent.s_children
         | [] -> ())
       | _ -> () (* unbalanced finish; drop the span rather than corrupt the tree *)
     in
@@ -345,8 +298,8 @@ let trace ?meta name f =
     Flight.emit Flight.Span_begin 0 0 name;
     let finish () =
       (match !stack with
-      | [ (s, snap, t0, gc0) ] when s == root ->
-        close_span root snap t0 gc0;
+      | [ (s, snap, t0) ] when s == root ->
+        close_span root snap t0;
         Flight.emit Flight.Span_end (Int64.to_int root.s_elapsed_ns) 0 name
       | _ -> ());
       stack := saved
@@ -356,9 +309,3 @@ let trace ?meta name f =
   end
 
 let elapsed_ms s = Int64.to_float s.s_elapsed_ns /. 1e6
-
-let span_count name s = match List.assoc_opt name s.s_counts with Some n -> n | None -> 0
-
-let pool_hit_rate s =
-  let hits = span_count "buffer_pool.hits" s and misses = span_count "buffer_pool.misses" s in
-  if hits + misses = 0 then None else Some (float_of_int hits /. float_of_int (hits + misses))

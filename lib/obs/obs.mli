@@ -5,7 +5,9 @@
 
     Domain-safe: counters are atomic, histograms are mutex-guarded, and
     the active trace stack is domain-local (worker-domain trees are
-    grafted into the coordinator's trace with {!adopt}). *)
+    grafted into the coordinator's trace with {!adopt}). Spans read the
+    domain-local per-query cost record ({!Tm_exec.Stats}), so their
+    numbers stay exact while other queries run. *)
 
 (** {1 Sink control} *)
 
@@ -31,6 +33,11 @@ val value : counter -> int
 
 val counters : unit -> (string * int) list
 (** All registered counters in registration order. *)
+
+val add_query : Tm_exec.Stats.t -> unit
+(** Add a finished query's cost record to the process-wide totals, one
+    [query.<field>] counter per {!Tm_exec.Stats} field (no-op when the
+    sink is off). The executor calls it once per query. *)
 
 (** {1 Histograms} *)
 
@@ -65,19 +72,6 @@ val gauges : unit -> (string * float) list
 (** Sample every registered gauge, in registration order. A gauge whose
     thunk raises reads as [nan]. *)
 
-(** {1 Trace context}
-
-    The ambient trace id of the query being executed on this domain,
-    carried across domain boundaries by {!Tm_par.Pool} so events
-    recorded on worker domains are attributed to the right query.
-    Independent of the enabled flag. *)
-
-val with_context : int -> (unit -> 'a) -> 'a
-(** Run with the ambient trace id set, restoring the previous value. *)
-
-val context : unit -> int option
-(** The ambient trace id, if any. *)
-
 (** {1 Warnings}
 
     Structured warnings (rare, operationally important events such as a
@@ -105,35 +99,20 @@ val set_warn_handler : (warning -> unit) option -> unit
 (** {1 Spans and traces}
 
     A trace is a tree of named spans capturing wall-clock time and the
-    deltas of every registered counter over each span's extent — how
-    EXPLAIN ANALYZE attributes buffer-pool traffic and rows to
-    individual plan operators. Spans are only recorded inside a
-    {!trace} extent; {!with_span} outside one just runs its thunk. *)
-
-(** GC activity over a span's extent ({!Gc.quick_stat} deltas; on
-    OCaml 5 the allocation counters are per-domain, matching the
-    domain-local trace stack). *)
-type gc_delta = {
-  g_minor_words : float;  (** words allocated in the minor heap *)
-  g_major_words : float;  (** words allocated in / promoted to the major heap *)
-  g_minor_gcs : int;  (** minor collections *)
-  g_major_gcs : int;  (** major collection cycles *)
-}
-
-val gc_snapshot : unit -> gc_delta
-(** The current cumulative GC counters (for callers computing their own
-    extents, e.g. the journal's per-query deltas). *)
-
-val gc_since : gc_delta -> gc_delta
-(** Deltas of the GC counters since a {!gc_snapshot}. *)
+    delta of the domain's installed cost record ({!Tm_exec.Stats}) over
+    each span's extent — how EXPLAIN ANALYZE attributes buffer reads,
+    entries, rows and allocation to individual plan operators. Spans
+    are only recorded inside a {!trace} extent; {!with_span} outside
+    one just runs its thunk. *)
 
 type span = {
   s_name : string;
   mutable s_start_ns : int64;  (** monotonic-clock open time *)
   mutable s_elapsed_ns : int64;
   mutable s_meta : (string * string) list;  (** free-form annotations *)
-  mutable s_counts : (string * int) list;  (** counter deltas over the span *)
-  mutable s_gc : gc_delta option;  (** GC/allocation deltas over the span *)
+  mutable s_stats : Tm_exec.Stats.t;
+      (** the cost record's delta over the span: the query's own work
+          (pool tasks' records are merged in), minor words included *)
   mutable s_children : span list;  (** execution order *)
 }
 
@@ -157,10 +136,3 @@ val adopt : span -> unit
     call order. No-op outside a {!trace}. *)
 
 val elapsed_ms : span -> float
-
-val span_count : string -> span -> int
-(** Delta of a named counter over the span (0 when absent). *)
-
-val pool_hit_rate : span -> float option
-(** Buffer-pool hit rate over the span, when any pool traffic
-    occurred. *)

@@ -126,13 +126,13 @@ let spawn t f =
   (* Capture the submitter's ambient trace context so events recorded
      inside the task — which may run on any worker domain — are
      attributed to the query that submitted it. *)
-  let ctx = Tm_obs.Obs.context () in
+  let ctx = Tm_obs.Context.get () in
   (* Likewise capture every registered ambient propagator (epoch pins,
      etc.) on the submitting domain, to be re-installed around the body
      on the executing domain. *)
   let wraps = List.map (fun capture -> capture ()) (Atomic.get propagators) in
   let body () =
-    let base () = match ctx with None -> f () | Some id -> Tm_obs.Obs.with_context id f in
+    let base () = match ctx with None -> f () | Some id -> Tm_obs.Context.with_context id f in
     (List.fold_left (fun k w () -> w.wrap k) base wraps) ()
   in
   let task () =

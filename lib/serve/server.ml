@@ -659,7 +659,7 @@ let finish t fd resp =
      installed on the admitted path, so shed-at-accept responses (which
      never saw a [Req_begin]) don't produce an orphan end marker. *)
   if Tm_obs.Flight.enabled () then begin
-    match Tm_obs.Obs.context () with
+    match Tm_obs.Context.get () with
     | Some rid -> Tm_obs.Flight.emit_traced rid Tm_obs.Flight.Req_end resp.status 0 ""
     | None -> ()
   end;
@@ -818,8 +818,28 @@ let serve_admitted t client token t_accept =
   else begin
     Tm_obs.Flight.emit_traced rid Tm_obs.Flight.Req_begin rid
       (Semaphore.in_use t.slots) "";
-    Tm_obs.Obs.with_context rid body
+    Tm_obs.Context.with_context rid body
   end
+
+(* Close a connection whose request was never read. Closing with unread
+   bytes makes the kernel send RST, which can cost the client the
+   response; half-closing first puts our FIN behind the response, and
+   the non-blocking drain empties what already arrived. Never waits for
+   a client that has sent nothing yet. *)
+let close_unread t client =
+  (try
+     Unix.shutdown client Unix.SHUTDOWN_SEND;
+     Unix.set_nonblock client;
+     let chunk = Bytes.create 1024 in
+     let rec drain budget =
+       if budget > 0 then
+         match Unix.read client chunk 0 (Bytes.length chunk) with
+         | 0 -> ()
+         | n -> drain (budget - n)
+     in
+     drain t.config.max_request_bytes
+   with Unix.Unix_error (_, _, _) -> ());
+  close_quiet client
 
 (* Shed at the accept edge: a typed 429 with a Retry-After estimate,
    written from the accept domain (bounded by SO_SNDTIMEO). *)
@@ -837,7 +857,7 @@ let shed_at_accept t client kind =
     (match kind with `Queue_full -> 0 | `Overload -> 1)
     0 why;
   Fun.protect
-    ~finally:(fun () -> close_quiet client)
+    ~finally:(fun () -> close_unread t client)
     (fun () ->
       ignore
         (finish t client

@@ -15,10 +15,9 @@
     replacement is approximately-global LRU — the same behaviour a
     hash-partitioned buffer pool exhibits in a real engine. *)
 
-(* Observability mirrors of the pool's own stats: gated on the global
-   sink so per-query spans can attribute cache behaviour to operators. *)
-let c_hits = Tm_obs.Obs.counter "buffer_pool.hits"
-let c_misses = Tm_obs.Obs.counter "buffer_pool.misses"
+(* Eviction and retry totals for the metrics sink (gated on it). Reads
+   and misses go to the reading query's cost record ({!read_versioned}),
+   which stays exact per query. *)
 let c_evictions = Tm_obs.Obs.counter "buffer_pool.evictions"
 let c_retries = Tm_obs.Obs.counter "buffer_pool.retries"
 
@@ -132,15 +131,14 @@ let evict_one pager st =
    domains racing to fault the same page in twice. Stripe locks never
    nest and the pager's own lock sits strictly below them, so the
    ordering is acyclic. *)
-let find_frame pager st id =
+let find_frame (q : Tm_exec.Stats.t) pager st id =
   match Hashtbl.find_opt st.frames id with
   | Some fr ->
     touch st id;
-    Tm_obs.Obs.incr c_hits;
     fr
   | None ->
     st.misses <- st.misses + 1;
-    Tm_obs.Obs.incr c_misses;
+    q.Tm_exec.Stats.pool_misses <- q.Tm_exec.Stats.pool_misses + 1;
     (* Retry covers both the eviction (its failpoint and write-back)
        and the fault-in read. Eviction mutates nothing until its
        write-back succeeds, so re-running it after a partial failure is
@@ -166,10 +164,13 @@ let find_frame pager st id =
     the old epoch with the old frame or the new epoch and takes the
     snapshot path: never a torn mix. The fast path ({!Pager.snapshot_active}
     false, i.e. no transaction and no version chains) costs one atomic
-    load. The returned bytes must not be mutated; use {!write} to
-    modify a page. *)
+    load. Every read is charged to the calling domain's query cost
+    record ({!Tm_exec.Stats.current}) as well as to the stripe. The
+    returned bytes must not be mutated; use {!write} to modify a page. *)
 let read_versioned t id =
   let st = stripe_of t id in
+  let q = Tm_exec.Stats.current () in
+  q.Tm_exec.Stats.logical_reads <- q.Tm_exec.Stats.logical_reads + 1;
   locked st (fun () ->
       st.logical_reads <- st.logical_reads + 1;
       let pinned_stale =
@@ -188,9 +189,9 @@ let read_versioned t id =
         (* Snapshot read: uncached (version-chain bytes must never
            alias the newest-image frame cache), counted as a miss. *)
         st.misses <- st.misses + 1;
-        Tm_obs.Obs.incr c_misses;
+        q.Tm_exec.Stats.pool_misses <- q.Tm_exec.Stats.pool_misses + 1;
         (with_retry st (fun () -> Pager.read_at t.pager ~epoch:e id), true)
-      | None -> ((find_frame t.pager st id).data, false))
+      | None -> ((find_frame q t.pager st id).data, false))
 
 (** Read a page through the pool. The returned bytes must not be mutated;
     use {!write} to modify a page. *)

@@ -224,6 +224,130 @@ let test_chaos_deadline_sheds_are_answered () =
       check Alcotest.int "still exhaustively accounted" s.Server.accepted
         (s.Server.responses + s.Server.write_failures + s.Server.accept_faults))
 
+(* Shedding at the accept edge under a burst. Both admission places —
+   the one execution slot and the one queue slot — are held by silent
+   connections, so every arrival of the burst is past
+   [max_in_flight + max_queue] and must be answered 429 from the accept
+   domain. Clients read to EOF; a reset (or EOF) before any status line
+   is a lost response, however the server counted it. *)
+type shed_end = Status of int | Lost
+
+let shed_exchange port target =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close sock with Unix.Unix_error (_, _, _) -> ())
+    (fun () ->
+      Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      let req =
+        Printf.sprintf "GET %s HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n" target
+      in
+      (try ignore (Unix.write_substring sock req 0 (String.length req))
+       with Unix.Unix_error (_, _, _) -> () (* read what arrived before the failure *));
+      let buf = Buffer.create 512 in
+      let chunk = Bytes.create 4096 in
+      let rec loop () =
+        match Unix.read sock chunk 0 (Bytes.length chunk) with
+        | 0 -> ()
+        | n ->
+          Buffer.add_subbytes buf chunk 0 n;
+          loop ()
+        | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> ()
+      in
+      loop ();
+      let body = Buffer.contents buf in
+      match String.index_opt body '\r' with
+      | Some i when i >= 12 && String.sub body 0 9 = "HTTP/1.1 " -> (
+        match int_of_string_opt (String.sub body 9 3) with Some code -> Status code | None -> Lost)
+      | Some _ | None -> Lost)
+
+let test_chaos_shed_at_accept () =
+  Tm_obs.Obs.set_warn_handler (Some (fun _ -> ()));
+  let db = mk_db () in
+  let config =
+    {
+      Server.default_config with
+      Server.max_in_flight = 1;
+      max_queue = 1;
+      request_timeout_ms = 30_000.0;
+      read_timeout_ms = 10_000.0;
+      drain_deadline_ms = 10_000.0;
+    }
+  in
+  let t = Server.create ~port:0 ~config db in
+  (* one worker: the execution slot's holder blocks it, so the queue
+     slot's holder stays queued *)
+  Tm_par.Pool.with_pool ~jobs:2 @@ fun pool ->
+  let d = Domain.spawn (fun () -> Server.run ~pool t) in
+  let port = Server.port t in
+  let holders = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun s -> try Unix.close s with Unix.Unix_error (_, _, _) -> ()) !holders;
+      Tm_obs.Obs.set_warn_handler None;
+      Server.stop t;
+      ignore (Domain.join d))
+    (fun () ->
+      let hold () =
+        let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        holders := s :: !holders;
+        Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+      in
+      let rec settle n pred =
+        if not (pred (Server.stats t)) then
+          if n = 0 then Alcotest.fail "the holders were never admitted"
+          else begin
+            Unix.sleepf 0.01;
+            settle (n - 1) pred
+          end
+      in
+      hold ();
+      settle 500 (fun s -> s.Server.in_flight = 1);
+      hold ();
+      settle 500 (fun s -> s.Server.queued = 1);
+      let clients = 4 and per_client = 25 in
+      let burst =
+        List.init clients (fun _ ->
+            Domain.spawn (fun () ->
+                List.init per_client (fun _ -> shed_exchange port "/healthz")))
+        |> List.concat_map Domain.join
+      in
+      let count p = List.length (List.filter p burst) in
+      let lost = count (function Lost -> true | Status _ -> false) in
+      let shed = count (function Status 429 -> true | Status _ | Lost -> false) in
+      check Alcotest.int "no response lost to a reset" 0 lost;
+      check Alcotest.int "every arrival past the bound answered 429" (clients * per_client) shed;
+      let s = Server.stats t in
+      check Alcotest.int "429s received = shed_queue + shed_overload" shed
+        (s.Server.shed_queue + s.Server.shed_overload);
+      (* release the holders: each sends a request that touches no
+         storage (so it is served whatever failpoints are armed) *)
+      List.iter
+        (fun sock ->
+          let req = "GET /stats HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n" in
+          ignore (Unix.write_substring sock req 0 (String.length req)))
+        (List.rev !holders);
+      List.iter
+        (fun sock ->
+          let buf = Buffer.create 256 and chunk = Bytes.create 1024 in
+          let rec loop () =
+            match Unix.read sock chunk 0 (Bytes.length chunk) with
+            | 0 -> ()
+            | n ->
+              Buffer.add_subbytes buf chunk 0 n;
+              loop ()
+          in
+          loop ();
+          check Alcotest.bool "held connection served" true
+            (contains (Buffer.contents buf) "HTTP/1.1 200"))
+        (List.rev !holders);
+      quiesce t;
+      let s = Server.stats t in
+      check Alcotest.int "accepted = burst + holders"
+        ((clients * per_client) + 2)
+        s.Server.accepted;
+      check Alcotest.int "accepted = responses + write_failures + accept_faults" s.Server.accepted
+        (s.Server.responses + s.Server.write_failures + s.Server.accept_faults))
+
 (* Flight-recorder post-mortem under load: with the recorder on, hold
    both execution slots mid-query (cold caches + delayed page reads),
    then dump the rings — exactly what the SIGQUIT handler does to a
@@ -363,5 +487,7 @@ let () =
             test_chaos_deadline_sheds_are_answered;
           Alcotest.test_case "mid-storm dump reconstructs in-flight requests" `Quick
             test_chaos_flight_dump_reconstructs_in_flight;
+          Alcotest.test_case "burst past the admission bound: every shed 429 delivered" `Quick
+            test_chaos_shed_at_accept;
         ] );
     ]

@@ -48,14 +48,11 @@ let test_join_on_multiple_columns () =
 let test_join_callbacks () =
   let a = rel [ 1 ] [ [ 1 ]; [ 2 ] ] in
   let b = rel [ 1 ] [ [ 1 ]; [ 1 ]; [ 3 ] ] in
-  let probes = ref 0 and results = ref 0 in
-  ignore
-    (Relation.hash_join
-       ~on_probe:(fun () -> incr probes)
-       ~on_result:(fun () -> incr results)
-       a b);
-  check Alcotest.int "probes" 3 !probes;
-  check Alcotest.int "results" 2 !results
+  let results = ref 0 and merged = ref 0 in
+  ignore (Relation.hash_join ~on_result:(fun () -> incr results) a b);
+  ignore (Relation.merge_join ~on_result:(fun () -> incr merged) a b);
+  check Alcotest.int "hash results" 2 !results;
+  check Alcotest.int "merge results" 2 !merged
 
 (* Reference natural join. *)
 let nested_loop_join a b =
@@ -105,10 +102,38 @@ let test_stats () =
   let s = Stats.create () in
   s.Stats.index_lookups <- 3;
   s.Stats.join_steps <- 1;
-  let s2 = Stats.add s s in
-  check Alcotest.int "add lookups" 6 s2.Stats.index_lookups;
-  check Alcotest.int "add joins" 2 s2.Stats.join_steps;
+  let s2 = Stats.create () in
+  Stats.merge_into ~into:s2 s;
+  Stats.merge_into ~into:s2 s;
+  check Alcotest.int "merged lookups" 6 s2.Stats.index_lookups;
+  check Alcotest.int "merged joins" 2 s2.Stats.join_steps;
   check Alcotest.bool "pp" true (String.length (Format.asprintf "%a" Stats.pp s2) > 0)
+
+(* The domain-local record: increments land in the innermost installed
+   record, the outer one resumes afterwards, and allocation is charged
+   to the innermost record only. *)
+let test_installed_record () =
+  let outer = Stats.create () and inner = Stats.create () in
+  let bump () =
+    let q = Stats.current () in
+    q.Stats.entries_scanned <- q.Stats.entries_scanned + 1
+  in
+  Stats.with_record outer (fun () ->
+      bump ();
+      Stats.with_record inner (fun () ->
+          bump ();
+          bump ();
+          ignore (Sys.opaque_identity (List.init 10_000 Fun.id)));
+      bump ();
+      check Alcotest.int "delta since a snapshot" 1
+        (let s0 = Stats.snapshot () in
+         bump ();
+         (Stats.since s0).Stats.entries_scanned));
+  check Alcotest.int "outer record" 3 outer.Stats.entries_scanned;
+  check Alcotest.int "inner record" 2 inner.Stats.entries_scanned;
+  check Alcotest.bool "inner allocation charged to inner" true (inner.Stats.minor_words >= 30_000);
+  check Alcotest.bool "not charged to outer too" true (outer.Stats.minor_words < 30_000);
+  check Alcotest.bool "uninstalled afterwards" true (Stats.current () != outer)
 
 let suite =
   [
@@ -122,7 +147,11 @@ let suite =
         qtest prop_joins_match_reference;
         qtest prop_join_no_shared_is_cross_product;
       ] );
-    ("stats", [ Alcotest.test_case "accumulate" `Quick test_stats ]);
+    ( "stats",
+      [
+        Alcotest.test_case "accumulate" `Quick test_stats;
+        Alcotest.test_case "installed record" `Quick test_installed_record;
+      ] );
   ]
 
 let () = Alcotest.run "tm_exec" suite

@@ -79,7 +79,7 @@ let test_trace_correlation () =
   fresh @@ fun () ->
   Flight.with_enabled true @@ fun () ->
   Flight.emit Flight.Sem_acquire 1 0 "";
-  Obs.with_context 42 (fun () -> Flight.emit Flight.Sem_acquire 2 0 "");
+  Tm_obs.Context.with_context 42 (fun () -> Flight.emit Flight.Sem_acquire 2 0 "");
   Flight.emit_traced 7 Flight.Sem_acquire 3 0 "";
   match Flight.snapshot () with
   | [ a; b; c ] ->
@@ -317,7 +317,7 @@ let test_automatic_dump_trigger () =
 let test_chrome_export_shape () =
   fresh @@ fun () ->
   Flight.with_enabled true @@ fun () ->
-  Obs.with_context 5 (fun () ->
+  Tm_obs.Context.with_context 5 (fun () ->
       Flight.emit Flight.Req_begin 5 1 "";
       Flight.emit Flight.Wal_fsync 0 0 "";
       Flight.emit Flight.Req_end 200 0 "");

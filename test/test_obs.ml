@@ -115,35 +115,40 @@ let test_query_trace_shape () =
 let test_pool_counters_cold_vs_warm () =
   let db = Database.create ~strategies:[ Database.RP ] (book_doc ()) in
   let twig = Tm_query.Xpath_parser.parse query in
-  let hits = Obs.counter "buffer_pool.hits" in
-  let misses = Obs.counter "buffer_pool.misses" in
   (* the pool's own stats count from creation (sink on or off), so all
      comparisons are deltas over each run *)
   let pool () =
     let s = Tm_storage.Buffer_pool.stats db.Database.pool in
-    (s.Tm_storage.Buffer_pool.logical_reads - s.Tm_storage.Buffer_pool.misses,
-     s.Tm_storage.Buffer_pool.misses)
+    (s.Tm_storage.Buffer_pool.logical_reads, s.Tm_storage.Buffer_pool.misses)
   in
+  let total name = List.assoc ("query." ^ name) (Obs.counters ()) in
+  let run () = Executor.run ~hint:(Tm_plan.Hint.Force Database.RP) db twig in
   Obs.with_enabled true (fun () ->
       (* cold: every page the query touches must miss *)
       Database.drop_caches db;
-      let h0 = Obs.value hits and m0 = Obs.value misses in
-      let ph0, pm0 = pool () in
-      ignore (Executor.run ~hint:(Tm_plan.Hint.Force Database.RP) db twig);
-      let ph1, pm1 = pool () in
+      let pr0, pm0 = pool () and tr0 = total "logical_reads" and tm0 = total "pool_misses" in
+      let cold = (run ()).Executor.stats in
+      let pr1, pm1 = pool () in
       (* first touch of every page must miss (later touches of the same
          page within the run may hit) *)
-      check Alcotest.bool "cold run misses at least once" true (Obs.value misses > m0);
-      check Alcotest.int "cold obs misses = pool misses" (pm1 - pm0) (Obs.value misses - m0);
-      check Alcotest.int "cold obs hits = pool hits" (ph1 - ph0) (Obs.value hits - h0);
+      check Alcotest.bool "cold run misses at least once" true (cold.Tm_exec.Stats.pool_misses > 0);
+      check Alcotest.int "cold record reads = pool reads" (pr1 - pr0)
+        cold.Tm_exec.Stats.logical_reads;
+      check Alcotest.int "cold record misses = pool misses" (pm1 - pm0)
+        cold.Tm_exec.Stats.pool_misses;
+      check Alcotest.int "metrics total adds the record's reads" cold.Tm_exec.Stats.logical_reads
+        (total "logical_reads" - tr0);
+      check Alcotest.int "metrics total adds the record's misses" cold.Tm_exec.Stats.pool_misses
+        (total "pool_misses" - tm0);
       (* warm: the same query touches the same pages, now resident *)
-      let h1 = Obs.value hits and m1 = Obs.value misses in
-      ignore (Executor.run ~hint:(Tm_plan.Hint.Force Database.RP) db twig);
-      let ph2, pm2 = pool () in
-      check Alcotest.int "warm run never misses" m1 (Obs.value misses);
-      check Alcotest.bool "warm run hits at least once" true (Obs.value hits > h1);
-      check Alcotest.int "warm obs hits = pool hits" (ph2 - ph1) (Obs.value hits - h1);
-      check Alcotest.int "warm obs misses = pool misses" (pm2 - pm1) (Obs.value misses - m1))
+      let warm = (run ()).Executor.stats in
+      let pr2, pm2 = pool () in
+      check Alcotest.int "warm run never misses" 0 warm.Tm_exec.Stats.pool_misses;
+      check Alcotest.int "warm pool misses" pm1 pm2;
+      check Alcotest.int "warm record reads = pool reads" (pr2 - pr1)
+        warm.Tm_exec.Stats.logical_reads;
+      check Alcotest.int "same pages warm and cold" cold.Tm_exec.Stats.logical_reads
+        warm.Tm_exec.Stats.logical_reads)
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN ANALYZE vs. Stats                                           *)
@@ -156,14 +161,21 @@ let test_trace_reconciles_with_stats () =
     (fun s ->
       let r = Obs.with_enabled true (fun () -> Executor.run ~hint:(Tm_plan.Hint.Force s) db twig) in
       let tr = Option.get r.Executor.trace in
-      check Alcotest.int
-        (Database.strategy_name s ^ ": trace rows = Stats.rows_produced")
-        r.Executor.stats.Tm_exec.Stats.rows_produced
-        (Obs.span_count "exec.rows_produced" tr);
-      check Alcotest.int
-        (Database.strategy_name s ^ ": trace joins = Stats.join_steps")
-        r.Executor.stats.Tm_exec.Stats.join_steps
-        (Obs.span_count "exec.join_steps" tr))
+      let st = r.Executor.stats and sp = tr.Obs.s_stats in
+      let name = Database.strategy_name s in
+      check Alcotest.int (name ^ ": trace rows = Stats.rows_produced")
+        st.Tm_exec.Stats.rows_produced sp.Tm_exec.Stats.rows_produced;
+      check Alcotest.int (name ^ ": trace joins = Stats.join_steps") st.Tm_exec.Stats.join_steps
+        sp.Tm_exec.Stats.join_steps;
+      check Alcotest.int (name ^ ": trace entries = Stats.entries_scanned")
+        st.Tm_exec.Stats.entries_scanned sp.Tm_exec.Stats.entries_scanned;
+      (* operator spans partition the root's entries: every scan runs
+         under a path span *)
+      check Alcotest.int (name ^ ": path spans sum to the root's entries")
+        sp.Tm_exec.Stats.entries_scanned
+        (List.fold_left
+           (fun acc (c : Obs.span) -> acc + c.Obs.s_stats.Tm_exec.Stats.entries_scanned)
+           0 tr.Obs.s_children))
     [ Database.RP; Database.DP ]
 
 let test_explain_analyze_output () =
@@ -180,6 +192,72 @@ let test_explain_analyze_output () =
   check Alcotest.bool "has stats line" true (contains "stats:");
   (* analyze must not leave the global sink enabled *)
   check Alcotest.bool "sink restored" false (Obs.enabled ())
+
+(* ------------------------------------------------------------------ *)
+(* One query's numbers while another domain runs queries               *)
+(* ------------------------------------------------------------------ *)
+
+(* A cold query is held in flight by a delay on every physical page
+   read while this domain runs warm queries against the same database
+   and buffer pool. The warm queries are counted only when they start
+   after the cold query entered its first read and end before it entered
+   its last, so the overlap is established, not hoped for. The in-flight
+   query's root span and journal entry must read exactly as when it ran
+   alone from the same cache state. *)
+let test_inflight_query_exact_under_concurrency () =
+  let doc = Tm_datasets.Xmark_gen.generate { Tm_datasets.Xmark_gen.seed = 3; scale = 0.05 } in
+  (* small pages: the cold query's scans span several leaves *)
+  let db = Database.create ~strategies:[ Database.RP ] ~page_size:1024 doc in
+  let cold = Tm_datasets.Workload.(parse (find "Q12x")) in
+  let warm = Tm_datasets.Workload.(parse (find "Q1x")) in
+  let run twig = Executor.run ~hint:(Tm_plan.Hint.Force Database.RP) db twig in
+  (* the same cache state before both runs: nothing resident but the
+     warm query's pages *)
+  let prepare () =
+    Database.drop_caches db;
+    ignore (run warm)
+  in
+  let deterministic (s : Tm_exec.Stats.t) = { s with Tm_exec.Stats.minor_words = 0 } in
+  let observed (r : Executor.result) =
+    let root = Option.get r.Executor.trace in
+    let entry = List.find (fun e -> e.Journal.j_id = r.Executor.trace_id) (Journal.entries ()) in
+    ( Tm_exec.Stats.fields (deterministic root.Obs.s_stats),
+      Tm_exec.Stats.pool_hit_rate entry.Journal.j_stats,
+      Tm_exec.Stats.fields (deterministic r.Executor.stats) )
+  in
+  Obs.with_enabled true @@ fun () ->
+  Journal.with_enabled true @@ fun () ->
+  prepare ();
+  let alone = run cold in
+  let span_alone, rate_alone, stats_alone = observed alone in
+  let misses = alone.Executor.stats.Tm_exec.Stats.pool_misses in
+  check Alcotest.bool "the cold query reads at least three pages from the pager" true (misses >= 3);
+  prepare ();
+  Tm_fault.Fault.inject ~site:"pager.read" ~action:(Tm_fault.Fault.Delay_ms 40)
+    (Tm_fault.Fault.Every 1);
+  Fun.protect ~finally:Tm_fault.Fault.install_env @@ fun () ->
+  let in_flight = Domain.spawn (fun () -> run cold) in
+  let reads () = Tm_fault.Fault.calls "pager.read" in
+  let overlapped = ref 0 in
+  let rec storm () =
+    let before = reads () in
+    if before < misses then begin
+      if before >= 1 then begin
+        ignore (run warm);
+        if reads () < misses then incr overlapped
+      end
+      else Domain.cpu_relax ();
+      storm ()
+    end
+  in
+  storm ();
+  let concurrent = Domain.join in_flight in
+  check Alcotest.bool "warm queries ran while the cold one was in flight" true (!overlapped >= 1);
+  check Alcotest.int "only the cold query read from the pager" misses (reads ());
+  let span_conc, rate_conc, stats_conc = observed concurrent in
+  check Alcotest.(list (pair string int)) "root-span counts as when run alone" span_alone span_conc;
+  check Alcotest.(option (float 0.0)) "journal hit rate as when run alone" rate_alone rate_conc;
+  check Alcotest.(list (pair string int)) "query record as when run alone" stats_alone stats_conc
 
 (* ------------------------------------------------------------------ *)
 (* Disabled sink records nothing                                       *)
@@ -225,9 +303,12 @@ let test_prometheus_output () =
   Obs.with_enabled true (fun () ->
       Obs.reset ();
       Obs.add (Obs.counter "test.prom.counter") 5;
-      (* make the derived pool-wide hit-rate gauge well-defined *)
-      Obs.add (Obs.counter "buffer_pool.hits") 3;
-      Obs.add (Obs.counter "buffer_pool.misses") 1;
+      (* make the derived pool-wide hit-rate gauge well-defined: one
+         finished query that read 4 pages and missed 1 *)
+      let q = Tm_exec.Stats.create () in
+      q.Tm_exec.Stats.logical_reads <- 4;
+      q.Tm_exec.Stats.pool_misses <- 1;
+      Obs.add_query q;
       let h = Obs.histogram ~buckets:[| 1.0; 2.0; 4.0 |] "test.prom.ms" in
       List.iter (Obs.observe h) [ 0.5; 1.5; 3.0; 9.0 ]);
   let out = Export.metrics_to_prometheus () in
@@ -314,17 +395,17 @@ let test_span_gc_delta () =
   in
   let tr = Option.get tr in
   let alloc = List.hd tr.Obs.s_children in
-  match alloc.Obs.s_gc with
-  | None -> Alcotest.fail "no GC delta on span"
-  | Some g ->
-    (* 10k 3-word cons cells: the per-domain minor counter must see them *)
-    check Alcotest.bool "minor allocation attributed" true (g.Obs.g_minor_words >= 10_000.0)
+  (* 10k 3-word cons cells: the span's record delta must see them *)
+  check Alcotest.bool "minor allocation attributed" true
+    (alloc.Obs.s_stats.Tm_exec.Stats.minor_words >= 10_000);
+  check Alcotest.bool "root includes its child's allocation" true
+    (tr.Obs.s_stats.Tm_exec.Stats.minor_words >= alloc.Obs.s_stats.Tm_exec.Stats.minor_words)
 
 (* ------------------------------------------------------------------ *)
 (* Query-lifecycle journal                                             *)
 (* ------------------------------------------------------------------ *)
 
-let zero_gc = { Obs.g_minor_words = 0.0; g_major_words = 0.0; g_minor_gcs = 0; g_major_gcs = 0 }
+let zero_gc = { Journal.g_major_words = 0.0; g_minor_gcs = 0; g_major_gcs = 0 }
 
 let mk_entry ?(latency = 1.0) ?(outcome = Journal.Completed) ?(fallbacks = []) () =
   {
@@ -339,9 +420,8 @@ let mk_entry ?(latency = 1.0) ?(outcome = Journal.Completed) ?(fallbacks = []) (
     j_via_naive = false;
     j_rows = 0;
     j_est_rows = None;
-    j_replans = 0;
     j_latency_ms = latency;
-    j_pool_hit_rate = None;
+    j_stats = Tm_exec.Stats.create ();
     j_jobs = 0;
     j_txn = 0;
     j_outcome = outcome;
@@ -563,6 +643,8 @@ let () =
         [
           Alcotest.test_case "trace reconciles with Stats" `Quick test_trace_reconciles_with_stats;
           Alcotest.test_case "explain ~analyze output" `Quick test_explain_analyze_output;
+          Alcotest.test_case "in-flight query exact beside concurrent queries" `Quick
+            test_inflight_query_exact_under_concurrency;
         ] );
       ( "disabled",
         [ Alcotest.test_case "sink off records nothing" `Quick test_disabled_sink_is_silent ] );

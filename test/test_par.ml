@@ -121,6 +121,41 @@ let test_pool_matches_sequential () =
         (Lazy.force xmark_twigs))
     Database.all_strategies
 
+(* The query's cost record under pool fan-out: every task charges a
+   record of its own and the coordinator merges them, so at jobs=4 each
+   query reads the same as at jobs=1 on every count that does not
+   depend on which domain touched a page first (misses) or on timing
+   (allocation, replans — forced plans never replan). *)
+let test_pool_record_matches_sequential () =
+  let db = Lazy.force xdb in
+  let deterministic (s : Tm_exec.Stats.t) =
+    Tm_exec.Stats.
+      [
+        ("lookups", s.index_lookups);
+        ("entries", s.entries_scanned);
+        ("rows", s.rows_produced);
+        ("joins", s.join_steps);
+        ("probes", s.inlj_probes);
+        ("structures", s.structures_accessed);
+        ("logical reads", s.logical_reads);
+      ]
+  in
+  Tm_par.Pool.with_pool ~jobs:4 @@ fun pool ->
+  List.iter
+    (fun s ->
+      List.iter
+        (fun (name, twig) ->
+          let run ?pool () =
+            deterministic (Executor.run ?pool ~hint:(Tm_plan.Hint.Force s) db twig).Executor.stats
+          in
+          let seq = run () in
+          Alcotest.(check (list (pair string int)))
+            (Printf.sprintf "%s under %s: jobs=4 record = jobs=1 record" name
+               (Database.strategy_name s))
+            seq (run ~pool ()))
+        (Lazy.force xmark_twigs))
+    Database.all_strategies
+
 (* ------------------------------------------------------------------ *)
 (* Parallel index build                                                *)
 (* ------------------------------------------------------------------ *)
@@ -317,6 +352,8 @@ let () =
         [
           Alcotest.test_case "4 domains hammer one database" `Quick test_hammer_shared_db;
           Alcotest.test_case "pool execution = sequential" `Quick test_pool_matches_sequential;
+          Alcotest.test_case "pool record = sequential record" `Quick
+            test_pool_record_matches_sequential;
         ] );
       ( "build",
         [

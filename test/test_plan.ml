@@ -237,7 +237,8 @@ let test_replan_recorded_in_journal () =
       with_skewed_estimates (fun () -> ignore (Executor.run ~hint:Hint.Auto db twig));
       match Tm_obs.Journal.entries () with
       | [ e ] ->
-        check Alcotest.bool "journal records the replans" true (e.Tm_obs.Journal.j_replans >= 1);
+        check Alcotest.bool "journal records the replans" true
+          (e.Tm_obs.Journal.j_stats.Tm_exec.Stats.replans >= 1);
         (match e.Tm_obs.Journal.j_est_rows with
         | Some _ -> ()
         | None -> Alcotest.fail "journal completion carries the estimate");

@@ -472,6 +472,69 @@ let test_create_refuses_existing_database () =
   check Alcotest.int "forced create starts fresh" 0 (note_count (Durable.database d3));
   Durable.close d3
 
+(* One writer per directory: while a handle is live, neither a forced
+   create nor an open may touch its directory — both would rewrite the
+   log the live handle still appends to. Close releases it. *)
+let test_one_live_handle_per_directory () =
+  with_dir @@ fun dir ->
+  let db = Database.create ~strategies:Database.[ RP ] (book_doc ()) in
+  let d = Durable.create ~dir db in
+  let book = find_id db.Database.doc "book" in
+  ignore (Durable.insert_subtree d ~parent:book (T.elem_text "note" "first"));
+  let log_before = (Unix.stat (Durable.wal_path dir)).Unix.st_size in
+  (match
+     Durable.create ~force:true ~dir (Database.create ~strategies:Database.[ RP ] (book_doc ()))
+   with
+  | exception Updates.Writer_conflict _ -> ()
+  | d' ->
+    Durable.close d';
+    Alcotest.fail "a forced create over a live handle's directory must refuse");
+  (match Durable.open_ dir with
+  | exception Updates.Writer_conflict _ -> ()
+  | d', _ ->
+    Durable.close d';
+    Alcotest.fail "opening a live handle's directory must refuse");
+  (* the same database under a second directory is a second writer too *)
+  with_dir (fun dir2 ->
+      match Durable.create ~dir:dir2 db with
+      | exception Updates.Writer_conflict _ -> ()
+      | d' ->
+        Durable.close d';
+        Alcotest.fail "a second handle on the same database must refuse");
+  check Alcotest.int "the refusals left the log alone" log_before
+    (Unix.stat (Durable.wal_path dir)).Unix.st_size;
+  ignore (Durable.insert_subtree d ~parent:book (T.elem_text "note" "second"));
+  Durable.close d;
+  let d2, r = Durable.open_ dir in
+  check Alcotest.int "both commits replay after close" 2 r.Durable.replayed;
+  Durable.close d2
+
+(* A database owned by a live handle takes updates only through it:
+   direct [Updates] calls would bypass the WAL and the epoch versions
+   pinned readers rely on. The guard is process state, not database
+   state: a snapshot of an owned database loads unowned, and close
+   releases the original. *)
+let test_updates_refused_under_live_handle () =
+  with_dir @@ fun dir ->
+  let db = Database.create ~strategies:Database.[ RP ] (book_doc ()) in
+  let d = Durable.create ~dir db in
+  let book = find_id db.Database.doc "book" in
+  (match Updates.insert_subtree db ~parent:book (T.elem_text "note" "stray") with
+  | exception Updates.Writer_conflict _ -> ()
+  | _ -> Alcotest.fail "Updates.insert_subtree on an owned database must refuse");
+  (match Updates.delete_subtree db (find_id db.Database.doc "year") with
+  | exception Updates.Writer_conflict _ -> ()
+  | _ -> Alcotest.fail "Updates.delete_subtree on an owned database must refuse");
+  check Alcotest.int "nothing changed behind the handle" 0 (note_count db);
+  check Alcotest.(list int) "year still present" [ find_id db.Database.doc "year" ]
+    (run_ids db "/book/year");
+  ignore (Durable.insert_subtree d ~parent:book (T.elem_text "note" "logged"));
+  let copy = Persist.load (Durable.snapshot_path dir) in
+  ignore (Updates.insert_subtree copy ~parent:book (T.elem_text "note" "copy"));
+  Durable.close d;
+  ignore (Updates.insert_subtree db ~parent:book (T.elem_text "note" "after close"));
+  check Alcotest.int "updates resume after close" 2 (note_count db)
+
 (* A transaction that poisons the handle mid-batch must not void the
    durability of the batch's earlier, already-acknowledged commits: the
    closing group fsync still runs (best effort) and reopen replays
@@ -583,6 +646,10 @@ let () =
           Alcotest.test_case "mid-batch poison keeps earlier commits durable" `Quick
             test_batch_poison_still_syncs_earlier_commits;
           Alcotest.test_case "failed group fsync poisons" `Quick test_batch_sync_failure_poisons;
+          Alcotest.test_case "one live handle per directory" `Quick
+            test_one_live_handle_per_directory;
+          Alcotest.test_case "updates refused under a live handle" `Quick
+            test_updates_refused_under_live_handle;
         ] );
       ( "crashes",
         [
