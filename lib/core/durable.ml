@@ -10,8 +10,10 @@
       the update executes through {!Updates} — page writes go through
       the buffer pool's transactional write-through, installing
       copy-on-write versions for epoch-pinned readers;
-    + the post-image of every dirtied page is appended as a [Page]
-      frame (with its CRC32), then [Commit txn];
+    + every dirtied page is appended as a [Page] frame holding its id
+      and the CRC32 of its post-image (the image itself is left empty:
+      recovery re-executes the [Op] and never reads it), then
+      [Commit txn];
     + the log is fsynced ({e before} the transaction is acknowledged —
       unless inside {!batch}, which group-commits with one fsync);
     + the pager transaction commits, atomically publishing the new
@@ -23,12 +25,14 @@
     the snapshot's [last_txn], in commit order. The update path is
     deterministic (id assignment, dictionary interning, heap append and
     B+-tree insertion depend only on database state), so replay
-    reproduces the original pages exactly; the logged [Page] CRCs are
-    cross-checked against the recovered pager images after each
-    transaction, turning any divergence into {!Recovery_error} instead
-    of silent corruption. Partially-logged transactions (a [Begin]
-    without its [Commit] in the valid prefix) are never replayed and
-    are truncated away.
+    reproduces the original pages exactly. After each transaction the
+    [(page, crc)] list the replay wrote must equal the logged one — the
+    transaction's whole physical record — so a page written with other
+    bytes, a logged page left unwritten, or a written page the log
+    never recorded is a {!Recovery_error} instead of silent corruption.
+    Logs whose [Page] frames still carry images recover the same way.
+    Partially-logged transactions (a [Begin] without its [Commit] in
+    the valid prefix) are never replayed and are truncated away.
 
     {!checkpoint} folds the log into a fresh snapshot: flush the buffer
     pool, write the snapshot (fsync + atomic rename + directory fsync,
@@ -293,9 +297,26 @@ let apply_op db op =
   | Insert { parent; subtree } -> ignore (Updates.insert_subtree db ~parent subtree)
   | Delete id -> ignore (Updates.delete_subtree db id)
 
+(* Where a replay's [(page, crc)] list and the logged one (both sorted
+   by page id) first part ways, or [None] when they are equal. *)
+let rec divergence replayed logged =
+  let unlogged p = Some (Printf.sprintf "replay wrote page %d, which the log never recorded" p) in
+  match (replayed, logged) with
+  | [], [] -> None
+  | (p, c) :: r, (p', c') :: l when p = p' ->
+    if c = c' then divergence r l
+    else
+      Some
+        (Printf.sprintf
+           "replayed image of page %d diverges from the logged post-image (crc %d, logged %d)" p c
+           c')
+  | (p, _) :: _, (p', _) :: _ when p < p' -> unlogged p
+  | (p, _) :: _, [] -> unlogged p
+  | _, (p', _) :: _ -> Some (Printf.sprintf "the log recorded page %d, which replay never wrote" p')
+
 (* Re-execute one committed transaction against the recovering
-   database and cross-check the recovered page images against the
-   logged post-image CRCs. *)
+   database; it must write exactly the logged pages with exactly the
+   logged CRCs. *)
 let replay_txn (db : Database.t) txn ops pages =
   let pager = db.Database.pager in
   ignore (Pager.begin_txn pager);
@@ -307,23 +328,11 @@ let replay_txn (db : Database.t) txn ops pages =
      (ignore (Pager.abort_txn pager);
       recovery_error "replaying txn %d: %s" txn (Printexc.to_string e))
      [@analyze.boundary]);
-  List.iter
-    (fun (page, crc) ->
-      let actual =
-        match Pager.image_crc pager page with
-        | crc -> crc
-        | exception Invalid_argument _ ->
-          ignore (Pager.abort_txn pager);
-          recovery_error "txn %d logged page %d, which replay never allocated" txn page
-      in
-      if actual <> crc then begin
-        ignore (Pager.abort_txn pager);
-        recovery_error
-          "txn %d: replayed image of page %d diverges from the logged post-image (crc %d, \
-           logged %d)"
-          txn page actual crc
-      end)
-    pages;
+  (match divergence (Pager.txn_dirty pager) pages with
+  | None -> ()
+  | Some detail ->
+    ignore (Pager.abort_txn pager);
+    recovery_error "txn %d: %s" txn detail);
   Pager.commit_txn pager;
   db.Database.last_txn <- txn;
   Tm_obs.Obs.incr c_replayed_txns
@@ -413,8 +422,7 @@ let run_txn t op exec =
       | result ->
         (try
            List.iter
-             (fun (page, image, crc) ->
-               Wal.append t.wal (Wal.Page { txn; page; crc; image = Bytes.to_string image }))
+             (fun (page, crc) -> Wal.append t.wal (Wal.Page { txn; page; crc; image = "" }))
              (Pager.txn_dirty pager);
            Tm_fault.Fault.guard site_commit;
            Wal.append t.wal (Wal.Commit txn);

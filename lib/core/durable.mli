@@ -4,14 +4,17 @@
     Layout: [<dir>/snapshot.twig] (Persist v2 snapshot) and
     [<dir>/wal.log] ({!Tm_wal.Wal} frames). Each {!insert_subtree} /
     {!delete_subtree} is one logged transaction — logical [Op] frame,
-    post-image [Page] frames, [Commit], fsync — wrapped in a pager
-    transaction whose commit atomically publishes a new epoch to
-    concurrent snapshot readers (see {!Tm_storage.Epoch}).
+    one [Page] frame per dirty page (page id and the CRC32 of its
+    post-image, no image: recovery re-executes the [Op] instead),
+    [Commit], fsync — wrapped in a pager transaction whose commit
+    atomically publishes a new epoch to concurrent snapshot readers
+    (see {!Tm_storage.Epoch}).
 
     {!open_} recovers by re-executing the committed transactions of the
-    log's valid prefix against the snapshot, cross-checking logged page
-    CRCs, and truncating damaged or uncommitted tails. {!checkpoint}
-    folds the log into a fresh snapshot and truncates it.
+    log's valid prefix against the snapshot, checking that each wrote
+    exactly the logged pages with the logged CRCs, and truncating
+    damaged or uncommitted tails. {!checkpoint} folds the log into a
+    fresh snapshot and truncates it.
 
     Write failures after pages were dirtied poison the handle (the
     in-memory document/dictionary/catalog cannot be rolled back);
@@ -80,8 +83,9 @@ val open_ : string -> t * recovery
     transactions the snapshot already contains), discard damaged and
     uncommitted tails, and reopen the log for appending.
     @raise Persist.Bad_snapshot if the snapshot is damaged.
-    @raise Recovery_error if replay diverges from the logged page
-    CRCs.
+    @raise Recovery_error if a replayed transaction's [(page, crc)]
+    list differs from the logged one, naming the transaction and the
+    first page that differs.
     @raise Updates.Writer_conflict if the directory already has a live
     handle. *)
 

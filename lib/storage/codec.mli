@@ -49,9 +49,9 @@ val idlist_raw_of_string : string -> int list
 
 (** {1 CRC32}
 
-    IEEE 802.3 CRC (polynomial 0xEDB88320, reflected, table-driven),
-    the checksum behind per-page verification in {!Pager} and the
-    snapshot frame format. Results fit in 32 bits (always
+    IEEE 802.3 CRC (polynomial 0xEDB88320, reflected, slicing-by-8),
+    the checksum behind per-page verification in {!Pager}, WAL frames
+    and the snapshot frame format. Results fit in 32 bits (always
     non-negative). *)
 
 val crc32 : bytes -> int
@@ -62,7 +62,9 @@ val crc32_string : string -> int
 val crc32_update : int -> bytes -> int -> int -> int
 (** [crc32_update crc data pos len] extends [crc] with
     [data[pos..pos+len-1]], so checksums can be computed incrementally:
-    [crc32 b = crc32_update 0 b 0 (Bytes.length b)]. *)
+    [crc32 b = crc32_update 0 b 0 (Bytes.length b)]. Allocates nothing.
+    @raise Invalid_argument if [pos] and [len] do not name a valid
+    range of [data]. *)
 
 (** {1 Composite keys} *)
 

@@ -417,29 +417,21 @@ let txn_clean t =
   | Some tx -> Hashtbl.length tx.t_dirty = 0
   | None -> invalid_arg "Pager.txn_clean: no transaction, or not the writer domain"
 
-(** The pages written by the active transaction, as
-    [(page, image, crc32-of-image)] sorted by page id — the redo
-    records a WAL logs before commit. The CRC is computed from the
+(** The pages written by the active transaction, as [(page, crc32)]
+    sorted by page id — the page records a WAL logs before commit and
+    recovery compares a replay against. The CRC is computed from the
     image itself (not the sidecar), so it is meaningful even with
-    checksums disabled. *)
+    checksums disabled. Only the images are taken under the lock: an
+    installed image is never mutated in place (a write installs a fresh
+    buffer), so it can be checksummed after the lock is released. *)
 let txn_dirty t =
   match txn_if_writer t with
   | None -> invalid_arg "Pager.txn_dirty: no transaction, or not the writer domain"
   | Some tx ->
-    locked t (fun () ->
-        Hashtbl.fold
-          (fun id () acc -> (id, Bytes.copy t.pages.(id), Codec.crc32 t.pages.(id)) :: acc)
-          tx.t_dirty [])
-    |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
-[@@analyze.no_failpoint "txn bookkeeping: images are logged to the WAL, not transferred as I/O"]
-
-(** CRC32 of the current image of [id], computed from the bytes (not
-    the sidecar) — the recovery cross-check against logged page CRCs. *)
-let image_crc t id =
-  locked t (fun () ->
-      check_id t id;
-      Codec.crc32 t.pages.(id))
-[@@analyze.no_failpoint "integrity cross-check: reads the store as it is, like verify_page"]
+    locked t (fun () -> Hashtbl.fold (fun id () acc -> (id, t.pages.(id)) :: acc) tx.t_dirty [])
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map (fun (id, image) -> (id, Codec.crc32 image))
+[@@analyze.no_failpoint "txn bookkeeping: page CRCs are logged to the WAL, not transferred as I/O"]
 
 (** Publish the transaction's epoch: one field write under the lock
     flips every page it touched from "invisible to new readers" to

@@ -126,10 +126,12 @@ val txn_clean : t -> bool
     disqualify: their staging is dropped by the abort, and read-only
     probes may register one (writer-private decode caches). *)
 
-val txn_dirty : t -> (int * bytes * int) list
-(** Pages written by the active transaction as
-    [(page, image, crc32 of image)], sorted by page id — the redo
-    records to log before commit. *)
+val txn_dirty : t -> (int * int) list
+(** Pages written by the active transaction as [(page, crc32 of its
+    image)], sorted by page id — the page records to log before commit,
+    and what recovery compares a replayed transaction against. No image
+    is copied: recovery re-executes the logged operation, so the log
+    needs each page's id and CRC, not its bytes. *)
 
 val commit_txn : t -> unit
 (** Publish the reserved epoch, prune version chains against live
@@ -140,7 +142,3 @@ val abort_txn : t -> int list
     allocated inside the transaction are re-zeroed), run participants
     with [~committed:false], and return the touched page ids so caches
     above can invalidate. *)
-
-val image_crc : t -> int -> int
-(** CRC32 of the current page image (computed from the bytes, sidecar
-    ignored) — the recovery cross-check against logged page CRCs. *)

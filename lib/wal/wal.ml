@@ -2,10 +2,14 @@
 
     The WAL is the durability substrate under the pager: a transaction
     appends [Begin], its logical operations ([Op], opaque payload
-    bytes — this library does not interpret them), the post-images of
-    every page it dirtied ([Page], with the image's CRC32), and a
-    [Commit]; the file is fsynced before the transaction is
-    acknowledged. [Checkpoint] frames mark a snapshot boundary.
+    bytes — this library does not interpret them), one [Page] record
+    per page it dirtied, and a [Commit]; the file is fsynced before the
+    transaction is acknowledged. [Checkpoint] frames mark a snapshot
+    boundary. A [Page] record carries the page id and the CRC32 of its
+    post-image; the durable layer logs it with an empty [image],
+    because its recovery re-executes the [Op] and checks the CRCs
+    instead of reading images back. The [image] field stays in the
+    format, so older logs that carry full images still scan.
 
     Frame format (all integers via {!Tm_storage.Codec}):
 
@@ -49,7 +53,8 @@ type frame =
   | Begin of int  (** transaction id *)
   | Op of int * string  (** transaction id, opaque logical-operation payload *)
   | Page of { txn : int; page : int; crc : int; image : string }
-      (** post-image redo record: page id, CRC32 of the image, image *)
+      (** a page the transaction wrote: page id, CRC32 of its
+          post-image, and the image (empty when not logged) *)
   | Commit of int  (** transaction id *)
   | Checkpoint of int  (** last transaction id folded into the snapshot *)
 
@@ -119,8 +124,13 @@ let decode_payload kind payload =
   | c -> invalid_arg (Printf.sprintf "Wal.decode_payload: bad kind %C" c)
 
 (* CRC over kind + payload, so a frame whose kind byte was damaged into
-   another valid kind still fails verification. *)
-let frame_crc kind payload = Codec.crc32_string (String.make 1 kind ^ payload)
+   another valid kind still fails verification. The kind byte seeds the
+   CRC and the payload extends it in place, without first copying the
+   two into one string. *)
+let frame_crc kind payload =
+  Codec.crc32_update
+    (Codec.crc32_string (String.make 1 kind))
+    (Bytes.unsafe_of_string payload) 0 (String.length payload)
 
 let encode_frame frame =
   let kind, payload = encode_payload frame in

@@ -3,6 +3,9 @@
     Frames are ["WF"] + kind byte + u32 length + payload + CRC32 over
     kind and payload. This library stores and recovers frames; it does
     not interpret [Op] payloads — the durable layer above defines them.
+    A [Page] frame records a page id and the CRC32 of its post-image;
+    the durable layer leaves its [image] empty, since its recovery
+    re-executes the [Op] and checks CRCs rather than reading images.
 
     Failpoint sites (see {!Tm_fault.Fault}): [wal.append] (applied to
     the encoded frame bytes before the write; [Fail] retried boundedly,
@@ -13,7 +16,8 @@ type frame =
   | Begin of int  (** transaction id *)
   | Op of int * string  (** transaction id, opaque logical-operation payload *)
   | Page of { txn : int; page : int; crc : int; image : string }
-      (** post-image redo record: page id, CRC32 of the image, image *)
+      (** a page the transaction wrote: page id, CRC32 of its
+          post-image, and the image (empty when not logged) *)
   | Commit of int  (** transaction id *)
   | Checkpoint of int  (** last transaction id folded into the snapshot *)
 

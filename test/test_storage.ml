@@ -114,6 +114,61 @@ let prop_prefix_successor_bounds =
       | None -> true
       | Some succ -> String.compare (p ^ ext) succ < 0 && String.compare p succ < 0)
 
+(* CRC32: the standard check value, agreement with a byte-at-a-time
+   reference over arbitrary ranges and chained seeds, and range
+   checking. *)
+
+let test_crc32_check_value () =
+  check Alcotest.int "crc32 \"123456789\"" 0xCBF43926 (Codec.crc32_string "123456789");
+  check Alcotest.int "crc32 \"\"" 0 (Codec.crc32_string "")
+
+(* The bitwise CRC32 (no tables), one byte at a time: the oracle for
+   the sliced implementation. *)
+let crc32_reference crc data pos len =
+  let c = ref (crc lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code (Bytes.get data i);
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+let prop_crc32_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      int_range 0 300 >>= fun len ->
+      int_range 0 16 >>= fun pos ->
+      int_range 0 16 >>= fun slack ->
+      string_size (return (pos + len + slack)) >>= fun data ->
+      int_range 0 len >>= fun split ->
+      map2 (fun hi lo -> (hi lsl 16) lor lo) (int_bound 0xFFFF) (int_bound 0xFFFF) >>= fun seed ->
+      return (Bytes.of_string data, pos, len, split, seed))
+  in
+  let print (data, pos, len, split, seed) =
+    Printf.sprintf "%d bytes, pos %d, len %d, split %d, seed 0x%08x" (Bytes.length data) pos len
+      split seed
+  in
+  QCheck.Test.make ~name:"crc32 agrees with a byte-at-a-time reference" ~count:500
+    (QCheck.make ~print gen) (fun (data, pos, len, split, seed) ->
+      let expected = crc32_reference seed data pos len in
+      let chained =
+        Codec.crc32_update
+          (Codec.crc32_update seed data pos split)
+          data (pos + split) (len - split)
+      in
+      Codec.crc32_update seed data pos len = expected && chained = expected)
+
+let test_crc32_range_checked () =
+  let b = Bytes.make 16 'x' in
+  List.iter
+    (fun (pos, len) ->
+      match Codec.crc32_update 0 b pos len with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "crc32_update accepted pos %d, len %d on 16 bytes" pos len)
+    [ (-1, 4); (0, -1); (0, 17); (16, 1); (13, 4); (1, max_int); (max_int, 1) ];
+  check Alcotest.int "empty range at the end" 7 (Codec.crc32_update 7 b 16 0)
+
 (* ------------------------------------------------------------------ *)
 (* Pager / buffer pool                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -493,11 +548,14 @@ let suite =
         Alcotest.test_case "value encoding" `Quick test_value_encoding;
         Alcotest.test_case "u32 order preserving" `Quick test_u32_order;
         Alcotest.test_case "prefix successor" `Quick test_prefix_successor;
+        Alcotest.test_case "crc32 check value" `Quick test_crc32_check_value;
+        Alcotest.test_case "crc32 range checked" `Quick test_crc32_range_checked;
         qtest prop_varint_roundtrip;
         qtest prop_signed_varint_roundtrip;
         qtest prop_idlist_roundtrip;
         qtest prop_value_encoding_order;
         qtest prop_prefix_successor_bounds;
+        qtest prop_crc32_matches_reference;
       ] );
     ( "pager+pool",
       [

@@ -378,6 +378,125 @@ let test_crash_matrix () =
                 (note_count db2))))
     cuts
 
+(* ---------- recovery checks a replay against the logged page set ---------- *)
+
+(* Rewrite the log at [path] frame by frame ([f] maps a frame to the
+   frames that replace it). *)
+let rewrite_log path f =
+  write_file path (encoded (List.concat_map f (Wal.scan path).Wal.frames))
+
+let logged_pages txn frames =
+  List.filter_map
+    (fun (f : Wal.frame) ->
+      match f with Wal.Page { txn = t; page; _ } when t = txn -> Some page | _ -> None)
+    frames
+
+(* [word] occurs in [msg] and is not followed by a digit, so "page 1"
+   is not found in "page 12". *)
+let mentions msg word =
+  let n = String.length msg and m = String.length word in
+  let ends_at j = j = n || match msg.[j] with '0' .. '9' -> false | _ -> true in
+  let rec go i =
+    i + m <= n && ((String.equal (String.sub msg i m) word && ends_at (i + m)) || go (i + 1))
+  in
+  go 0
+
+let expect_recovery_error label dir words =
+  match Durable.open_ dir with
+  | d, _ ->
+    Durable.close d;
+    Alcotest.failf "%s: recovery accepted the log" label
+  | exception Durable.Recovery_error msg ->
+    List.iter
+      (fun w -> if not (mentions msg w) then Alcotest.failf "%s: %S does not name %S" label msg w)
+      words
+
+(* Three committed note inserts, closed: the log holds txns 1-3. *)
+let log_three_notes dir =
+  let db = Database.create ~strategies:Database.[ RP; DP ] (book_doc ()) in
+  let d = Durable.create ~dir db in
+  let book = find_id db.Database.doc "book" in
+  for i = 1 to 3 do
+    ignore
+      (Durable.insert_subtree d ~parent:book
+         (T.elem "note" [ T.elem_text "v" (string_of_int i) ]))
+  done;
+  Durable.close d
+
+(* A valid frame carrying the wrong page CRC: replay writes that page
+   with other bytes than the log claims. *)
+let test_flipped_page_crc_fails_recovery () =
+  with_dir @@ fun dir ->
+  log_three_notes dir;
+  let path = Durable.wal_path dir in
+  let page = List.hd (logged_pages 2 (Wal.scan path).Wal.frames) in
+  rewrite_log path (fun f ->
+      match f with
+      | Wal.Page { txn = 2; page = p; crc; image } when p = page ->
+        [ Wal.Page { txn = 2; page = p; crc = crc lxor 1; image } ]
+      | f -> [ f ]);
+  expect_recovery_error "flipped page crc" dir [ "txn 2"; Printf.sprintf "page %d" page ]
+
+(* A missing page record: replay writes a page the log never recorded. *)
+let test_dropped_page_frame_fails_recovery () =
+  with_dir @@ fun dir ->
+  log_three_notes dir;
+  let path = Durable.wal_path dir in
+  let page = List.hd (List.rev (logged_pages 2 (Wal.scan path).Wal.frames)) in
+  rewrite_log path (fun f ->
+      match f with Wal.Page { txn = 2; page = p; _ } when p = page -> [] | f -> [ f ]);
+  expect_recovery_error "dropped page frame" dir [ "txn 2"; Printf.sprintf "page %d" page ]
+
+(* Logs written before page records dropped their images carry each
+   dirty page's full post-image. Recovery never reads the image, so
+   such a log recovers exactly as one without them. *)
+let test_page_images_in_log_still_recover () =
+  with_dir @@ fun dir ->
+  let db = Database.create ~strategies:Database.[ RP; DP ] (book_doc ()) in
+  let d = Durable.create ~dir db in
+  let book = find_id db.Database.doc "book" in
+  let path = Durable.wal_path dir in
+  let images = Hashtbl.create 64 in
+  (* the post-images of the transaction just committed *)
+  let capture () =
+    let txn = (Durable.wal_status d).Durable.last_txn in
+    List.iter
+      (fun page ->
+        Hashtbl.replace images (txn, page)
+          (Bytes.to_string (Tm_storage.Pager.read db.Database.pager page)))
+      (logged_pages txn (Wal.scan path).Wal.frames)
+  in
+  for i = 1 to 3 do
+    ignore
+      (Durable.insert_subtree d ~parent:book
+         (T.elem "note" [ T.elem_text "v" (string_of_int i) ]));
+    capture ()
+  done;
+  ignore (Durable.delete_subtree d (List.hd (run_ids db "//note")));
+  capture ();
+  let queries = [ "//note"; "/book//v"; "//author[ln = 'doe']" ] in
+  let answers = List.map (run_ids db) queries in
+  Durable.close d;
+  rewrite_log path (fun f ->
+      match f with
+      | Wal.Page { txn; page; crc; image = _ } ->
+        [ Wal.Page { txn; page; crc; image = Hashtbl.find images (txn, page) } ]
+      | f -> [ f ]);
+  check Alcotest.bool "the log carries a full image per page record" true
+    ((Unix.stat path).Unix.st_size > Hashtbl.length images * Tm_storage.Pager.default_page_size);
+  let d2, r = Durable.open_ dir in
+  Fun.protect
+    ~finally:(fun () -> Durable.close d2)
+    (fun () ->
+      let db2 = Durable.database d2 in
+      check Alcotest.int "replayed" 4 r.Durable.replayed;
+      check
+        Alcotest.(list (list int))
+        "same answers as before the restart" answers
+        (List.map (run_ids db2) queries);
+      check_consistent db2 "image-carrying log";
+      assert_fsck_clean "after recovering an image-carrying log" db2)
+
 (* ---------- failpoints: commit crash poisons; reopen recovers ---------- *)
 
 let test_commit_failpoint_poisons_then_recovers () =
@@ -658,5 +777,11 @@ let () =
             test_commit_failpoint_poisons_then_recovers;
           Alcotest.test_case "torn append recovers to committed prefix" `Quick
             test_torn_append_recovers_to_prefix;
+          Alcotest.test_case "wrong page crc fails recovery" `Quick
+            test_flipped_page_crc_fails_recovery;
+          Alcotest.test_case "missing page record fails recovery" `Quick
+            test_dropped_page_frame_fails_recovery;
+          Alcotest.test_case "page images in the log still recover" `Quick
+            test_page_images_in_log_still_recover;
         ] );
     ]
