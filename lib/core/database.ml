@@ -179,7 +179,8 @@ let strategy_size_bytes t strategy =
   | Built_asr a -> Asr.size_bytes a
   | Built_ji j -> Join_index.size_bytes j
 
-(** Simulate a cold cache (drops every buffered page). *)
+(** Simulate a cold cache (writes back and drops every buffered page);
+    {!Persist.save} calls it, so a save leaves the pool cold. *)
 let drop_caches t = Buffer_pool.clear t.pool
 
 let generation t = t.generation

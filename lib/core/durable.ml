@@ -266,11 +266,10 @@ let create ?(force = false) ~dir db =
   end;
   (* Outside a transaction the buffer pool writes back lazily, so after
      the initial build the pager may still hold the zeroed alloc images
-     while the real bytes sit in dirty frames. Flush before the first
-     transaction can capture pager images as snapshot pre-images —
-     otherwise a reader pinned at the pre-transaction epoch would be
-     served zeros. *)
-  Buffer_pool.flush_all db.Database.pool;
+     while the real bytes sit in dirty frames. [Persist.save] writes
+     them back before the first transaction can capture pager images as
+     snapshot pre-images — otherwise a reader pinned at the
+     pre-transaction epoch would be served zeros. *)
   Persist.save db (snapshot_path dir);
   let wal = Wal.create (wal_path dir) in
   Wal.append wal (Wal.Checkpoint db.Database.last_txn);
@@ -503,7 +502,6 @@ let checkpoint t =
       if t.batch_depth > 0 then invalid_arg "Durable.checkpoint: inside a batch";
       if Pager.in_txn t.db.Database.pager then
         invalid_arg "Durable.checkpoint: a transaction is active";
-      Buffer_pool.flush_all t.db.Database.pool;
       Pager.clear_versions t.db.Database.pager;
       (* [Persist.save] is fsync + atomic rename + directory fsync: a
          crash before it returns leaves the previous snapshot + full

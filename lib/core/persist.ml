@@ -29,6 +29,13 @@
     {!Bad_snapshot} naming the failing section. {!verify} runs the
     same frame checks without allocating a database.
 
+    The image stores each page once: [save] first writes the buffer
+    pool back to the pager and drops its frames
+    ({!Database.drop_caches}), and B+-trees cache decoded nodes only
+    for pages that were read or committed, never for what a bulk load
+    wrote. A loaded database therefore starts with a cold pool, and the
+    snapshot of a freshly built one with empty node caches.
+
     [save] writes to a temp file in the same directory and atomically
     renames it over the target, so a crash mid-save leaves the previous
     snapshot intact — the torn-write crash model at file granularity.
@@ -169,6 +176,8 @@ let fsync_dir dir =
       with Unix.Unix_error ((Unix.EINVAL | Unix.EROFS | Unix.EOPNOTSUPP), _, _) -> ())
 
 let save (db : Database.t) path =
+  (* The pager holds every page; frames would store them twice. *)
+  Database.drop_caches db;
   let image =
     try Marshal.to_string db []
     with Invalid_argument _ ->

@@ -23,6 +23,10 @@ val save : Database.t -> string -> unit
     previous snapshot or the complete new one, and on return the new
     snapshot survives a power loss — callers may destroy whatever
     backed the old state (e.g. truncate a WAL) immediately.
+
+    It first calls {!Database.drop_caches}, so each page is stored once
+    (the pager's copy) and a save leaves [db]'s buffer pool cold, as is
+    the pool of the database {!load} returns.
     @raise Bad_snapshot for databases containing pruning closures. *)
 
 val fsync_dir : string -> unit

@@ -16,9 +16,12 @@
       path keys on DB2;
     - sorted inputs can be bulk-loaded bottom-up. *)
 
+(* Decoded nodes are immutable: a write builds a new node, so a node
+   handed to one reader is never changed under it by a writer or
+   another reader. *)
 type node =
-  | Leaf of { mutable entries : (string * string) array; mutable next : int (* page id + 1; 0 = none *) }
-  | Internal of { mutable keys : string array; mutable children : int array }
+  | Leaf of { entries : (string * string) array; next : int (* page id + 1; 0 = none *) }
+  | Internal of { keys : string array; children : int array }
       (* |children| = |keys| + 1; keys.(i) is the smallest key reachable
          under children.(i+1). *)
 
@@ -28,11 +31,10 @@ type node =
    by the same single pointer write at commit. *)
 type meta = { root : int; n_entries : int; n_pages : int; height : int }
 
-(* Writer-private transaction state: the staged metadata plus a private
-   decoded-node table. Inside a transaction the writer must never hand
-   out nodes from the shared decode cache — [insert]/[delete] mutate
-   node records in place before re-encoding, and a shared node would
-   leak those mutations to concurrent epoch-pinned readers. *)
+(* What a transaction wrote to this tree: the staged metadata and the
+   nodes of the pages it wrote. Its reads of those pages must see its
+   own writes, which the shared cache does not hold until commit; every
+   other page it reads through the shared cache like any reader. *)
 type staged = { mutable s_meta : meta; s_nodes : (int, node) Hashtbl.t }
 
 type t = {
@@ -46,24 +48,31 @@ type t = {
      buffer pool on every access; this only memoizes the *parse* of a
      page image into a node, the way a real engine operates directly on
      the buffered page rather than re-deserializing it. Entries are
-     validated by a per-page version bumped on every write. The lock
-     covers only table lookups and stores (decoding happens outside it),
-     making concurrent READERS safe; concurrent writers must run inside
-     a pager transaction (see [staged] above) — a bare writer mutates
-     cached nodes in place and is only legal with no concurrent
-     readers. *)
+     validated by a per-page version bumped on every write. Nodes enter
+     it when a reader decodes them or a transaction commits them; a
+     write outside a transaction refreshes a cached node but adds none,
+     so a bulk load leaves it empty. The lock covers only table lookups
+     and stores (decoding happens outside it). *)
   cache_lock : Lock.t;
   decoded : (int, int * node) Hashtbl.t;
   versions : (int, int) Hashtbl.t;
 }
 
 (* True iff the calling domain is the pager transaction's writer: the
-   signal to route metadata and decoded nodes through [staged]. *)
+   signal to route metadata and written nodes through [staged]. *)
 let in_txn_writer t = Buffer_pool.in_txn_writer t.pool
 
-(* Lazily create the staged state and register the participant that
-   publishes (commit) or drops (abort) it when the transaction ends.
-   Only trees actually touched by a transaction ever register. *)
+(* Caller holds [cache_lock]. *)
+let version t id = Option.value ~default:0 (Hashtbl.find_opt t.versions id)
+
+let bump_version t id =
+  let v = 1 + version t id in
+  Hashtbl.replace t.versions id v;
+  v
+
+(* Lazily create the staged state on the transaction's first write to
+   this tree, and register the participant that publishes (commit) or
+   drops (abort) it when the transaction ends. *)
 let ensure_staged t =
   match t.staged with
   | Some s -> s
@@ -72,7 +81,14 @@ let ensure_staged t =
     t.staged <- Some s;
     Buffer_pool.add_participant t.pool (fun ~committed ->
         (match t.staged with
-        | Some s when committed -> t.meta <- s.s_meta
+        | Some s when committed ->
+          t.meta <- s.s_meta;
+          (* Each written page's version was bumped by its last write,
+             and its node is exactly the image now committed. *)
+          Lock.with_lock t.cache_lock (fun () ->
+              Hashtbl.iter
+                (fun id node -> Hashtbl.replace t.decoded id (version t id, node))
+                s.s_nodes)
         | Some s ->
           (* Abort: the pager restored the pre-images, but an unpinned
              reader racing the transaction may have sampled the
@@ -82,20 +98,24 @@ let ensure_staged t =
              happen after the sample. Bump past that version and evict,
              so post-abort readers re-decode from the restored bytes;
              a racing store under the old version can then never be
-             served. Pages the transaction only read are bumped too —
-             harmless, they just re-decode once. *)
+             served. *)
           Lock.with_lock t.cache_lock (fun () ->
               Hashtbl.iter
                 (fun id _ ->
-                  Hashtbl.replace t.versions id
-                    (1 + Option.value ~default:0 (Hashtbl.find_opt t.versions id));
+                  ignore (bump_version t id);
                   Hashtbl.remove t.decoded id)
                 s.s_nodes)
         | None -> ());
         t.staged <- None);
     s
 
-let m t = if in_txn_writer t then (ensure_staged t).s_meta else t.meta
+(* The transaction's own view of this tree, if it has written it. *)
+let staged_opt t = if in_txn_writer t then t.staged else None
+
+let m t = match staged_opt t with Some s -> s.s_meta | None -> t.meta
+
+let written_node t id =
+  match staged_opt t with Some s -> Hashtbl.find_opt s.s_nodes id | None -> None
 
 let set_m t f =
   if in_txn_writer t then begin
@@ -110,26 +130,56 @@ let max_entry_size t = t.page_size / 4
 (* Node serialization                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Eight bytes per step while they match: path keys share long
+   prefixes, and the leaf encoder takes this twice per entry. *)
 let shared_prefix_len a b =
-  let n = min (String.length a) (String.length b) in
-  let rec go i = if i < n && a.[i] = b.[i] then go (i + 1) else i in
-  go 0
+  let n = Int.min (String.length a) (String.length b) in
+  let i = ref 0 in
+  while !i + 8 <= n && Int64.equal (String.get_int64_ne a !i) (String.get_int64_ne b !i) do
+    i := !i + 8
+  done;
+  while !i < n && Char.equal a.[!i] b.[!i] do
+    incr i
+  done;
+  !i
 
+(* Leaf image: tag 'L', u16 entry count, u32 next, then per entry the
+   varint length of the key prefix shared with the previous key (0
+   without prefix compression), the length-prefixed key suffix and the
+   length-prefixed payload. Sized first, then written into one buffer:
+   nothing is allocated per entry. *)
 let encode_leaf t entries next =
-  let buf = Buffer.create t.page_size in
-  Buffer.add_char buf 'L';
-  Codec.add_u16 buf (Array.length entries);
-  Codec.add_u32 buf next;
-  let prev = ref "" in
-  Array.iter
-    (fun (k, p) ->
-      let shared = if t.prefix_compression then shared_prefix_len !prev k else 0 in
-      Codec.add_varint buf shared;
-      Codec.add_lstring buf (String.sub k shared (String.length k - shared));
-      Codec.add_lstring buf p;
-      prev := k)
-    entries;
-  Buffer.contents buf
+  let n = Array.length entries in
+  let shared i =
+    if t.prefix_compression && i > 0 then shared_prefix_len (fst entries.(i - 1)) (fst entries.(i))
+    else 0
+  in
+  let size = ref 7 in
+  for i = 0 to n - 1 do
+    let k, p = entries.(i) in
+    let sh = shared i in
+    let suffix = String.length k - sh in
+    size :=
+      !size + Codec.varint_len sh + Codec.varint_len suffix + suffix
+      + Codec.varint_len (String.length p)
+      + String.length p
+  done;
+  let b = Bytes.create !size in
+  Bytes.set b 0 'L';
+  Bytes.set_uint16_be b 1 n;
+  Bytes.set_int32_be b 3 (Int32.of_int next);
+  let pos = ref 7 in
+  for i = 0 to n - 1 do
+    let k, p = entries.(i) in
+    let sh = shared i in
+    let suffix = String.length k - sh in
+    let q = Codec.set_varint b (Codec.set_varint b !pos sh) suffix in
+    Bytes.blit_string k sh b q suffix;
+    let q = Codec.set_varint b (q + suffix) (String.length p) in
+    Bytes.blit_string p 0 b q (String.length p);
+    pos := q + String.length p
+  done;
+  Bytes.unsafe_to_string b
 
 let encode_internal keys children =
   let buf = Buffer.create 256 in
@@ -191,36 +241,23 @@ let read_node t id =
      bytes newer than it. (Sampling after the read is racy the other
      way: a node decoded from pre-commit bytes could be cached under
      the post-commit version and served, stale, forever.) *)
-  let v0 =
-    if in_txn_writer t then 0
-    else
-      Lock.with_lock t.cache_lock (fun () ->
-          Option.value ~default:0 (Hashtbl.find_opt t.versions id))
-  in
+  let v0 = Lock.with_lock t.cache_lock (fun () -> version t id) in
   (* the buffer-pool read happens unconditionally so that logical reads
      and misses are accounted exactly as without the decode cache *)
   let bytes, stale = Buffer_pool.read_versioned t.pool id in
   Tm_obs.Obs.incr c_node_visits;
-  if in_txn_writer t then begin
-    (* Transaction writer: never hand out a shared cached node (callers
-       mutate nodes in place); decode into the private staged table. *)
-    let s = ensure_staged t in
-    match Hashtbl.find_opt s.s_nodes id with
-    | Some node -> node
-    | None ->
-      Tm_obs.Obs.incr c_node_decodes;
-      let node = decode_node (Bytes.to_string bytes) in
-      Hashtbl.replace s.s_nodes id node;
-      node
-  end
-  else if stale then begin
+  match written_node t id with
+  | Some node ->
+    (* A page this transaction wrote: the shared cache does not hold
+       its node until commit. *)
+    node
+  | None when stale ->
     (* Epoch-pinned snapshot read: the bytes are a superseded version,
        so they must bypass the (current-version-keyed) decode cache
        entirely. *)
     Tm_obs.Obs.incr c_node_decodes;
     decode_node (Bytes.to_string bytes)
-  end
-  else begin
+  | None -> (
     let cached =
       Lock.with_lock t.cache_lock (fun () ->
           match Hashtbl.find_opt t.decoded id with
@@ -233,31 +270,28 @@ let read_node t id =
       Tm_obs.Obs.incr c_node_decodes;
       (* Decode outside the lock: concurrent readers missing on different
          pages parse in parallel; racing decoders of the same page just
-         store the same node twice. *)
+         store equal nodes twice. *)
       let node = decode_node (Bytes.to_string bytes) in
       Lock.with_lock t.cache_lock (fun () -> Hashtbl.replace t.decoded id (v0, node));
-      node
-  end
+      node)
 
-(* Store an already-encoded node image and refresh the decode cache. *)
+(* Store an already-encoded node image and keep the decode cache
+   consistent with it. *)
 let commit_node t id node encoded =
   Buffer_pool.write t.pool id (Bytes.of_string encoded);
   if in_txn_writer t then begin
-    (* Keep the fresh node writer-private; for the shared cache, bump
-       the version and evict the stale entry so post-commit readers
-       re-decode from the (then published) page bytes. *)
-    let s = ensure_staged t in
-    Hashtbl.replace s.s_nodes id node;
+    (* The node stays with the transaction until commit publishes it.
+       The shared entry is evicted under a bumped version now, so no
+       reader can pair the old node with the new bytes. *)
+    Hashtbl.replace (ensure_staged t).s_nodes id node;
     Lock.with_lock t.cache_lock (fun () ->
-        let v = 1 + Option.value ~default:0 (Hashtbl.find_opt t.versions id) in
-        Hashtbl.replace t.versions id v;
+        ignore (bump_version t id);
         Hashtbl.remove t.decoded id)
   end
   else
     Lock.with_lock t.cache_lock (fun () ->
-        let v = 1 + Option.value ~default:0 (Hashtbl.find_opt t.versions id) in
-        Hashtbl.replace t.versions id v;
-        Hashtbl.replace t.decoded id (v, node))
+        let v = bump_version t id in
+        if Hashtbl.mem t.decoded id then Hashtbl.replace t.decoded id (v, node))
 
 let write_node t id node = commit_node t id node (encode_node t node)
 
@@ -353,18 +387,17 @@ type split = No_split | Split of string * int (* separator key, new right page *
 let rec insert_at t page key payload =
   match read_node t page with
   | Leaf l ->
-    let i = insert_position l.entries key payload in
-    l.entries <- array_insert l.entries i (key, payload);
-    let encoded = encode_leaf t l.entries l.next in
+    let entries = array_insert l.entries (insert_position l.entries key payload) (key, payload) in
+    let encoded = encode_leaf t entries l.next in
     if String.length encoded <= t.page_size then begin
-      commit_node t page (Leaf l) encoded;
+      commit_node t page (Leaf { entries; next = l.next }) encoded;
       No_split
     end
     else begin
-      let n = Array.length l.entries in
+      let n = Array.length entries in
       let mid = n / 2 in
-      let left = Array.sub l.entries 0 mid in
-      let right = Array.sub l.entries mid (n - mid) in
+      let left = Array.sub entries 0 mid in
+      let right = Array.sub entries mid (n - mid) in
       let right_page = alloc_page t in
       write_node t right_page (Leaf { entries = right; next = l.next });
       write_node t page (Leaf { entries = left; next = right_page + 1 });
@@ -439,8 +472,7 @@ let rec delete_from_leaf t page key payload =
     in
     (match find (lower_bound l.entries key) with
     | Some i ->
-      l.entries <- array_remove l.entries i;
-      write_node t page (Leaf l);
+      write_node t page (Leaf { entries = array_remove l.entries i; next = l.next });
       true
     | None ->
       (* duplicates may continue in the next leaf *)
@@ -545,14 +577,20 @@ let bulk_load ?(prefix_compression = true) ?(fill = 0.9) ~name pool entries =
   let current_size = ref 16 in
   let current_count = ref 0 in
   let first_keys = ref [] in
+  (* Each leaf is written once, with its final next pointer: it waits
+     here until the next leaf's page is allocated. *)
+  let unwritten = ref None in
+  let write_unwritten next =
+    Option.iter (fun (page, entries) -> write_node t page (Leaf { entries; next })) !unwritten
+  in
   let flush_leaf () =
     if !current_count > 0 then begin
       let arr = Array.of_list (List.rev !current) in
       let page = alloc_page t in
       leaves := page :: !leaves;
       first_keys := fst arr.(0) :: !first_keys;
-      (* next pointers are fixed up after all leaves exist *)
-      write_node t page (Leaf { entries = arr; next = 0 });
+      write_unwritten (page + 1);
+      unwritten := Some (page, arr);
       current := [];
       current_size := 16;
       current_count := 0
@@ -581,19 +619,11 @@ let bulk_load ?(prefix_compression = true) ?(fill = 0.9) ~name pool entries =
       set_m t (fun mt -> { mt with n_entries = mt.n_entries + 1 }))
     entries;
   flush_leaf ();
+  write_unwritten 0;
   let leaf_pages = Array.of_list (List.rev !leaves) in
   let leaf_keys = Array.of_list (List.rev !first_keys) in
-  let n_leaves = Array.length leaf_pages in
-  if n_leaves = 0 then t
+  if Array.length leaf_pages = 0 then t
   else begin
-    (* Link the leaf chain. *)
-    for i = 0 to n_leaves - 1 do
-      match read_node t leaf_pages.(i) with
-      | Leaf l ->
-        l.next <- (if i + 1 < n_leaves then leaf_pages.(i + 1) + 1 else 0);
-        write_node t leaf_pages.(i) (Leaf { entries = l.entries; next = l.next })
-      | Internal _ -> assert false
-    done;
     (* Build internal levels bottom-up. Each internal node takes as many
        children as fit in a page. *)
     let rec build_level pages keys height =

@@ -7,14 +7,20 @@
     - Nodes live in fixed-size pages accessed through a {!Buffer_pool},
       so operations incur realistic page costs. A decoded-node cache
       avoids re-parsing buffered pages; I/O accounting is unaffected.
+      A node enters it when a read decodes it or a pager transaction
+      commits it, so {!bulk_load} leaves it empty.
     - Leaves optionally front-code keys (prefix compression), the
       feature the paper credits for B+-tree space efficiency on path
       keys.
     - Deletion is lazy (no rebalancing).
     - Concurrent {e readers} are safe (the decode cache is locked and
-      page reads go through the striped buffer pool); writes must not
-      overlap any other access, as inserts mutate cached nodes in
-      place. *)
+      page reads go through the striped buffer pool). Decoded nodes are
+      immutable, so a write never changes a node a reader holds. A
+      writer inside a pager transaction may run beside epoch-pinned
+      readers, which keep seeing the last committed tree. Outside a
+      transaction, a write must still not overlap any other access: a
+      split is several page writes, and a reader between them sees a
+      half-split tree. *)
 
 type t
 

@@ -22,6 +22,29 @@ let add_varint buf n =
   in
   go n
 
+(* Byte count of [n]'s LEB128 encoding: one byte per started 7 bits. *)
+let varint_len n =
+  assert (n >= 0);
+  let len = ref 1 and rest = ref (n lsr 7) in
+  while !rest > 0 do
+    incr len;
+    rest := !rest lsr 7
+  done;
+  !len
+
+(* Top-level recursion, not a local closure over [b]: the leaf encoder
+   calls this three times per entry and must not allocate. *)
+let rec set_varint b pos n =
+  assert (n >= 0);
+  if n < 0x80 then begin
+    Bytes.set b pos (Char.chr n);
+    pos + 1
+  end
+  else begin
+    Bytes.set b pos (Char.chr (0x80 lor (n land 0x7f)));
+    set_varint b (pos + 1) (n lsr 7)
+  end
+
 let read_varint s pos =
   let rec go shift acc pos =
     let b = Char.code s.[pos] in

@@ -6,6 +6,14 @@
 val add_varint : Buffer.t -> int -> unit
 (** Append an unsigned varint. The value must be non-negative. *)
 
+val varint_len : int -> int
+(** Number of bytes {!add_varint} appends for this value. *)
+
+val set_varint : bytes -> int -> int -> int
+(** [set_varint b pos n] writes [n]'s varint into [b] at [pos] and
+    returns the position after it; [b] must have room for
+    [varint_len n] bytes there. *)
+
 val read_varint : string -> int -> int * int
 (** [read_varint s pos] is [(value, next_pos)]. *)
 

@@ -410,8 +410,7 @@ let add_participant t f =
     an abort at this point fully restores state (used for clean
     validation-failure aborts). Participants do not count: their
     staging is abortable by construction (abort runs them with
-    [committed:false]), and read-only probes may register one just to
-    keep decoded nodes writer-private. *)
+    [committed:false]). *)
 let txn_clean t =
   match txn_if_writer t with
   | Some tx -> Hashtbl.length tx.t_dirty = 0

@@ -123,8 +123,7 @@ val add_participant : t -> (committed:bool -> unit) -> unit
 val txn_clean : t -> bool
 (** [true] while the active transaction has written no page — aborting
     at this point fully restores state. Registered participants do not
-    disqualify: their staging is dropped by the abort, and read-only
-    probes may register one (writer-private decode caches). *)
+    disqualify: their staging is dropped by the abort. *)
 
 val txn_dirty : t -> (int * int) list
 (** Pages written by the active transaction as [(page, crc32 of its

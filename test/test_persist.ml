@@ -60,6 +60,24 @@ let test_roundtrip () =
       check (Alcotest.list Alcotest.int) (Db.strategy_name s ^ " ids survive reload") a b)
     (Db.built_strategies db)
 
+(* A save writes the pool back and drops its frames, and a bulk load
+   caches no decoded node, so the snapshot holds each page once and a
+   loaded database starts cold: its first query faults pages in and
+   decodes the nodes it reads. *)
+let test_loaded_snapshot_starts_cold () =
+  with_tmp_dir @@ fun dir ->
+  let path = Filename.concat dir "db.snap" in
+  Persist.save (Db.create (xmark ~scale:0.05 ())) path;
+  let db = Persist.load path in
+  let q1x = Tm_datasets.Workload.parse (Tm_datasets.Workload.find "Q1x") in
+  let decodes = Tm_obs.Obs.counter "bptree.node_decodes" in
+  Tm_obs.Obs.with_enabled true (fun () ->
+      let d0 = Tm_obs.Obs.value decodes in
+      let r = Executor.run db q1x in
+      check Alcotest.bool "first Q1x misses the pool" true
+        (r.Executor.stats.Tm_exec.Stats.pool_misses > 0);
+      check Alcotest.bool "first Q1x decodes nodes" true (Tm_obs.Obs.value decodes > d0))
+
 let test_verify_reports_sections () =
   with_tmp_dir @@ fun dir ->
   let path = Filename.concat dir "db.snap" in
@@ -165,6 +183,7 @@ let () =
       ( "snapshot",
         [
           Alcotest.test_case "round trip" `Quick test_roundtrip;
+          Alcotest.test_case "loaded snapshot starts cold" `Quick test_loaded_snapshot_starts_cold;
           Alcotest.test_case "verify reports sections" `Quick test_verify_reports_sections;
           Alcotest.test_case "truncation rejected at 1/8 steps" `Quick
             test_truncation_rejected_everywhere;

@@ -169,6 +169,26 @@ let test_crc32_range_checked () =
     [ (-1, 4); (0, -1); (0, 17); (16, 1); (13, 4); (1, max_int); (max_int, 1) ];
   check Alcotest.int "empty range at the end" 7 (Codec.crc32_update 7 b 16 0)
 
+(* [varint_len] and [set_varint] must agree with [add_varint] at every
+   7-bit boundary, up to the largest int. *)
+let test_varint_len_and_set () =
+  let values =
+    0 :: max_int
+    :: List.concat_map (fun b -> [ (1 lsl b) - 1; 1 lsl b; (1 lsl b) + 1 ]) (List.init 62 Fun.id)
+  in
+  List.iter
+    (fun n ->
+      let buf = Buffer.create 10 in
+      Codec.add_varint buf n;
+      let expect = Buffer.contents buf in
+      let len = String.length expect in
+      check Alcotest.int (Printf.sprintf "varint_len %d" n) len (Codec.varint_len n);
+      let b = Bytes.make (len + 2) '\xee' in
+      check Alcotest.int (Printf.sprintf "set_varint %d end" n) (1 + len) (Codec.set_varint b 1 n);
+      check Alcotest.string (Printf.sprintf "set_varint %d bytes" n) ("\xee" ^ expect ^ "\xee")
+        (Bytes.to_string b))
+    values
+
 (* ------------------------------------------------------------------ *)
 (* Pager / buffer pool                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -424,6 +444,166 @@ let test_bptree_abort_evicts_decode_cache () =
   check Alcotest.(list string) "pre-transaction keys intact" [ "1" ] (Bptree.lookup_all t "a");
   ignore (Bptree.check_invariants t)
 
+let decodes = Tm_obs.Obs.counter "bptree.node_decodes"
+
+(* [f ()] and the number of nodes decoded while it ran, on any domain. *)
+let decoded_by f =
+  Tm_obs.Obs.with_enabled true (fun () ->
+      let d0 = Tm_obs.Obs.value decodes in
+      let r = f () in
+      (r, Tm_obs.Obs.value decodes - d0))
+
+(* Only reads and commits put nodes in the decode cache: a bulk load
+   writes every node without caching it, so the first lookup decodes
+   and the second is served from the cache. *)
+let test_bptree_bulk_load_caches_nothing () =
+  let t =
+    Bptree.bulk_load ~name:"t" (make_pool ())
+      (List.init 2000 (fun i -> (Printf.sprintf "k%05d" i, "v")))
+  in
+  let hits, first = decoded_by (fun () -> Bptree.lookup_all t "k01000") in
+  check Alcotest.(list string) "found" [ "v" ] hits;
+  check Alcotest.bool "first lookup after the load decodes" true (first > 0);
+  let _, second = decoded_by (fun () -> Bptree.lookup_all t "k01000") in
+  check Alcotest.int "second lookup decodes nothing" 0 second
+
+(* A transaction builds new nodes instead of changing the ones readers
+   hold: a reader walking a leaf when a writer on another domain inserts
+   into it and commits still sees the leaf's old entries, and a reader
+   pinned before the transaction answers as before it, during it and
+   after its commit. The committed leaf is published to the shared
+   cache, so the next reader decodes nothing. *)
+let test_bptree_txn_shares_cache () =
+  let pool = make_pool () in
+  let pager = Buffer_pool.pager pool in
+  let t = Bptree.create ~name:"t" pool in
+  List.iter (fun k -> Bptree.insert t k "old") [ "a"; "c"; "e" ];
+  Buffer_pool.flush_all pool;
+  let insert_committed k =
+    Domain.join
+      (Domain.spawn (fun () ->
+           ignore (Pager.begin_txn pager);
+           Bptree.insert t k "new";
+           Pager.commit_txn pager))
+  in
+  let walked =
+    Bptree.fold_range t ~lo:"" ~hi:None
+      (fun acc k _ ->
+        (match acc with [] -> insert_committed "b" | _ :: _ -> ());
+        k :: acc)
+      []
+  in
+  check Alcotest.(list string) "the walked leaf keeps its entries" [ "a"; "c"; "e" ]
+    (List.rev walked);
+  check Alcotest.(list string) "the insert committed" [ "new" ] (Bptree.lookup_all t "b");
+  let pinned = Atomic.make false and written = Atomic.make false in
+  let read_during = Atomic.make false and committed = Atomic.make false in
+  let wait flag = while not (Atomic.get flag) do Domain.cpu_relax () done in
+  let reader =
+    Domain.spawn (fun () ->
+        Epoch.with_pin pager (fun () ->
+            Atomic.set pinned true;
+            wait written;
+            let during = Bptree.lookup_all t "d" in
+            Atomic.set read_during true;
+            wait committed;
+            (during, Bptree.lookup_all t "d")))
+  in
+  wait pinned;
+  ignore (Pager.begin_txn pager);
+  Bptree.insert t "d" "new";
+  Atomic.set written true;
+  wait read_during;
+  Pager.commit_txn pager;
+  Atomic.set committed true;
+  let during, after = Domain.join reader in
+  check Alcotest.(list string) "pinned reader during the transaction" [] during;
+  check Alcotest.(list string) "pinned reader after the commit" [] after;
+  let seen, n =
+    decoded_by (fun () -> Domain.join (Domain.spawn (fun () -> Bptree.lookup_all t "d")))
+  in
+  check Alcotest.(list string) "a new reader sees the commit" [ "new" ] seen;
+  check Alcotest.int "a new reader decodes nothing" 0 n;
+  ignore (Bptree.check_invariants t)
+
+(* The leaf encoder as it was written with [Buffer] and [String.sub]:
+   the reference the sized, single-buffer encoder must match byte for
+   byte. *)
+let reference_encode_leaf ~prefix_compression entries next =
+  let shared_prefix_len a b =
+    let n = min (String.length a) (String.length b) in
+    let rec go i = if i < n && a.[i] = b.[i] then go (i + 1) else i in
+    go 0
+  in
+  let buf = Buffer.create 512 in
+  Buffer.add_char buf 'L';
+  Codec.add_u16 buf (Array.length entries);
+  Codec.add_u32 buf next;
+  let prev = ref "" in
+  Array.iter
+    (fun (k, p) ->
+      let shared = if prefix_compression then shared_prefix_len !prev k else 0 in
+      Codec.add_varint buf shared;
+      Codec.add_lstring buf (String.sub k shared (String.length k - shared));
+      Codec.add_lstring buf p;
+      prev := k)
+    entries;
+  Buffer.contents buf
+
+(* Sorted leaves whose keys share a prefix of 0, 1, 127, 128 or 300
+   bytes. A key is that prefix alone (the empty key when the prefix is
+   empty; repeated, a duplicate) or the prefix, a byte unique to the
+   entry and a filler, so front-coding shares exactly the prefix and the
+   suffix is one byte longer than the filler. Fillers and payloads are
+   short or sit at the varint boundaries 127/128 and 16383/16384. *)
+let gen_leaf =
+  QCheck.Gen.(
+    let len =
+      frequency
+        [ (3, int_range 0 40); (2, oneofl [ 0; 126; 127; 128; 16382; 16383; 16384 ]) ]
+    in
+    let entry i prefix =
+      bool >>= fun bare ->
+      len >>= fun filler ->
+      len >>= fun plen ->
+      string_size (return filler) >>= fun f ->
+      string_size (return plen) >>= fun p ->
+      return ((if bare then prefix else prefix ^ String.make 1 (Char.chr (i + 1)) ^ f), p)
+    in
+    oneofl [ 0; 1; 127; 128; 300 ] >>= fun plen ->
+    string_size (return plen) >>= fun prefix ->
+    frequency [ (1, return 0); (6, int_range 1 8) ] >>= fun n ->
+    flatten_l (List.init n (fun i -> entry i prefix)) >>= fun entries ->
+    frequency [ (1, return 0); (1, return 0xffffffff); (2, int_range 1 0xfffffffe) ] >>= fun next ->
+    return (Array.of_list (List.sort Codec.compare_kv entries), next))
+
+let prop_leaf_encoder_matches_reference =
+  let print (entries, next) =
+    Printf.sprintf "next %d, entries [%s]" next
+      (String.concat "; "
+         (Array.to_list
+            (Array.map
+               (fun (k, p) ->
+                 Printf.sprintf "(%d-byte key, %d-byte payload)" (String.length k)
+                   (String.length p))
+               entries)))
+  in
+  let trees =
+    List.map
+      (fun pc -> (pc, Bptree.create ~prefix_compression:pc ~name:"t" (make_pool ())))
+      [ true; false ]
+  in
+  QCheck.Test.make ~name:"leaf encoder matches the reference" ~count:300
+    (QCheck.make ~print gen_leaf) (fun (entries, next) ->
+      let view =
+        Bptree.Leaf_view { entries; next = (if next = 0 then None else Some (next - 1)) }
+      in
+      List.for_all
+        (fun (prefix_compression, t) ->
+          String.equal (Bptree.encode_view t view)
+            (reference_encode_leaf ~prefix_compression entries next))
+        trees)
+
 (* qcheck: interleaved inserts/deletes vs a multiset model. *)
 let prop_bptree_delete_model =
   let gen =
@@ -550,6 +730,7 @@ let suite =
         Alcotest.test_case "prefix successor" `Quick test_prefix_successor;
         Alcotest.test_case "crc32 check value" `Quick test_crc32_check_value;
         Alcotest.test_case "crc32 range checked" `Quick test_crc32_range_checked;
+        Alcotest.test_case "varint_len and set_varint" `Quick test_varint_len_and_set;
         qtest prop_varint_roundtrip;
         qtest prop_signed_varint_roundtrip;
         qtest prop_idlist_roundtrip;
@@ -583,6 +764,10 @@ let suite =
         Alcotest.test_case "delete then insert" `Quick test_bptree_delete_then_insert;
         Alcotest.test_case "abort evicts decode cache" `Quick
           test_bptree_abort_evicts_decode_cache;
+        Alcotest.test_case "bulk load caches no node" `Quick test_bptree_bulk_load_caches_nothing;
+        Alcotest.test_case "transactions share the decode cache" `Quick
+          test_bptree_txn_shares_cache;
+        qtest prop_leaf_encoder_matches_reference;
         qtest prop_bptree_delete_model;
         qtest prop_bptree_model;
         qtest prop_bptree_range_model;
