@@ -670,7 +670,7 @@ let extension_auto () =
       let twig = Tm_datasets.Workload.parse (Tm_datasets.Workload.find name) in
       let rp, _, _ = time_query xdb Database.RP twig in
       let dp, _, _ = time_query xdb Database.DP twig in
-      let chosen, _ = Executor.choose_plan xdb twig in
+      let chosen = (Executor.plan xdb twig).Tm_plan.Plan.strategy in
       let auto, _, _ = time_query xdb chosen twig in
       say "%s | %s | %s | %s | %s" (fmt_cell name)
         (fmt_cell (Printf.sprintf "%.2f" rp))
@@ -794,7 +794,7 @@ let figure_planner () =
           Tm_plan.Cache.clear ();
           (* what the skewed statistics make the planner pick, executed
              without adaptivity (forced plans never replan) *)
-          let blind_s, _ = Executor.choose_plan xdb twig in
+          let blind_s = (Executor.plan xdb twig).Tm_plan.Plan.strategy in
           let blind_ms, r_blind = time_hint xdb (Tm_plan.Hint.Force blind_s) twig in
           let auto_ms, r = time_hint xdb Tm_plan.Hint.Auto twig in
           assert (r.Executor.ids = r_blind.Executor.ids);

@@ -6,7 +6,7 @@
      twigql plan    [SOURCE] [--hint H] 'XPATH'   cost-based plan, no execution
      twigql compare [SOURCE] 'XPATH'           run under every strategy + oracle
      twigql metrics [SOURCE] [--format json] 'XPATH'   counters and histograms
-     twigql trace   [SOURCE] [-s RP] [--chrome] [-o F] 'XPATH'   span tree / Chrome JSON
+     twigql trace   [SOURCE] [--hint H] [--chrome] [-o F] 'XPATH'   span tree / Chrome JSON
      twigql slow    [SOURCE] [--threshold-ms N] 'XPATH'...   run queries, print slow log
      twigql serve   [SOURCE] [--port N]        HTTP metrics/health/query endpoint
      twigql blackbox render FILE               human-readable post-mortem timeline
@@ -78,7 +78,7 @@ let load_doc file xmark dblp seed =
 (* ------------------------------------------------------------------ *)
 
 let strategy_conv =
-  let parse s = Result.map_error (fun m -> `Msg m) (Database.strategy_of_string s) in
+  let parse s = Result.map_error (fun m -> `Msg m) (Tm_plan.Strategy.of_string s) in
   Arg.conv (parse, fun ppf s -> Format.pp_print_string ppf (Database.strategy_name s))
 
 let hint_conv =
@@ -93,37 +93,10 @@ let hint_arg =
         ~doc:
           "Plan hint: $(b,auto) lets the cost-based planner choose (and adapt mid-query); \
            $(b,force:STRATEGY) (or a bare strategy name) pins one of RP, DP, Edge, DG+Edge, \
-           IF+Edge, ASR, JI.")
+           IF+Edge, ASR, JI. Defaults to $(b,force:RP), except for $(b,plan).")
 
-(* Legacy surface, kept as a shim: parsed through
-   [Tm_plan.Hint.of_string_compat], which warns that the
-   strategy-string round-trip is deprecated. *)
-let strategy_compat_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "strategy"; "s" ] ~docv:"STRATEGY"
-        ~doc:"Deprecated alias for $(b,--hint force:STRATEGY).")
-
-let auto_arg =
-  Arg.(
-    value & flag
-    & info [ "auto" ] ~doc:"Deprecated alias for $(b,--hint auto): let the planner choose.")
-
-(* --hint wins; --auto and -s fall through the compat shim so their
-   deprecation shows up in telemetry; the historical default is a
-   forced RP plan. *)
-let resolve_hint ~site hint strategy auto =
-  match (hint, auto, strategy) with
-  | Some h, _, _ -> h
-  | None, true, _ -> Tm_plan.Hint.Auto
-  | None, false, Some s -> (
-    match Tm_plan.Hint.of_string_compat ~site s with
-    | Ok h -> h
-    | Error m ->
-      Printf.eprintf "twigql: %s\n" m;
-      exit 124)
-  | None, false, None -> Tm_plan.Hint.Force Database.RP
+(* query, explain, metrics and trace default to a forced RP plan. *)
+let hint_or_rp = Option.value ~default:(Tm_plan.Hint.Force Database.RP)
 
 let xpath_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"XPATH")
 
@@ -146,11 +119,11 @@ let jobs_arg =
           "Domains for parallel index construction and query execution (default: \
            $(b,TWIGMATCH_JOBS) or 1).")
 
-let run_query snap file xmark dblp seed hint strategy auto analyze strict timeout_ms jobs xpath =
+let run_query snap file xmark dblp seed hint analyze strict timeout_ms jobs xpath =
   with_par jobs @@ fun par ->
   let db = load_db ?par snap file xmark dblp seed in
   let twig = Tm_query.Xpath_parser.parse xpath in
-  let hint = resolve_hint ~site:"twigql query -s" hint strategy auto in
+  let hint = hint_or_rp hint in
   let t0 = Monotonic_clock.now () in
   let r =
     Tm_obs.Obs.with_enabled analyze (fun () ->
@@ -203,8 +176,7 @@ let query_cmd =
     (Cmd.info "query" ~doc:"Run a twig query under a plan hint (--hint auto|force:STRATEGY)")
     Term.(
       const run_query $ snap_arg $ file_arg $ xmark_arg $ dblp_arg $ seed_arg $ hint_arg
-      $ strategy_compat_arg $ auto_arg $ analyze_arg $ strict_arg $ timeout_arg $ jobs_arg
-      $ xpath_arg)
+      $ analyze_arg $ strict_arg $ timeout_arg $ jobs_arg $ xpath_arg)
 
 (* ------------------------------------------------------------------ *)
 (* explain                                                             *)
@@ -225,8 +197,8 @@ let explain_db snap file xmark dblp seed hint =
     in
     Database.create ~strategies (load_doc file xmark dblp seed)
 
-let run_explain snap file xmark dblp seed hint strategy auto analyze xpath =
-  let hint = resolve_hint ~site:"twigql explain -s" hint strategy auto in
+let run_explain snap file xmark dblp seed hint analyze xpath =
+  let hint = hint_or_rp hint in
   let db = explain_db snap file xmark dblp seed hint in
   let twig = Tm_query.Xpath_parser.parse xpath in
   print_string (Executor.explain ~analyze ~hint db twig)
@@ -236,7 +208,7 @@ let explain_cmd =
     (Cmd.info "explain" ~doc:"Describe the physical plan for a query (EXPLAIN ANALYZE with --analyze)")
     Term.(
       const run_explain $ snap_arg $ file_arg $ xmark_arg $ dblp_arg $ seed_arg $ hint_arg
-      $ strategy_compat_arg $ auto_arg $ analyze_arg $ xpath_arg)
+      $ analyze_arg $ xpath_arg)
 
 (* ------------------------------------------------------------------ *)
 (* plan                                                                *)
@@ -296,10 +268,10 @@ let format_arg =
     & opt (enum [ ("text", `Text); ("json", `Json); ("prometheus", `Prometheus) ]) `Text
     & info [ "format" ] ~docv:"FORMAT" ~doc:"Output format: $(b,text), $(b,json) or $(b,prometheus).")
 
-let run_metrics snap file xmark dblp seed hint strategy auto fmt xpath =
+let run_metrics snap file xmark dblp seed hint fmt xpath =
   let db = load_db snap file xmark dblp seed in
   let twig = Tm_query.Xpath_parser.parse xpath in
-  let hint = resolve_hint ~site:"twigql metrics -s" hint strategy auto in
+  let hint = hint_or_rp hint in
   ignore (Tm_obs.Obs.with_enabled true (fun () -> Executor.run ~hint db twig));
   match fmt with
   | `Json -> print_endline (Tm_obs.Export.metrics_to_json ())
@@ -323,7 +295,7 @@ let metrics_cmd =
           histograms (buffer-pool traffic, B+-tree node visits, pager I/O, join latencies)")
     Term.(
       const run_metrics $ snap_arg $ file_arg $ xmark_arg $ dblp_arg $ seed_arg $ hint_arg
-      $ strategy_compat_arg $ auto_arg $ format_arg $ xpath_arg)
+      $ format_arg $ xpath_arg)
 
 (* ------------------------------------------------------------------ *)
 (* trace                                                               *)
@@ -343,11 +315,11 @@ let trace_out_arg =
     & opt (some string) None
     & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the trace to FILE instead of stdout.")
 
-let run_trace snap file xmark dblp seed hint strategy auto jobs chrome out xpath =
+let run_trace snap file xmark dblp seed hint jobs chrome out xpath =
   with_par jobs @@ fun par ->
   let db = load_db ?par snap file xmark dblp seed in
   let twig = Tm_query.Xpath_parser.parse xpath in
-  let hint = resolve_hint ~site:"twigql trace -s" hint strategy auto in
+  let hint = hint_or_rp hint in
   let r = Tm_obs.Obs.with_enabled true (fun () -> Executor.run ~hint ?pool:par db twig) in
   match r.Executor.trace with
   | None -> prerr_endline "twigql: no trace was recorded"
@@ -374,7 +346,7 @@ let trace_cmd =
           Chrome trace-event JSON with --chrome)")
     Term.(
       const run_trace $ snap_arg $ file_arg $ xmark_arg $ dblp_arg $ seed_arg $ hint_arg
-      $ strategy_compat_arg $ auto_arg $ jobs_arg $ chrome_arg $ trace_out_arg $ xpath_arg)
+      $ jobs_arg $ chrome_arg $ trace_out_arg $ xpath_arg)
 
 (* ------------------------------------------------------------------ *)
 (* slow                                                                *)

@@ -14,9 +14,9 @@ module T = Tm_xml.Xml_tree
 let query_str = "/book[title = 'XML']//author[fn = 'jane'][ln = 'doe']"
 
 let show db twig label =
-  let r, strategy, reason = Executor.run_auto db twig in
+  let r = Executor.run ~hint:Tm_plan.Hint.Auto db twig in
   Printf.printf "%s: %d matches under %s\n  (%s)\n" label (List.length r.Executor.ids)
-    (Database.strategy_name strategy) reason;
+    (Database.strategy_name r.Executor.strategy) r.Executor.reason;
   r.Executor.ids
 
 let () =

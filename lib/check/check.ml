@@ -246,11 +246,6 @@ let walk_heap acc heap =
       (Printf.sprintf "recorded %d records, pages hold %d" (Heap_file.record_count heap) !total);
   List.length pages
 
-let check_heap heap =
-  let acc = { vs = [] } in
-  ignore (walk_heap acc heap);
-  List.rev acc.vs
-
 (* ------------------------------------------------------------------ *)
 (* Checksum pass                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -281,8 +276,9 @@ let check_pager pager =
    every id must carry the tag its schema position claims, be the child
    of its predecessor by both the backward link and region containment,
    and rooted chains must start at a level-1 node under the virtual
-   root. *)
-let check_links acc ~structure ~page ~entry ~key ~edge ~region ~head schema ids =
+   root. An Edge-table page that fails its checksum on the way is listed
+   once per structure in [corrupt] (the region index is in memory). *)
+let check_links acc ~corrupt ~structure ~page ~entry ~key ~edge ~region ~head schema ids =
   let pkey = printable_key key in
   let tags = Schema_path.to_list schema in
   let anchored = match head with Some h -> h <> 0 | None -> false in
@@ -294,6 +290,12 @@ let check_links acc ~structure ~page ~entry ~key ~edge ~region ~head schema ids 
     List.iter2
       (fun tag id ->
         (match Edge_table.node_record edge id with
+        | exception Pager.Corrupt_page { page = bad; detail } ->
+          if not (Hashtbl.mem corrupt bad) then begin
+            Hashtbl.replace corrupt bad ();
+            add acc Checksum ~structure ~page ~entry ~key:pkey
+              (Printf.sprintf "edge table page %d: %s" bad detail)
+          end
         | exception Invalid_argument m -> add acc Edge_link ~structure ~page ~entry ~key:pkey m
         | None ->
           add acc Edge_link ~structure ~page ~entry ~key:pkey
@@ -336,6 +338,7 @@ let check_family acc fam ~dict ~catalog ~edge ~region doc =
   let entries, pages = walk_tree acc tree in
   let config = Family.config fam in
   let full = match config.Family.ids with Family.Full_idlist -> true | _ -> false in
+  let corrupt = Hashtbl.create 4 in
   List.iter
     (fun (pageno, slot, key, payload) ->
       let page = Some pageno and entry = Some slot in
@@ -349,7 +352,7 @@ let check_family acc fam ~dict ~catalog ~edge ~region doc =
           add acc Idlist_codec ~structure ?page ?entry ?key:pkey
             "payload is not the canonical IdList encoding";
         let rec ordered = function
-          | a :: (b :: _ as rest) -> if a < b then ordered rest else false
+          | (a : int) :: (b :: _ as rest) -> a < b && ordered rest
           | _ -> true
         in
         if not (ordered ids) then
@@ -379,8 +382,8 @@ let check_family acc fam ~dict ~catalog ~edge ~region doc =
               (Printf.sprintf "rooted schema path %s is not in the catalog"
                  (Schema_path.to_string dict schema));
           if full && List.length ids = expected then
-            check_links acc ~structure ~page:pageno ~entry:slot ~key ~edge ~region ~head schema
-              ids))
+            check_links acc ~corrupt ~structure ~page:pageno ~entry:slot ~key ~edge ~region ~head
+              schema ids))
     entries;
   (* semantic ground truth: the member must hold exactly the (key,
      payload) multiset the document's 4-ary relation produces under its

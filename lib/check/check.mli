@@ -76,9 +76,6 @@ val check_pager : Tm_storage.Pager.t -> violation list
 val check_tree : Tm_storage.Bptree.t -> violation list
 (** Structural B+-tree checks only (raw page walk). *)
 
-val check_heap : Tm_storage.Heap_file.t -> violation list
-(** Heap-file page checks only. *)
-
 val check_database : Twigmatch.Database.t -> report
 (** Full verification of every structure the database materialized. *)
 

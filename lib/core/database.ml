@@ -24,10 +24,6 @@ type strategy = Tm_plan.Strategy.t = RP | DP | Edge | DG_edge | IF_edge | Asr | 
 let all_strategies = Tm_plan.Strategy.all
 let strategy_name = Tm_plan.Strategy.name
 
-(* Deprecated in favor of [Tm_plan.Hint.of_string]; kept for callers
-   that need a strategy rather than a hint (sizing, ablations). *)
-let strategy_of_string = Tm_plan.Strategy.of_string
-
 type t = {
   doc : Tm_xml.Xml_tree.document;
   dict : Dictionary.t;
@@ -124,11 +120,6 @@ let built_strategies t =
     all_strategies
 
 let find_rootpaths t = t.rootpaths
-let find_datapaths t = t.datapaths
-let find_dataguide t = t.dataguide
-let find_index_fabric t = t.index_fabric
-let find_asr_rels t = t.asr_rels
-let find_ji t = t.ji
 
 exception Index_not_built of strategy
 

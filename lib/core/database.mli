@@ -21,13 +21,6 @@ type strategy = Tm_plan.Strategy.t =
 val all_strategies : strategy list
 val strategy_name : strategy -> string
 
-val strategy_of_string : string -> (strategy, string) result
-(** Parse a strategy name ([Error] carries a human-readable message
-    listing the accepted spellings).
-    @deprecated use {!Tm_plan.Hint.of_string} — plan hints subsume bare
-    strategy strings; this remains for callers that genuinely need a
-    strategy (index sizing, ablations). *)
-
 type t = {
   doc : Tm_xml.Xml_tree.document;
   dict : Dictionary.t;
@@ -79,16 +72,11 @@ val built_strategies : t -> strategy list
 
 (** {1 Index-set access}
 
-    [find_*] return [None] when the corresponding index set was not
-    materialized; {!require} is the single checked gateway from a
-    strategy to the physical structures its plans need. *)
+    {!require} is the single checked gateway from a strategy to the
+    physical structures its plans need. *)
 
 val find_rootpaths : t -> Family.t option
-val find_datapaths : t -> Family.t option
-val find_dataguide : t -> Family.t option
-val find_index_fabric : t -> Family.t option
-val find_asr_rels : t -> Asr.t option
-val find_ji : t -> Join_index.t option
+(** [None] when the ROOTPATHS index set was not materialized. *)
 
 exception Index_not_built of strategy
 (** A strategy was requested whose index set was not materialized at

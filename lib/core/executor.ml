@@ -108,7 +108,8 @@ let vbounds (r : Twig.range) =
   ( Option.map (fun (b : Twig.bound) -> (b.Twig.bval, b.Twig.binc)) r.Twig.rlo,
     Option.map (fun (b : Twig.bound) -> (b.Twig.bval, b.Twig.binc)) r.Twig.rhi )
 
-let columns_of cp = Array.of_list (List.map (fun i -> cp.uids.(i)) cp.needed_idx)
+(* The relation columns of the steps [needed] (ascending indices). *)
+let columns_at cp needed = Array.of_list (List.map (fun i -> cp.uids.(i)) needed)
 
 let compile (db : Database.t) twig =
   let branch_uids = List.map (fun n -> n.Twig.uid) (Twig.branch_nodes twig) in
@@ -129,10 +130,12 @@ let compile (db : Database.t) twig =
          in
          let uids = Array.map (fun (s : Decompose.step) -> s.Decompose.uid) arr in
          let needed_idx =
-           List.init (Array.length arr) Fun.id
-           |> List.filter (fun i -> List.mem uids.(i) keep)
+           match
+             List.filter (fun i -> List.mem uids.(i) keep) (List.init (Array.length arr) Fun.id)
+           with
+           | [] -> [ Array.length arr - 1 ]
+           | needed -> needed
          in
-         let needed_idx = if needed_idx = [] then [ Array.length arr - 1 ] else needed_idx in
          { pattern; uids; value = l.Decompose.value; range = l.Decompose.range; needed_idx })
 
 (* Rows from index hits: [positions] maps pattern step -> schema
@@ -141,7 +144,7 @@ let rows_of_match cp ~id_at positions =
   Array.of_list (List.map (fun i -> id_at positions.(i)) cp.needed_idx)
 
 let relation_of_rows cp rows =
-  Relation.distinct (Relation.create (columns_of cp) rows)
+  Relation.distinct (Relation.create (columns_at cp cp.needed_idx) rows)
 
 (* Schema probe for a root-anchored pattern. *)
 let schema_probe_of pattern =
@@ -305,6 +308,52 @@ let estimate (db : Database.t) cp =
     ~pattern:cp.pattern ~value:cp.value ~range:cp.range
 
 (* ------------------------------------------------------------------ *)
+(* Leaf predicates through the Edge table                              *)
+(* ------------------------------------------------------------------ *)
+
+let leaf_tag cp = snd cp.pattern.(Array.length cp.pattern - 1)
+
+(* The ids of the [tag] nodes (default: the leaf's tag) that satisfy
+   the path's leaf predicate, from the Edge value index in one lookup;
+   [None] without a predicate, or for a wildcard, which has no (tag,
+   value) key. *)
+let value_index_ids ?tag (db : Database.t) cp =
+  let tag = Option.value tag ~default:(leaf_tag cp) in
+  let lookup f =
+    let stats = Stats.current () in
+    stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
+    Some (f db.Database.edge)
+  in
+  match (cp.value, cp.range) with
+  | _ when tag = Decompose.wildcard -> None
+  | Some value, _ -> lookup (Edge_table.lookup_value ~tag ~value)
+  | None, Some r ->
+    let lo, hi = vbounds r in
+    lookup (Edge_table.lookup_value_range ~tag ~lo ~hi)
+  | None, None -> None
+
+let id_set ids =
+  let set = Hashtbl.create (List.length ids) in
+  List.iter (fun i -> Hashtbl.replace set i ()) ids;
+  set
+
+(* A wildcard leaf has no (tag, value) key in the value index, so its
+   predicate is checked on each candidate's Edge tuple, one lookup
+   each; any other leaf passes (the value index already filtered it). *)
+let wildcard_leaf_ok (db : Database.t) cp leaf =
+  leaf_tag cp <> Decompose.wildcard
+  ||
+  match (cp.value, cp.range) with
+  | None, None -> true
+  | value, range -> (
+    let stats = Stats.current () in
+    stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
+    match (Edge_table.node_value db.Database.edge leaf, value, range) with
+    | Some v, Some want, _ -> String.equal v want
+    | Some v, None, Some r -> Twig.range_matches r v
+    | Some _, None, None | None, _, _ -> false)
+
+(* ------------------------------------------------------------------ *)
 (* ROOTPATHS / DATAPATHS free evaluation of a rooted linear path       *)
 (* ------------------------------------------------------------------ *)
 
@@ -346,17 +395,20 @@ let run_rp ?par ?cancel ?watch (db : Database.t) fam ~out_uid cpaths =
 (* DP plan: FreeIndex for the most selective path, then INLJ probes    *)
 (* ------------------------------------------------------------------ *)
 
+(* The part of [cp] at or below step [idx_b], re-anchored at that
+   step's tag, and the needed steps there: what an INLJ probe from a
+   binding of step [idx_b] evaluates. *)
+let below cp ~idx_b =
+  ( Array.init
+      (Array.length cp.pattern - idx_b)
+      (fun i -> if i = 0 then (Twig.Child, snd cp.pattern.(idx_b)) else cp.pattern.(idx_b + i)),
+    List.filter (fun i -> i >= idx_b) cp.needed_idx )
+
 (* Probe DATAPATHS for the part of [cp] at or below step [idx_b],
    rooted at head id [h]. Returns rows over the needed columns at
    steps >= idx_b. *)
 let dp_probe fam cp ~idx_b ~h =
-  let n = Array.length cp.pattern in
-  (* probe pattern: the head's own tag, then the steps below it *)
-  let probe_pattern =
-    Array.init (n - idx_b) (fun i ->
-        if i = 0 then (Twig.Child, snd cp.pattern.(idx_b)) else cp.pattern.(idx_b + i))
-  in
-  let needed_below = List.filter (fun i -> i >= idx_b) cp.needed_idx in
+  let probe_pattern, needed_below = below cp ~idx_b in
   let stats = Stats.current () in
   stats.Stats.inlj_probes <- stats.Stats.inlj_probes + 1;
   let schema = schema_probe_of probe_pattern in
@@ -376,24 +428,14 @@ let dp_probe fam cp ~idx_b ~h =
     let lo, hi = vbounds r in
     Family.scan_value_range fam ~head:h ~lo ~hi ~schema on_hit []
   | None -> Family.scan fam ~head:h ~value:cp.value ~schema on_hit [])
-  |> fun rows ->
-  let cols = Array.of_list (List.map (fun i -> cp.uids.(i)) needed_below) in
-  Relation.distinct (Relation.create cols rows)
+  |> fun rows -> Relation.distinct (Relation.create (columns_at cp needed_below) rows)
 
-let deepest_shared_idx cp bound_cols =
-  let rec go best i =
-    if i >= Array.length cp.uids then best
-    else if Array.exists (( = ) cp.uids.(i)) bound_cols then go (Some i) (i + 1)
-    else go best (i + 1)
-  in
-  go None 0
-
-(* Run the INLJ probes of one path, one per branch binding. With a
-   pool, the bindings are fanned out in contiguous chunks: each chunk
-   probes under its own Stats record (merged back) and records its probe
-   spans under a "probes" trace the coordinator adopts beneath the open
-   "path:N" span — so analyze output still attributes every probe,
-   now labelled with the domain that ran it. *)
+(* Run the INLJ probes of one path, one per branch binding, into one
+   relation. With a pool, the bindings are fanned out in contiguous
+   chunks: each chunk probes under its own Stats record (merged back)
+   and records its probe spans under a "probes" trace the coordinator
+   adopts beneath the open "path:N" span — so analyze output still
+   attributes every probe, now labelled with the domain that ran it. *)
 let dp_probe_all ?par ?(cancel = Cancel.never) fam cp ~idx_b b_values =
   let sequential () =
     List.rev_map
@@ -414,74 +456,15 @@ let dp_probe_all ?par ?(cancel = Cancel.never) fam cp ~idx_b b_values =
       b_values
     |> gather |> List.concat
   in
-  match par with
-  | Some pool when Tm_par.Pool.jobs pool > 1 && List.length b_values > 1 -> fan_out pool
-  | _ -> sequential ()
-
-(* The join order of an INLJ-style plan: the plan's order when it
-   covers exactly these paths (Force/Pin plans may carry none), else
-   the estimate sort the executor always used. Elements are (original
-   path index, cpath) so adaptivity watches can name the path the plan
-   talks about. *)
-let indexed_order (db : Database.t) ?order cpaths =
-  let arr = Array.of_list cpaths in
-  match order with
-  | Some o when Array.length o = Array.length arr ->
-    Array.to_list (Array.map (fun i -> (i, arr.(i))) o)
-  | _ ->
-    List.stable_sort
-      (fun (_, a) (_, b) -> Int.compare (estimate db a) (estimate db b))
-      (List.mapi (fun i cp -> (i, cp)) cpaths)
-
-(* With [use_inlj = false] (an ablation, not a paper strategy), every
-   path is evaluated as a FreeIndex lookup and stitched with hash
-   joins — DATAPATHS reduced to ROOTPATHS-style planning, isolating the
-   contribution of index-nested-loop joins to Figure 12(d). *)
-let run_dp ?(use_inlj = true) ?par ?(cancel = Cancel.never) ?watch ?order (db : Database.t)
-    fam ~out_uid cpaths =
-  if not use_inlj then finish ~out_uid (eval_paths ?par ~cancel ?watch db (eval_dp_free fam) cpaths)
-  else
-  let observe i rel = match watch with Some w -> w i rel | None -> () in
-  match indexed_order db ?order cpaths with
-  | [] -> invalid_arg "run_dp: no paths"
-  | (oi, first) :: rest ->
-    Cancel.check cancel;
-    let first_rel = eval_spanned db 0 first (fun () -> eval_dp_free fam first) in
-    observe oi first_rel;
-    let acc = ref first_rel in
-    List.iteri
-      (fun j (oi, cp) ->
-        Cancel.check cancel;
-        let i = j + 1 in
-        let idx_b =
-          match deepest_shared_idx cp (Relation.columns !acc) with
-          | Some i -> i
-          | None ->
-            (* No shared bound column: evaluate free and hash join. *)
-            -1
-        in
-        if idx_b < 0 then begin
-          let r = eval_spanned db i cp (fun () -> eval_dp_free fam cp) in
-          observe oi r;
-          acc := join_pair ~kind:`Hash !acc r
-        end
-        else begin
-          let b_uid = cp.uids.(idx_b) in
-          let b_values = Relation.column_values !acc b_uid in
-          let probe_rel =
-            eval_spanned db i cp (fun () ->
-                let probes = dp_probe_all ?par ~cancel fam cp ~idx_b b_values in
-                List.fold_left
-                  (fun rel r ->
-                    Relation.create (Relation.columns r) (r.Relation.rows @ rel.Relation.rows))
-                  (Relation.empty (Array.of_list (List.map (fun i -> cp.uids.(i))
-                     (List.filter (fun i -> i >= idx_b) cp.needed_idx))))
-                  probes)
-          in
-          acc := join_pair ~kind:`Hash !acc probe_rel
-        end)
-      rest;
-    Relation.column_values !acc out_uid
+  let probes =
+    match par with
+    | Some pool when Tm_par.Pool.jobs pool > 1 && List.length b_values > 1 -> fan_out pool
+    | _ -> sequential ()
+  in
+  List.fold_left
+    (fun rel r -> Relation.create (Relation.columns r) (r.Relation.rows @ rel.Relation.rows))
+    (Relation.empty (columns_at cp (snd (below cp ~idx_b))))
+    probes
 
 (* ------------------------------------------------------------------ *)
 (* Edge plan: per-step joins                                           *)
@@ -594,40 +577,19 @@ let edge_topdown (db : Database.t) cp =
   List.map snd final
 
 let eval_edge_path (db : Database.t) cp =
-  let stats = Stats.current () in
   let n = Array.length cp.pattern in
-  let leaf_tag = snd cp.pattern.(n - 1) in
-  (* filter top-down bindings by the leaf's Edge-tuple value *)
-  let filter_leaf_value pred bindings =
-    List.filter
-      (fun binding ->
-        match List.assoc_opt (n - 1) binding with
-        | Some leaf ->
-          stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
-          (match Edge_table.node_value db.Database.edge leaf with
-          | Some v -> pred v
-          | None -> false)
-        | None -> false)
-      bindings
-  in
   let bindings =
-    match (cp.value, cp.range) with
-    | Some v, _ when leaf_tag <> Decompose.wildcard ->
-      stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
-      let leaves = Edge_table.lookup_value db.Database.edge ~tag:leaf_tag ~value:v in
-      List.concat_map (fun leaf -> edge_climb db cp leaf) leaves
-    | None, Some r when leaf_tag <> Decompose.wildcard ->
-      (* value-index range scan, then the usual bottom-up climbs *)
-      stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
-      let lo, hi = vbounds r in
-      let leaves = Edge_table.lookup_value_range db.Database.edge ~tag:leaf_tag ~lo ~hi in
-      List.concat_map (fun leaf -> edge_climb db cp leaf) leaves
-    | Some v, _ ->
-      (* wildcard leaf with a value predicate: no (tag, value) key
-         exists, so expand top-down and filter on the Edge tuple *)
-      filter_leaf_value (String.equal v) (edge_topdown db cp)
-    | None, Some r -> filter_leaf_value (Twig.range_matches r) (edge_topdown db cp)
-    | None, None -> edge_topdown db cp
+    match value_index_ids db cp with
+    | Some leaves -> List.concat_map (fun leaf -> edge_climb db cp leaf) leaves
+    | None ->
+      (* no predicate, or a wildcard leaf: expand top-down and check the
+         leaf's Edge tuple *)
+      List.filter
+        (fun binding ->
+          match List.assoc_opt (n - 1) binding with
+          | Some leaf -> wildcard_leaf_ok db cp leaf
+          | None -> false)
+        (edge_topdown db cp)
   in
   relation_of_rows cp (edge_rows_of_bindings cp bindings)
 
@@ -663,83 +625,53 @@ let climb_known_path (db : Database.t) ~path_len ~needed_schema_pos leaf =
     Some (List.map (Hashtbl.find chain) needed_schema_pos)
   else None
 
-(* Evaluate one linear path via DataGuide or IndexFabric + Edge climbs.
-   [structure_lookup] returns the instance leaf ids of a concrete
-   rooted schema path (DG exact lookup); [value_leaf_ids] when the path
-   has a value predicate. *)
+(* Evaluate one linear path via DataGuide or IndexFabric + Edge climbs:
+   the instance leaves of each matching concrete rooted schema path,
+   filtered by the leaf predicate, climbed to the needed positions. *)
 let eval_guide_path (db : Database.t) ~guide ~fabric cp =
   let stats = Stats.current () in
-  let use_fabric = fabric <> None in
   let matches = catalog_matches db.Database.catalog cp.pattern in
-  let leaf_tag = snd cp.pattern.(Array.length cp.pattern - 1) in
-  let value_ids tag =
-    stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
-    let ids =
-      match (cp.value, cp.range) with
-      | Some v, _ -> Edge_table.lookup_value db.Database.edge ~tag ~value:v
-      | None, Some r ->
-        let lo, hi = vbounds r in
-        Edge_table.lookup_value_range db.Database.edge ~tag ~lo ~hi
-      | None, None -> []
-    in
-    let set = Hashtbl.create (List.length ids) in
-    List.iter (fun i -> Hashtbl.replace set i ()) ids;
-    set
-  in
-  let has_pred = cp.value <> None || cp.range <> None in
-  let value_set =
-    if not has_pred then None
-    else if use_fabric && cp.range = None then
+  let leaf_tag = leaf_tag cp in
+  let value_set ?tag () = Option.map id_set (value_index_ids ?tag db cp) in
+  let leaf_set =
+    match fabric with
+    | Some _ when Option.is_none cp.range ->
       None (* Index Fabric resolves value + path in one lookup *)
-    else if leaf_tag = Decompose.wildcard then None (* per catalog path below *)
-    else Some (value_ids leaf_tag)
+    | _ -> value_set () (* a wildcard leaf's: per catalog path below *)
   in
   let rows =
     List.concat_map
       (fun ((entry : Schema_catalog.entry), positions_list) ->
-        (* leaf instances of this concrete rooted path *)
+        let path = entry.Schema_catalog.path in
+        let single_ids acc (hit : Family.hit) =
+          match hit.Family.h_ids with [ id ] -> id :: acc | _ -> acc
+        in
+        let schema = Family.Exact path in
         let leaf_ids =
-          let single_ids acc (hit : Family.hit) =
-            match hit.Family.h_ids with [ id ] -> id :: acc | _ -> acc
-          in
-          if use_fabric && cp.value <> None then
-            Family.scan (Option.get fabric) ~value:cp.value
-              ~schema:(Family.Exact entry.Schema_catalog.path)
-              single_ids []
-          else if use_fabric && cp.range <> None then begin
+          match (fabric, cp.value, cp.range) with
+          | Some fabric, Some _, _ -> Family.scan fabric ~value:cp.value ~schema single_ids []
+          | Some fabric, None, Some r ->
             (* Index Fabric key order is (path, value): the range scan
                stays contiguous within this concrete path *)
-            let lo, hi = vbounds (Option.get cp.range) in
-            Family.scan_value_range (Option.get fabric) ~lo ~hi
-              ~schema:(Family.Exact entry.Schema_catalog.path)
-              single_ids []
-          end
-          else begin
-            let structural =
-              Family.scan guide ~value:None
-                ~schema:(Family.Exact entry.Schema_catalog.path)
-                single_ids []
+            let lo, hi = vbounds r in
+            Family.scan_value_range fabric ~lo ~hi ~schema single_ids []
+          | _ -> (
+            let structural = Family.scan guide ~value:None ~schema single_ids [] in
+            (* a wildcard leaf's concrete tag comes from this catalog path *)
+            let set =
+              match (leaf_set, List.rev (Schema_path.to_list path)) with
+              | None, tag :: _ when leaf_tag = Decompose.wildcard -> value_set ~tag ()
+              | set, _ -> set
             in
-            match value_set with
+            match set with
             | Some set ->
               (* the DG (struct) |><| value-index join of Section 5.2.1 *)
               stats.Stats.join_steps <- stats.Stats.join_steps + 1;
               List.filter (Hashtbl.mem set) structural
-            | None when has_pred && leaf_tag = Decompose.wildcard ->
-              (* wildcard leaf: the concrete tag comes from the catalog
-                 path this lookup enumerates *)
-              let concrete =
-                match List.rev (Schema_path.to_list entry.Schema_catalog.path) with
-                | t :: _ -> t
-                | [] -> assert false
-              in
-              stats.Stats.join_steps <- stats.Stats.join_steps + 1;
-              List.filter (Hashtbl.mem (value_ids concrete)) structural
-            | None -> structural
-          end
+            | None -> structural)
         in
         (* climb to the needed positions along the known concrete path *)
-        let path_len = Schema_path.length entry.Schema_catalog.path in
+        let path_len = Schema_path.length path in
         List.concat_map
           (fun positions ->
             let needed_schema_pos = List.map (fun i -> positions.(i)) cp.needed_idx in
@@ -797,35 +729,7 @@ let run_asr ?par ?cancel ?watch db asrs ~out_uid cpaths =
 let eval_ji_driver (db : Database.t) ji cp =
   let stats = Stats.current () in
   let matches = catalog_matches db.Database.catalog cp.pattern in
-  let leaf_tag = snd cp.pattern.(Array.length cp.pattern - 1) in
-  let leaf_candidates =
-    match (cp.value, cp.range) with
-    | Some v, _ when leaf_tag <> Decompose.wildcard ->
-      stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
-      Some (Edge_table.lookup_value db.Database.edge ~tag:leaf_tag ~value:v)
-    | None, Some r when leaf_tag <> Decompose.wildcard ->
-      stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
-      let lo, hi = vbounds r in
-      Some (Edge_table.lookup_value_range db.Database.edge ~tag:leaf_tag ~lo ~hi)
-    | _ -> None
-  in
-  (* wildcard leaf with a predicate: filter streamed instances by their
-     Edge-tuple value *)
-  let value_ok leaf =
-    if leaf_tag <> Decompose.wildcard then true
-    else
-      match (cp.value, cp.range) with
-      | None, None -> true
-      | _ ->
-        stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
-        (match Edge_table.node_value db.Database.edge leaf with
-        | Some v -> (
-          match (cp.value, cp.range) with
-          | Some want, _ -> String.equal v want
-          | None, Some r -> Twig.range_matches r v
-          | None, None -> true)
-        | None -> false)
-  in
+  let leaf_candidates = value_index_ids db cp in
   let rows =
     List.concat_map
       (fun ((entry : Schema_catalog.entry), positions_list) ->
@@ -839,10 +743,7 @@ let eval_ji_driver (db : Database.t) ji cp =
             (match Schema_path.to_list path with
             | tag :: _ ->
               stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
-              let ids = Edge_table.children_of db.Database.edge ~parent:0 ~tag in
-              let set = Hashtbl.create (List.length ids) in
-              List.iter (fun i -> Hashtbl.replace set i ()) ids;
-              set
+              id_set (Edge_table.children_of db.Database.edge ~parent:0 ~tag)
             | [] -> Hashtbl.create 0)
         in
         let instances () =
@@ -875,7 +776,7 @@ let eval_ji_driver (db : Database.t) ji cp =
           | Some ids ->
             let roots = Lazy.force doc_roots in
             List.filter (Hashtbl.mem roots) ids
-          | None -> List.filter value_ok (instances ())
+          | None -> List.filter (wildcard_leaf_ok db cp) (instances ())
         in
         let plen = Schema_path.length path in
         List.concat_map
@@ -911,69 +812,27 @@ let eval_ji_driver (db : Database.t) ji cp =
 
 (* Subsequent path probed from branch ids: forward lookups along the
    matching materialized subpaths below the branch. *)
-let eval_ji_probe (db : Database.t) ji cp ~idx_b ~b_values =
+let eval_ji_probe (db : Database.t) ji cp ~idx_b b_values =
   let stats = Stats.current () in
-  let n = Array.length cp.pattern in
   let tag_b = snd cp.pattern.(idx_b) in
-  let probe_pattern =
-    Array.init (n - idx_b) (fun i ->
-        if i = 0 then (Twig.Child, tag_b) else cp.pattern.(idx_b + i))
-  in
+  let probe_pattern, needed_below = below cp ~idx_b in
   (* materialized subpath schemas matching the below-branch pattern *)
-  let sub_matches p =
-    Decompose.match_all probe_pattern (Array.of_list (Schema_path.to_list p)) <> []
-  in
+  let sub_matches p = Decompose.matches probe_pattern (Array.of_list (Schema_path.to_list p)) in
   let sub_schemas =
     if tag_b = Decompose.wildcard then
       Join_index.fold_paths ji (fun acc p -> if sub_matches p then p :: acc else acc) []
     else Join_index.subpaths_from ji ~head_tag:tag_b sub_matches
   in
-  let leaf_tag = snd cp.pattern.(n - 1) in
-  let value_set =
-    if leaf_tag = Decompose.wildcard then None (* resolved per leaf via the Edge tuple *)
-    else
-      match (cp.value, cp.range) with
-      | None, None -> None
-      | Some v, _ ->
-        stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
-        let ids = Edge_table.lookup_value db.Database.edge ~tag:leaf_tag ~value:v in
-        let set = Hashtbl.create (List.length ids) in
-        List.iter (fun i -> Hashtbl.replace set i ()) ids;
-        Some set
-      | None, Some r ->
-        stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
-        let lo, hi = vbounds r in
-        let ids = Edge_table.lookup_value_range db.Database.edge ~tag:leaf_tag ~lo ~hi in
-        let set = Hashtbl.create (List.length ids) in
-        List.iter (fun i -> Hashtbl.replace set i ()) ids;
-        Some set
+  let leaf_ok =
+    match value_index_ids db cp with
+    | Some ids -> Hashtbl.mem (id_set ids)
+    | None -> wildcard_leaf_ok db cp
   in
-  let leaf_value_ok leaf =
-    if leaf_tag <> Decompose.wildcard then true
-    else
-      match (cp.value, cp.range) with
-      | None, None -> true
-      | _ ->
-        stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
-        (match Edge_table.node_value db.Database.edge leaf with
-        | Some v -> (
-          match (cp.value, cp.range) with
-          | Some want, _ -> String.equal v want
-          | None, Some r -> Twig.range_matches r v
-          | None, None -> true)
-        | None -> false)
-  in
-  let needed_below = List.filter (fun i -> i >= idx_b) cp.needed_idx in
   let rows =
     if Array.length probe_pattern = 1 then
       (* the path ends at the branch node itself: only its value
          predicate remains to check; needed_below = [idx_b] *)
-      List.filter_map
-        (fun b ->
-          match value_set with
-          | None -> if leaf_value_ok b then Some [| b |] else None
-          | Some set -> if Hashtbl.mem set b then Some [| b |] else None)
-        b_values
+      List.filter_map (fun b -> if leaf_ok b then Some [| b |] else None) b_values
     else
     List.concat_map
       (fun b ->
@@ -982,12 +841,7 @@ let eval_ji_probe (db : Database.t) ji cp ~idx_b ~b_values =
             stats.Stats.structures_accessed <- stats.Stats.structures_accessed + 1;
             stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
             stats.Stats.inlj_probes <- stats.Stats.inlj_probes + 1;
-            let leaves = Join_index.forward_lookup ji ~path:sub ~start:b in
-            let leaves =
-              match value_set with
-              | None -> List.filter leaf_value_ok leaves
-              | Some set -> List.filter (Hashtbl.mem set) leaves
-            in
+            let leaves = List.filter leaf_ok (Join_index.forward_lookup ji ~path:sub ~start:b) in
             let slen = Schema_path.length sub in
             let positions_list =
               Decompose.match_all probe_pattern (Array.of_list (Schema_path.to_list sub))
@@ -1022,35 +876,66 @@ let eval_ji_probe (db : Database.t) ji cp ~idx_b ~b_values =
           sub_schemas)
       b_values
   in
-  let cols = Array.of_list (List.map (fun i -> cp.uids.(i)) needed_below) in
-  Relation.distinct (Relation.create cols rows)
+  Relation.distinct (Relation.create (columns_at cp needed_below) rows)
 
-let run_ji ?(cancel = Cancel.never) ?watch ?order (db : Database.t) ji ~out_uid cpaths =
+(* ------------------------------------------------------------------ *)
+(* INLJ plans (DP, JI)                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let deepest_shared_idx cp bound_cols =
+  let rec go best i =
+    if i >= Array.length cp.uids then best
+    else if Array.exists (( = ) cp.uids.(i)) bound_cols then go (Some i) (i + 1)
+    else go best (i + 1)
+  in
+  go None 0
+
+(* The join order of an INLJ plan: the plan's order when it covers
+   exactly these paths (Force/Pin plans may carry none), else the
+   estimate sort the executor always used. Elements are (original path
+   index, cpath) so adaptivity watches can name the path the plan talks
+   about. *)
+let indexed_order (db : Database.t) ?order cpaths =
+  let arr = Array.of_list cpaths in
+  match order with
+  | Some o when Array.length o = Array.length arr ->
+    Array.to_list (Array.map (fun i -> (i, arr.(i))) o)
+  | _ ->
+    List.stable_sort
+      (fun (_, a) (_, b) -> Int.compare (estimate db a) (estimate db b))
+      (List.mapi (fun i cp -> (i, cp)) cpaths)
+
+(* The first path in join order is evaluated [free]; each later path is
+   [probe]d from the bindings of its deepest column shared with the
+   relation so far (evaluated free when it shares none) and hash-joined
+   in. *)
+let run_inlj ?(cancel = Cancel.never) ?watch ?order (db : Database.t) ~free ~probe ~out_uid
+    cpaths =
   let observe i rel = match watch with Some w -> w i rel | None -> () in
+  let eval_free i (oi, cp) =
+    let rel = eval_spanned db i cp (fun () -> free cp) in
+    observe oi rel;
+    rel
+  in
   match indexed_order db ?order cpaths with
-  | [] -> invalid_arg "run_ji: no paths"
-  | (oi, first) :: rest ->
+  | [] -> invalid_arg "run_inlj: no paths"
+  | first :: rest ->
     Cancel.check cancel;
-    let first_rel = eval_spanned db 0 first (fun () -> eval_ji_driver db ji first) in
-    observe oi first_rel;
-    let acc = ref first_rel in
-    List.iteri
-      (fun j (oi, cp) ->
-        Cancel.check cancel;
-        let i = j + 1 in
-        match deepest_shared_idx cp (Relation.columns !acc) with
-        | None ->
-          let r = eval_spanned db i cp (fun () -> eval_ji_driver db ji cp) in
-          observe oi r;
-          acc := join_pair ~kind:`Hash !acc r
-        | Some idx_b ->
-          let b_values = Relation.column_values !acc cp.uids.(idx_b) in
-          let probe_rel =
-            eval_spanned db i cp (fun () -> eval_ji_probe db ji cp ~idx_b ~b_values)
+    let joined, _ =
+      List.fold_left
+        (fun (acc, i) ((_, cp) as path) ->
+          Cancel.check cancel;
+          let rel =
+            match deepest_shared_idx cp (Relation.columns acc) with
+            | None -> eval_free i path
+            | Some idx_b ->
+              let b_values = Relation.column_values acc cp.uids.(idx_b) in
+              eval_spanned db i cp (fun () -> probe cp ~idx_b b_values)
           in
-          acc := join_pair ~kind:`Hash !acc probe_rel)
-      rest;
-    Relation.column_values !acc out_uid
+          (join_pair ~kind:`Hash acc rel, i + 1))
+        (eval_free 0 first, 1) rest
+    in
+    Relation.column_values joined out_uid
 
 (* ------------------------------------------------------------------ *)
 (* Cost-based strategy choice (a Lore-style optimizer, paper Section 6) *)
@@ -1078,22 +963,6 @@ let plan_twig ?(overrides = []) (db : Database.t) ~shape cpaths =
     ~paths:(fun () -> planner_paths db cpaths)
     ()
 
-(** Pick a strategy for [twig] from selectivity estimates — the
-    optimizer integration the paper points at ("can thus be used with a
-    Lore-style optimizer", Section 6). Returns the chosen strategy and
-    a one-line justification; the full {!Tm_plan.Plan.t} comes back on
-    every {!run} result. *)
-let choose_plan (db : Database.t) twig =
-  match compile db twig with
-  | exception Unknown_tag -> (Database.RP, "unknown tag: empty result either way")
-  | cpaths ->
-    let p = plan_twig db ~shape:(Twig.shape twig) cpaths in
-    (p.Tm_plan.Plan.strategy, p.Tm_plan.Plan.reason)
-
-(* ------------------------------------------------------------------ *)
-(* Entry point                                                         *)
-(* ------------------------------------------------------------------ *)
-
 (* Why an index-based strategy cannot answer this query — the typed
    [Index_unusable] classification behind graceful degradation. Any
    exception outside these classes (a genuine bug) propagates. *)
@@ -1107,6 +976,44 @@ let classify_unusable = function
     Some (Printf.sprintf "I/O error at %s after retries (%s)" site detail)
   | _ -> None
 
+let compile_opt db twig =
+  match compile db twig with cpaths -> Some cpaths | exception Unknown_tag -> None
+
+(* The plan [hint] asks for, over a compiled twig ([None]: a query tag
+   absent from the data, so any plan answers empty). Unusable statistics
+   pages degrade to a trivial plan unless [strict]: a forced strategy
+   can run without its estimates, and Auto falls back to RP (the
+   fallback chain still covers execution). *)
+let plan_compiled ~hint ~strict (db : Database.t) ~shape compiled =
+  let or_trivial strategy reason f =
+    match f () with
+    | p -> p
+    | exception e -> (
+      match classify_unusable e with
+      | Some why when not strict -> Tm_plan.Plan.trivial ~shape ~strategy (reason why)
+      | Some _ | None -> raise e)
+  in
+  match (hint, compiled) with
+  | Tm_plan.Hint.Pin p, _ -> p
+  | Tm_plan.Hint.Force s, None -> Tm_plan.Plan.trivial ~shape ~strategy:s "as requested"
+  | Tm_plan.Hint.Force s, Some cpaths ->
+    or_trivial s
+      (fun _ -> "as requested")
+      (fun () -> Tm_plan.Planner.forced ~shape ~paths:(planner_paths db cpaths) s)
+  | Tm_plan.Hint.Auto, None ->
+    Tm_plan.Plan.trivial ~shape ~strategy:Database.RP "unknown tag: empty result either way"
+  | Tm_plan.Hint.Auto, Some cpaths ->
+    or_trivial Database.RP
+      (fun why -> "planner statistics unusable: " ^ why)
+      (fun () -> plan_twig db ~shape cpaths)
+
+let plan ?(hint = Tm_plan.Hint.Auto) (db : Database.t) twig =
+  plan_compiled ~hint ~strict:true db ~shape:(Twig.shape twig) (compile_opt db twig)
+
+(* ------------------------------------------------------------------ *)
+(* Entry point                                                         *)
+(* ------------------------------------------------------------------ *)
+
 (* The entry point; the interface documents hints, mid-query
    adaptivity, graceful degradation, deadlines and pools. *)
 let run ?(dp_use_inlj = true) ?(hint = Tm_plan.Hint.Auto) ?(strict = false) ?cancel:parent
@@ -1118,11 +1025,8 @@ let run ?(dp_use_inlj = true) ?(hint = Tm_plan.Hint.Auto) ?(strict = false) ?can
   in
   (* The query's one cost record, installed for its whole extent below:
      every layer that works for the query charges it, and spans, the
-     journal, the flight recorder and the /metrics totals read it. The
-     journal's collector counts are the only Gc.quick_stat readings a
-     query takes, and only with the journal on. *)
+     journal, the flight recorder and the /metrics totals read it. *)
   let stats = Stats.create () in
-  let gc0 = if Tm_obs.Journal.enabled () then Some (Gc.quick_stat ()) else None in
   let jobs_used =
     match pool with
     | Some p -> Tm_par.Pool.jobs p
@@ -1131,45 +1035,10 @@ let run ?(dp_use_inlj = true) ?(hint = Tm_plan.Hint.Auto) ?(strict = false) ?can
   Tm_obs.Flight.emit_traced trace_id Tm_obs.Flight.Query_begin jobs_used 0 "";
   let shape = Twig.shape twig in
   (* Compile once; planning and every (re)plan attempt share the paths. *)
-  let compiled = match compile db twig with
-    | cpaths -> Some cpaths
-    | exception Unknown_tag -> None
-  in
+  let compiled = compile_opt db twig in
   (* Planning reads statistics pages: charged to the query's record. *)
   let initial_plan =
-    Stats.with_record stats @@ fun () ->
-    match compiled with
-    | None -> (
-      match hint with
-      | Tm_plan.Hint.Pin p -> p
-      | Tm_plan.Hint.Force s -> Tm_plan.Plan.trivial ~shape ~strategy:s "as requested"
-      | Tm_plan.Hint.Auto ->
-        Tm_plan.Plan.trivial ~shape ~strategy:Database.RP
-          "unknown tag: empty result either way")
-    | Some cpaths -> (
-      match hint with
-      | Tm_plan.Hint.Pin p -> p
-      | Tm_plan.Hint.Force s -> (
-        match Tm_plan.Planner.forced ~shape ~paths:(planner_paths db cpaths) s with
-        | p -> p
-        | exception e -> (
-          (* Estimation reads Edge-table statistics pages; a forced
-             strategy can still run without them. *)
-          match classify_unusable e with
-          | Some _ when not strict -> Tm_plan.Plan.trivial ~shape ~strategy:s "as requested"
-          | Some _ | None -> raise e))
-      | Tm_plan.Hint.Auto -> (
-        match plan_twig db ~shape cpaths with
-        | p -> p
-        | exception e -> (
-          (* If the statistics pages are unusable, degrade to the RP
-             default rather than dying in the planner (the fallback
-             chain below still covers execution). *)
-          match classify_unusable e with
-          | Some why when not strict ->
-            Tm_plan.Plan.trivial ~shape ~strategy:Database.RP
-              ("planner statistics unusable: " ^ why)
-          | Some _ | None -> raise e)))
+    Stats.with_record stats (fun () -> plan_compiled ~hint ~strict db ~shape compiled)
   in
   let fallbacks = ref [] in
   let note_fallback strategy why =
@@ -1213,15 +1082,24 @@ let run ?(dp_use_inlj = true) ?(hint = Tm_plan.Hint.Auto) ?(strict = false) ?can
   let run_strategy par ~cancel ~watch ~order strategy ~out_uid cpaths =
     match Database.require db strategy with
     | Database.Built_rootpaths fam -> run_rp ?par ~cancel ?watch db fam ~out_uid cpaths
+    | Database.Built_datapaths fam when dp_use_inlj ->
+      run_inlj ~cancel ?watch ~order db ~free:(eval_dp_free fam)
+        ~probe:(dp_probe_all ?par ~cancel fam) ~out_uid cpaths
     | Database.Built_datapaths fam ->
-      run_dp ~use_inlj:dp_use_inlj ?par ~cancel ?watch ~order db fam ~out_uid cpaths
+      (* The ablation (not a paper strategy): every path a FreeIndex
+         lookup stitched with hash joins — DATAPATHS reduced to
+         ROOTPATHS-style planning, isolating the contribution of
+         index-nested-loop joins to Figure 12(d). *)
+      finish ~out_uid (eval_paths ?par ~cancel ?watch db (eval_dp_free fam) cpaths)
     | Database.Built_edge -> run_edge ?par ~cancel ?watch db ~out_uid cpaths
     | Database.Built_dataguide guide ->
       run_guide ?par ~cancel ?watch db ~out_uid ~guide ~fabric:None cpaths
     | Database.Built_index_fabric { fabric; dataguide } ->
       run_guide ?par ~cancel ?watch db ~out_uid ~guide:dataguide ~fabric:(Some fabric) cpaths
     | Database.Built_asr asrs -> run_asr ?par ~cancel ?watch db asrs ~out_uid cpaths
-    | Database.Built_ji ji -> run_ji ~cancel ?watch ~order db ji ~out_uid cpaths
+    | Database.Built_ji ji ->
+      run_inlj ~cancel ?watch ~order db ~free:(eval_ji_driver db ji)
+        ~probe:(eval_ji_probe db ji) ~out_uid cpaths
   in
   let attempt_chain par ~cancel ~watch (plan : Tm_plan.Plan.t) ~out_uid cpaths =
     let requested = plan.Tm_plan.Plan.strategy in
@@ -1312,7 +1190,7 @@ let run ?(dp_use_inlj = true) ?(hint = Tm_plan.Hint.Auto) ?(strict = false) ?can
       | Some cpaths ->
         let out_uid = (Twig.output_node twig).Twig.uid in
         let plan, ids, strategy, via_naive = execute par initial_plan ~out_uid cpaths in
-        (plan, List.sort_uniq compare ids, strategy, via_naive)
+        (plan, List.sort_uniq Int.compare ids, strategy, via_naive)
     in
     Tm_obs.Obs.trace
       ~meta:
@@ -1330,10 +1208,7 @@ let run ?(dp_use_inlj = true) ?(hint = Tm_plan.Hint.Auto) ?(strict = false) ?can
   in
   let record_journal ~(plan : Tm_plan.Plan.t) ~strategy ~reason ~fallbacks ~via_naive ~rows ~ms
       outcome =
-    match gc0 with
-    | None -> ()
-    | Some g0 ->
-      let g1 = Gc.quick_stat () in
+    if Tm_obs.Journal.enabled () then
       Tm_obs.Journal.record
         {
           Tm_obs.Journal.j_id = trace_id;
@@ -1355,12 +1230,6 @@ let run ?(dp_use_inlj = true) ?(hint = Tm_plan.Hint.Auto) ?(strict = false) ?can
           j_jobs = jobs_used;
           j_txn = db.Database.last_txn;
           j_outcome = outcome;
-          j_gc =
-            {
-              Tm_obs.Journal.g_major_words = g1.Gc.major_words -. g0.Gc.major_words;
-              g_minor_gcs = g1.Gc.minor_collections - g0.Gc.minor_collections;
-              g_major_gcs = g1.Gc.major_collections - g0.Gc.major_collections;
-            };
         }
   in
   match
@@ -1447,12 +1316,6 @@ let run ?(dp_use_inlj = true) ?(hint = Tm_plan.Hint.Auto) ?(strict = false) ?can
       (Tm_obs.Journal.Failed (Printexc.to_string e));
     Printexc.raise_with_backtrace e bt
 
-(** Evaluate under the cost-chosen strategy; {!run} with
-    {!Tm_plan.Hint.Auto}, re-shaped for compatibility. *)
-let run_auto (db : Database.t) twig =
-  let r = run ~hint:Tm_plan.Hint.Auto db twig in
-  (r, r.strategy, r.reason)
-
 (* The physical shape of a strategy's plan, one or two lines. *)
 let physical_description add (strategy : Database.strategy) =
   match strategy with
@@ -1479,27 +1342,9 @@ let explain ?(analyze = false) ?(hint = Tm_plan.Hint.Auto) (db : Database.t) twi
   let buf = Buffer.create 256 in
   let add fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   add "query: %s" (Twig.to_string twig);
-  let shape = Twig.shape twig in
-  (match compile db twig with
-  | exception Unknown_tag ->
-    let strategy =
-      match hint with
-      | Tm_plan.Hint.Force s -> s
-      | Tm_plan.Hint.Pin p -> p.Tm_plan.Plan.strategy
-      | Tm_plan.Hint.Auto -> Database.RP
-    in
-    add "strategy: %s" (Database.strategy_name strategy);
-    add "plan: empty (a query tag does not occur in the data)"
-  | cpaths ->
-    let plan =
-      match hint with
-      | Tm_plan.Hint.Pin p -> p
-      | Tm_plan.Hint.Force s ->
-        Tm_plan.Planner.forced ~shape ~paths:(planner_paths db cpaths) s
-      | Tm_plan.Hint.Auto -> plan_twig db ~shape cpaths
-    in
-    Buffer.add_string buf (Tm_plan.Plan.to_string plan);
-    physical_description (fun s -> add "%s" s) plan.Tm_plan.Plan.strategy);
+  let p = plan ~hint db twig in
+  Buffer.add_string buf (Tm_plan.Plan.to_string p);
+  physical_description (fun s -> add "%s" s) p.Tm_plan.Plan.strategy;
   if analyze then begin
     let r = Tm_obs.Obs.with_enabled true (fun () -> run ~hint db twig) in
     add "";

@@ -126,23 +126,26 @@ val path_cardinalities : Database.t -> Tm_query.Twig.t -> int list
 (** Per-branch result sizes (the "Result Size Per Branch" column of
     Figures 7-8), one per linear path. *)
 
-val choose_plan : Database.t -> Tm_query.Twig.t -> Database.strategy * string
-(** Cost-based strategy choice from the pre-collected selectivity
-    statistics — the Lore-style optimizer integration of paper Section
-    6. Returns the strategy and a one-line justification (the
-    [(strategy, reason)] projection of the {!Tm_plan.Plan.t} the
-    planner builds; consults and fills the plan cache). *)
+val plan : ?hint:Tm_plan.Hint.t -> Database.t -> Tm_query.Twig.t -> Tm_plan.Plan.t
+(** The plan {!run} starts from under [hint] (default [Auto]) — the
+    Lore-style optimizer integration of paper Section 6:
+    - [Auto]: the cost-based planner's choice from the pre-collected
+      selectivity statistics (consults and fills the plan cache, applies
+      the journal calibration);
+    - [Force s]: strategy [s], with cover and join order for display;
+    - [Pin p]: [p] itself.
 
-val run_auto : Database.t -> Tm_query.Twig.t -> result * Database.strategy * string
-(** Compatibility alias for [run ~hint:Tm_plan.Hint.Auto]; the strategy
-    and reason are duplicated from the {!result}. *)
+    A query tag absent from the data yields a trivial plan (empty
+    cover), RP under [Auto].
+    @raise Tm_storage.Pager.Corrupt_page (and the other typed errors
+    {!run} degrades on with [strict:false]) when a statistics page
+    cannot be read; {!run} itself falls back instead. *)
 
 val explain : ?analyze:bool -> ?hint:Tm_plan.Hint.t -> Database.t -> Tm_query.Twig.t -> string
 (** Human-readable plan: the {!Tm_plan.Plan.t} rendering (shape, join
     order with per-path estimates, cost comparison, cache/calibration
-    markers) followed by the strategy's physical plan shape. [hint]
-    defaults to [Auto] (the planner's choice — consulting and filling
-    the plan cache). With [analyze:true] the query is also executed
-    with the obs sink enabled, and the recorded span tree (per-path and
-    per-join timings, buffer-pool hit rates, row counts) plus the
-    executor statistics are appended — EXPLAIN ANALYZE. *)
+    markers) of {!plan} under [hint] (default [Auto]), followed by the
+    strategy's physical plan shape. With [analyze:true] the query is
+    also executed with the obs sink enabled, and the recorded span tree
+    (per-path and per-join timings, buffer-pool hit rates, row counts)
+    plus the executor statistics are appended — EXPLAIN ANALYZE. *)

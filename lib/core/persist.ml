@@ -134,15 +134,9 @@ let read_frame ic f =
   let fc = in_u32 ic ~what:"footer checksum" in
   if fc <> !table_crc land 0xFFFFFFFF then bad "footer checksum mismatch (section table damaged)"
 
-let read_section_checked ic ~name ~len ~crc =
-  let data = in_string ic len ~what:(Printf.sprintf "section %S payload" name) in
-  if Codec.crc32_string data <> crc then
-    bad "section %S failed its checksum (corrupt payload)" name;
-  data
-
 let skip_section_checked ic ~name ~len ~crc =
   (* Stream the CRC in page-sized chunks: verify without holding the
-     payload (the [verify] path must not need section-sized memory). *)
+     payload ([verify] and [load] need no section-sized memory). *)
   let chunk = Bytes.create 8192 in
   let rec go remaining acc =
     if remaining = 0 then acc
@@ -219,19 +213,35 @@ let with_snapshot path f =
   in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> f ic)
 
+external unmarshal_mapped :
+  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t -> 'a
+  = "twigmatch_unmarshal_bigarray"
+
+(* The image is read from a mapping of the file, not from a string
+   holding a copy of it: a string the size of the database section is
+   a fresh allocation on every load, and whether the allocator can
+   reuse freed memory for one that large, or must map and zero new
+   pages, depends on the process's allocation history, so the cost of
+   a load would too. *)
 let load path : Database.t =
   with_snapshot path (fun ic ->
       let image = ref None in
       read_frame ic (fun ~name ~len ~crc ic ->
-          let data = read_section_checked ic ~name ~len ~crc in
-          if String.equal name "database" then image := Some data);
+          if String.equal name "database" then image := Some (pos_in ic, len);
+          skip_section_checked ic ~name ~len ~crc);
       match !image with
       | None -> bad "no %S section in snapshot" "database"
-      | Some data ->
+      | Some (pos, len) ->
         (* The frame walk above has verified length and CRC of every
            byte we are about to unmarshal; Marshal never sees a
            damaged image. *)
-        (Marshal.from_string data 0 : Database.t))
+        let mapped =
+          try
+            Unix.map_file (Unix.descr_of_in_channel ic) ~pos:(Int64.of_int pos) Bigarray.char
+              Bigarray.c_layout false [| len |]
+          with Unix.Unix_error (e, _, _) -> bad "cannot map snapshot: %s" (Unix.error_message e)
+        in
+        (unmarshal_mapped (Bigarray.array1_of_genarray mapped) : Database.t))
 
 type section = { name : string; length : int; crc : int }
 type summary = { sections : section list }

@@ -105,7 +105,6 @@ let find name =
   | None -> invalid_arg ("Workload.find: unknown query " ^ name)
 
 let xmark_queries = List.filter (fun query -> query.dataset = Xmark) all
-let dblp_queries = List.filter (fun query -> query.dataset = Dblp) all
 
 (** Section 5.2.4: the recursive variants — the same queries with the
     leading [/] turned into [//]. *)

@@ -17,7 +17,6 @@ val find : string -> query
 (** @raise Invalid_argument on an unknown name. *)
 
 val xmark_queries : query list
-val dblp_queries : query list
 
 val recursive_variant : query -> query
 (** Section 5.2.4: the same query with a leading [//]. *)

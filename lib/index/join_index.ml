@@ -104,11 +104,6 @@ let all_pairs t ~path =
          (fun acc k v -> (fst (Codec.read_u32 k 0), fst (Codec.read_u32 v 0)) :: acc)
          [])
 
-(** Distinct {e subpath} schema paths equal to the tag sequence [tags]
-    (there is at most one — subpaths are identified by their tags), if
-    materialized. *)
-let has_subpath t tags = Option.is_some (find_pair t (Schema_path.of_list tags))
-
 (** Fold over all materialized subpath schema paths. *)
 let fold_paths t f acc = Hashtbl.fold (fun _ p acc -> f acc p.jp_path) t.pairs acc
 

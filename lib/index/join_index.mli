@@ -29,8 +29,6 @@ val backward_lookup : t -> path:Tm_xmldb.Schema_path.t -> end_:int -> int list
 
 val all_pairs : t -> path:Tm_xmldb.Schema_path.t -> (int * int) list
 
-val has_subpath : t -> int list -> bool
-
 val fold_paths : t -> ('a -> Tm_xmldb.Schema_path.t -> 'a) -> 'a -> 'a
 
 val subpaths_from :

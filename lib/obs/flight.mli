@@ -105,9 +105,6 @@ val snapshot : unit -> event list
 (** All domains merged onto one timeline (sorted by timestamp, stable
     within a domain). Safe to call while every domain keeps emitting. *)
 
-val by_domain : unit -> (int * event list) list
-(** Per-domain event windows, oldest first, domains ascending. *)
-
 val total_events : unit -> int
 (** Events ever recorded across all registered rings (including ones
     since overwritten). *)

@@ -11,13 +11,6 @@
     fleet-style EXPLAIN history the paper's Section 6 evaluation reads
     off DB2's instrumentation one query at a time. *)
 
-(* From two Gc.quick_stat readings around the query (see the .mli). *)
-type gc_delta = {
-  g_major_words : float;  (** words allocated in / promoted to the major heap *)
-  g_minor_gcs : int;  (** minor collections *)
-  g_major_gcs : int;  (** major collection cycles *)
-}
-
 type outcome =
   | Completed
   | Timed_out of float  (** the expired deadline, ms *)
@@ -42,7 +35,6 @@ type entry = {
       (** last durably committed transaction folded into the database
           when the query ran (0 = a database never durably updated) *)
   j_outcome : outcome;
-  j_gc : gc_delta;  (** collector activity over the query *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -250,11 +242,7 @@ let entry_to_json e =
               (Tm_exec.Stats.fields e.j_stats)));
       Printf.sprintf "\"jobs\":%d," e.j_jobs;
       Printf.sprintf "\"txn\":%d," e.j_txn;
-      Printf.sprintf "\"outcome\":%s," outcome;
-      Printf.sprintf
-        "\"gc\":{\"major_words\":%s,\"minor_gcs\":%d,\"major_gcs\":%d}"
-        (json_of_float e.j_gc.g_major_words)
-        e.j_gc.g_minor_gcs e.j_gc.g_major_gcs;
+      Printf.sprintf "\"outcome\":%s" outcome;
       "}";
     ]
 

@@ -5,16 +5,6 @@
     [trace id mod stripes], so concurrent domains rarely contend.
     Oldest entries are overwritten per stripe. *)
 
-(** Collector activity over a query, from the two {!Gc.quick_stat}
-    readings the executor takes around it when the journal is on
-    (per-domain on OCaml 5, so the coordinating domain's; minor words
-    come exactly, from every domain, in [j_stats]). *)
-type gc_delta = {
-  g_major_words : float;  (** words allocated in / promoted to the major heap *)
-  g_minor_gcs : int;  (** minor collections *)
-  g_major_gcs : int;  (** major collection cycles *)
-}
-
 (** How the query ended. *)
 type outcome =
   | Completed
@@ -40,7 +30,6 @@ type entry = {
       (** last durably committed transaction folded into the database
           when the query ran (0 = a database never durably updated) *)
   j_outcome : outcome;
-  j_gc : gc_delta;  (** collector activity over the query *)
 }
 
 val next_id : unit -> int

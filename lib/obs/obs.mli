@@ -49,9 +49,6 @@ type histogram = {
   mutable h_count : int;
 }
 
-val default_buckets : float array
-(** Latency-flavoured bounds in milliseconds. *)
-
 val histogram : ?buckets:float array -> string -> histogram
 val observe : histogram -> float -> unit
 val histograms : unit -> histogram list

@@ -17,6 +17,9 @@
       sum of estimate x path length. Competitive only for short, highly
       selective paths. *)
 
+(* Cost of one BoundIndex probe, in contiguous-entry-scan units;
+   calibrated against the benchmark harness (raising it biases toward
+   merge joins). *)
 let probe_cost_entries = 6
 
 (* Strategies the Auto planner will consider; DG+Edge / IF+Edge / ASR

@@ -2,11 +2,6 @@
     RP = sum of branch scans, DP = selective scan + INLJ probes, JI =
     DP with doubled probe cost, Edge = estimate x path length. *)
 
-val probe_cost_entries : int
-(** Cost of one BoundIndex probe, in contiguous-entry-scan units;
-    calibrated against the benchmark harness (raising it biases toward
-    merge joins). *)
-
 val costed : Strategy.t list
 (** Strategies the Auto planner considers (RP, DP, JI, Edge); the
     simulated comparison points (DG+Edge, IF+Edge, ASR) must be

@@ -28,18 +28,3 @@ let of_string s =
            "unknown hint %S (expected \"auto\", a strategy name among %s, or \"force:<strategy>\")"
            s
            (String.concat ", " (List.map Strategy.name Strategy.all))))
-
-(* The deprecation shim behind legacy [--strategy] / [s=] surfaces:
-   parses exactly like {!of_string} but records an [Obs] warning so the
-   round-trip through strategy strings shows up in telemetry. *)
-let of_string_compat ~site s =
-  let r = of_string s in
-  (match r with
-  | Ok _ ->
-    Tm_obs.Obs.warn ~site
-      (Printf.sprintf
-         "strategy string %S parsed via the deprecated strategy_of_string round-trip; pass a \
-          plan hint (\"auto\" or \"force:<strategy>\") instead"
-         s)
-  | Error _ -> ());
-  r

@@ -10,7 +10,3 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 (** Accepts ["auto"], a bare strategy name (parsed as [Force]), or
     ["force:<strategy>"]. [Pin] has no string form. *)
-
-val of_string_compat : site:string -> string -> (t, string) result
-(** Like {!of_string}, but emits an [Obs.warn] deprecation warning on
-    success — the compat shim behind legacy [--strategy] flags. *)

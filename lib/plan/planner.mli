@@ -26,11 +26,6 @@ val forced : shape:string -> paths:path_input list -> Strategy.t -> Plan.t
 (** The plan for an explicitly forced strategy: cover and join order
     are still computed (for display), costs are not. *)
 
-val calibration_for : string -> float
-(** Median actual/estimated row ratio over completed journal entries of
-    this shape, clamped to [1/8, 32]; 1.0 when the journal is off or
-    has no history. *)
-
 (** {1 Mid-query adaptivity thresholds} *)
 
 val replan_factor : int

@@ -19,7 +19,6 @@ type linear = {
   range : Twig.range option;  (** inequality predicate at the leaf *)
 }
 
-let leaf_uid l = (List.nth l.steps (List.length l.steps - 1)).uid
 let step_uids l = List.map (fun s -> s.uid) l.steps
 
 (** All root-to-leaf linear paths of [t], in twig pre-order. *)
@@ -32,7 +31,7 @@ let linear_paths (t : Twig.t) : linear list =
       let below = List.concat_map (fun (ax, c) -> go prefix ax c) branches in
       (* A value/range predicate on an internal node adds its own linear
          path ending at that node (e.g. .../quantity[. = '2']/extra). *)
-      if n.Twig.value <> None || n.Twig.range <> None then
+      if Option.is_some n.Twig.value || Option.is_some n.Twig.range then
         { steps = List.rev prefix; value = n.Twig.value; range = n.Twig.range } :: below
       else below
   in
@@ -62,13 +61,25 @@ let wildcard = -1
 
 let tag_matches want got = want = wildcard || want = got
 
+(* Length, then lexicographic: the order [match_all] returns. *)
+let compare_positions (a : int array) b =
+  let n = Array.length a in
+  let rec go i =
+    if i = n then 0
+    else
+      let c = Int.compare a.(i) b.(i) in
+      if c <> 0 then c else go (i + 1)
+  in
+  let c = Int.compare n (Array.length b) in
+  if c <> 0 then c else go 0
+
 (** [match_all pattern path] finds every way [pattern] matches [path]
     with {e both ends anchored}: the first step must match [path.(0)]
     (for [Child]) or any position (for [Descendant]); each later
     [Child] step consumes the next position, a [Descendant] step any
     strictly later one; and the final step must land on the last
     element. Returns the list of position vectors (pattern index ->
-    path index), deduplicated, in discovery order. *)
+    path index), deduplicated, in lexicographic order. *)
 let match_all (pattern : tag_pattern) (path : int array) : int array list =
   let np = Array.length pattern and nl = Array.length path in
   if np = 0 || nl = 0 then []
@@ -98,11 +109,11 @@ let match_all (pattern : tag_pattern) (path : int array) : int array list =
     in
     go 0 (-1) [];
     List.rev !results |> List.map Array.of_list
-    |> List.sort_uniq compare
+    |> List.sort_uniq compare_positions
   end
 
 (** Does [pattern] match [path] (both ends anchored)? *)
-let matches pattern path = match_all pattern path <> []
+let matches pattern path = not (List.is_empty (match_all pattern path))
 
 (** Longest trailing run of {e concrete} (non-wildcard), [Child]-linked
     tags — the part that can be evaluated as a B+-tree prefix scan on

@@ -11,7 +11,6 @@ type linear = {
   range : Twig.range option;  (** inequality predicate at the leaf *)
 }
 
-val leaf_uid : linear -> int
 val step_uids : linear -> int list
 
 val linear_paths : Twig.t -> linear list

@@ -68,7 +68,7 @@ let make root_axis root_spec =
     let uid = !counter in
     incr counter;
     if s.s_output then incr outputs;
-    if s.s_value <> None && s.s_range <> None then
+    if Option.is_some s.s_value && Option.is_some s.s_range then
       invalid_arg "Twig.make: a node cannot have both an equality and a range predicate";
     let branches = List.map (fun (ax, c) -> (ax, go c)) s.s_branches in
     { uid; name = s.s_name; value = s.s_value; range = s.s_range; output = s.s_output; branches }
@@ -102,14 +102,15 @@ let branch_nodes t =
        (fun acc n ->
          if
            List.length n.branches > 1
-           || (n.branches <> [] && (n.value <> None || n.range <> None))
+           || ((not (List.is_empty n.branches))
+              && (Option.is_some n.value || Option.is_some n.range))
          then n :: acc
          else acc)
        [] t.root)
 
 (** Number of leaf-to-root paths, i.e. the paper's "number of branches". *)
 let leaf_count t =
-  fold_nodes (fun acc n -> if n.branches = [] then acc + 1 else acc) 0 t.root
+  fold_nodes (fun acc n -> if List.is_empty n.branches then acc + 1 else acc) 0 t.root
 
 let has_descendant_edge t =
   t.root_axis = Descendant

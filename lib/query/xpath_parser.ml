@@ -178,13 +178,13 @@ let combine_cmps name cmps =
     (fun (op, v) ->
       match op with
       | Ceq ->
-        if !value <> None then fail "conflicting equality predicates on step %s" name;
+        if Option.is_some !value then fail "conflicting equality predicates on step %s" name;
         value := Some v
       | Cge | Cgt ->
-        if !lo <> None then fail "conflicting lower bounds on step %s" name;
+        if Option.is_some !lo then fail "conflicting lower bounds on step %s" name;
         lo := Some { Twig.bval = v; binc = op = Cge }
       | Cle | Clt ->
-        if !hi <> None then fail "conflicting upper bounds on step %s" name;
+        if Option.is_some !hi then fail "conflicting upper bounds on step %s" name;
         hi := Some { Twig.bval = v; binc = op = Cle })
     cmps;
   let range =
@@ -192,7 +192,7 @@ let combine_cmps name cmps =
     | None, None -> None
     | rlo, rhi -> Some { Twig.rlo; rhi }
   in
-  if !value <> None && range <> None then
+  if Option.is_some !value && Option.is_some range then
     fail "step %s mixes equality and range predicates" name;
   (!value, range)
 

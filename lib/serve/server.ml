@@ -217,10 +217,7 @@ let run_query ?cancel ?breaker (db : Database.t) params =
       let hint =
         match List.assoc_opt "hint" params with
         | Some h -> Tm_plan.Hint.of_string h
-        | None -> (
-          match List.assoc_opt "s" params with
-          | None -> Ok Tm_plan.Hint.Auto
-          | Some s -> Tm_plan.Hint.of_string_compat ~site:"serve./query?s=" s)
+        | None -> Ok Tm_plan.Hint.Auto
       in
       let deadline_ms =
         Option.bind (List.assoc_opt "timeout_ms" params) float_of_string_opt
@@ -315,7 +312,6 @@ let index_body =
       "  /stats                serving/overload counters (JSON)";
       "  /drain                stop accepting, finish in-flight, exit";
       "  /query?q=XPATH[&hint=auto|STRATEGY][&timeout_ms=N]  run a twig query";
-      "                        (s=STRATEGY still accepted, deprecated)";
       "  /plan?q=XPATH[&hint=auto|STRATEGY]  explain the chosen plan (JSON)";
       "";
     ]

@@ -150,6 +150,3 @@ val stats : t -> stats
 (** A snapshot of the serving counters. The accounting invariant holds
     at quiescence: [accepted = responses + write_failures +
     accept_faults]. *)
-
-val shed_total : stats -> int
-(** [shed_queue + shed_overload + shed_deadline + shed_breaker]. *)

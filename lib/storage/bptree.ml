@@ -535,13 +535,9 @@ let fold_range t ~lo ~hi f acc =
   | Internal _ -> assert false
   | Leaf l -> walk_leaf leaf acc (lower_bound l.entries lo)
 
-let iter_range t ~lo ~hi f = fold_range t ~lo ~hi (fun () k p -> f k p) ()
-
 (** All entries whose key starts with [prefix], in key order. *)
 let fold_prefix t ~prefix f acc =
   fold_range t ~lo:prefix ~hi:(Codec.prefix_successor prefix) f acc
-
-let iter_prefix t ~prefix f = fold_prefix t ~prefix (fun () k p -> f k p) ()
 
 (** Payloads of all entries with exactly [key], sorted. (Duplicate
     entries are key-ordered in the tree but their payload order across

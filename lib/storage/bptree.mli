@@ -56,13 +56,9 @@ val fold_range : t -> lo:string -> hi:string option -> ('a -> string -> string -
 (** Fold over entries with [lo <= key < hi] in key order ([hi = None]
     is unbounded). *)
 
-val iter_range : t -> lo:string -> hi:string option -> (string -> string -> unit) -> unit
-
 val fold_prefix : t -> prefix:string -> ('a -> string -> string -> 'a) -> 'a -> 'a
 (** Fold over entries whose key starts with [prefix] — the B+-tree
     prefix scan behind the paper's reversed-schema-path [//] support. *)
-
-val iter_prefix : t -> prefix:string -> (string -> string -> unit) -> unit
 
 val lookup_all : t -> string -> string list
 (** Sorted payloads of all entries with exactly this key. *)

@@ -263,15 +263,11 @@ let crc32_update crc data pos len =
 let crc32 data = crc32_update 0 data 0 (Bytes.length data)
 let crc32_string s = crc32 (Bytes.unsafe_of_string s)
 
-let concat_key components = String.concat (String.make 1 key_sep) components
-
 (** Comparator for (key, payload) entries — the bulk-load / B+-tree
     entry order (key, then payload), stated with typed comparisons. *)
 let compare_kv (k1, p1) (k2, p2) =
   let c = String.compare k1 k2 in
   if c <> 0 then c else String.compare p1 p2
-
-let split_key s = String.split_on_char key_sep s
 
 (** Smallest string strictly greater than every string having [s] as a
     prefix, or [None] if no such string exists (all bytes are 0xff).

@@ -20,7 +20,6 @@ val read_varint : string -> int -> int * int
 (** {1 Zigzag-coded signed varints} *)
 
 val zigzag : int -> int
-val unzigzag : int -> int
 val add_signed_varint : Buffer.t -> int -> unit
 val read_signed_varint : string -> int -> int * int
 
@@ -46,12 +45,8 @@ val u32_to_string : int -> string
     paper Section 4.1; [idlist_raw] stores 4 bytes per id and exists
     for the compression ablation and for ASR relations. *)
 
-val add_idlist : Buffer.t -> int list -> unit
-val read_idlist : string -> int -> int list * int
 val idlist_to_string : int list -> string
 val idlist_of_string : string -> int list
-val add_idlist_raw : Buffer.t -> int list -> unit
-val read_idlist_raw : string -> int -> int list * int
 val idlist_raw_to_string : int list -> string
 val idlist_raw_of_string : string -> int list
 
@@ -86,16 +81,9 @@ val encode_value : string option -> string
 
 val decode_value : string -> string option
 
-val concat_key : string list -> string
-(** Join components with {!key_sep}. *)
-
 val compare_kv : string * string -> string * string -> int
 (** Entry order of the B+-tree: key, then payload (typed comparison —
-    the repo lint bans polymorphic [compare] in the storage layer). *)
-
-val split_key : string -> string list
-(** Split on {!key_sep}. Only valid when every component is
-    0x00-free (not true of fixed-width integer components). *)
+    the analyzer's poly-compare pass bans polymorphic [compare]). *)
 
 val prefix_successor : string -> string option
 (** Smallest string greater than every string prefixed by the argument,

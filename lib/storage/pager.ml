@@ -259,7 +259,6 @@ let physical_writes t = locked t (fun () -> t.physical_writes)
 (* Epochs, snapshot reads and page-level transactions                  *)
 (* ------------------------------------------------------------------ *)
 
-let current_epoch t = locked t (fun () -> t.epoch)
 let snapshot_active t = Atomic.get t.snapshot_work > 0
 
 let epoch_of_page t id =

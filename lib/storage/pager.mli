@@ -73,9 +73,6 @@ val physical_writes : t -> int
     registered a {!pin} at epoch [e] keep reading the pre-images via
     {!read_at}, so in-flight transactions are invisible to them. *)
 
-val current_epoch : t -> int
-(** The last published commit epoch (0 for a fresh pager). *)
-
 val snapshot_active : t -> bool
 (** Lock-free hint: [true] iff a transaction is active or some page
     has a non-empty version chain. When [false], {!epoch_of_page}

@@ -199,5 +199,5 @@ let parse src =
     | Some c -> fail "unexpected character %C at top level (offset %d)" c lx.pos
   in
   loop ();
-  if !roots = [] then fail "no root element found";
+  if List.is_empty !roots then fail "no root element found";
   Xml_tree.document (List.rev !roots)

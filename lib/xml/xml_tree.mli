@@ -64,6 +64,4 @@ val find_by_id : document -> int -> node option
 
 (** {1 Printing} *)
 
-val escape_text : string -> string
-val to_buffer : Buffer.t -> document -> unit
 val to_string : document -> string

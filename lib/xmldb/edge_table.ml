@@ -263,6 +263,3 @@ let heap t = t.heap
 let size_bytes t =
   Heap_file.size_bytes t.heap + Bptree.size_bytes t.value_index + Bptree.size_bytes t.forward
   + Bptree.size_bytes t.backward
-
-(** Space of the base heap only (shared storage under every strategy). *)
-let heap_size_bytes t = Heap_file.size_bytes t.heap

@@ -49,8 +49,6 @@ val remove_node : t -> Shred.node_info -> unit
 val size_bytes : t -> int
 (** Heap + the three indices (the Figure 9 "Edge" column). *)
 
-val heap_size_bytes : t -> int
-
 (** {1 Raw structure access (fsck support)} *)
 
 val indices : t -> Tm_storage.Bptree.t list

@@ -50,7 +50,7 @@ let record t (info : Shred.node_info) =
           e
       in
       entry.instance_count <- entry.instance_count + 1;
-      if info.Shred.value <> None then entry.value_count <- entry.value_count + 1)
+      if Option.is_some info.Shred.value then entry.value_count <- entry.value_count + 1)
 
 (** Reverse of {!record} for node deletion. The entry survives at zero
     instances (its path id must stay stable for Section 4.2 keys). *)
@@ -60,7 +60,7 @@ let unrecord t (info : Shred.node_info) =
       match Hashtbl.find_opt t.by_encoding enc with
       | Some e ->
         e.instance_count <- max 0 (e.instance_count - 1);
-        if info.Shred.value <> None then e.value_count <- max 0 (e.value_count - 1)
+        if Option.is_some info.Shred.value then e.value_count <- max 0 (e.value_count - 1)
       | None -> ())
 
 (** Build the catalog for [doc] (interning tags into [dict]). *)

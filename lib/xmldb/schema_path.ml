@@ -16,7 +16,7 @@ let to_list = Array.to_list
 
 let append (p : t) tag : t = Array.append p [| tag |]
 
-let equal (a : t) (b : t) = a = b
+let equal (a : t) (b : t) = Array.length a = Array.length b && Array.for_all2 Int.equal a b
 
 (** Tags from the leaf end upward: [reverse [|b;u;a;f|] = [|f;a;u;b|]]. *)
 let reverse (p : t) : t =

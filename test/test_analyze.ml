@@ -3,7 +3,8 @@
    must detect its class with file/line provenance; the clean fixture
    tree must come back with zero findings — mirroring test_check.ml's
    injected-corruption style, with source-level violations in place of
-   page-level ones.
+   page-level ones. Every fixture but bad_no_mli.ml has an interface,
+   so mli-coverage fires on that one alone.
 
    The fixture libraries are linked into this executable, so dune has
    built their .cmt files (the analyzer's input) before the test runs;
@@ -99,7 +100,24 @@ let test_typed_error () =
 let test_failpoint () =
   assert_detects ~pass:"failpoint" ~file:"bad_io.ml" ~lines:[ 6 ] ()
 
+let test_poly_compare () =
+  (* the [=] at int list; the [<] at int on the next line is exempt *)
+  assert_detects ~pass:"poly-compare" ~file:"bad_poly_compare.ml" ~lines:[ 4 ] ();
+  check Alcotest.int "one finding" 1
+    (List.length (in_pass "poly-compare" (Lazy.force bad_findings)))
+
+let test_no_failwith () =
+  assert_detects ~pass:"no-failwith" ~file:"bad_failwith.ml" ~lines:[ 4; 5 ] ();
+  check Alcotest.int "the call and the constructor" 2
+    (List.length (in_pass "no-failwith" (Lazy.force bad_findings)))
+
+let test_catch_all () = assert_detects ~pass:"catch-all" ~file:"bad_catch_all.ml" ~lines:[ 4 ] ()
+
+let test_mli_coverage () =
+  assert_detects ~pass:"mli-coverage" ~file:"bad_no_mli.ml" ~lines:[ 1 ] ()
+
 let test_all_passes_fire () =
+  check Alcotest.int "pass count" 9 (List.length Analyze.pass_ids);
   let fs = Lazy.force bad_findings in
   List.iter
     (fun pass ->
@@ -124,7 +142,11 @@ let suite =
         Alcotest.test_case "resource-safety detects the leaky pair" `Quick test_resource_safety;
         Alcotest.test_case "typed-error detects the swallowed Timeout" `Quick test_typed_error;
         Alcotest.test_case "failpoint detects the unregistered I/O" `Quick test_failpoint;
-        Alcotest.test_case "all five passes fire on the fixture tree" `Quick test_all_passes_fire;
+        Alcotest.test_case "poly-compare detects the list equality" `Quick test_poly_compare;
+        Alcotest.test_case "no-failwith detects both Failures" `Quick test_no_failwith;
+        Alcotest.test_case "catch-all detects the wildcard handler" `Quick test_catch_all;
+        Alcotest.test_case "mli-coverage detects the bare module" `Quick test_mli_coverage;
+        Alcotest.test_case "all nine passes fire on the fixture tree" `Quick test_all_passes_fire;
         Alcotest.test_case "clean tree yields zero findings" `Quick test_clean_tree;
       ] );
   ]

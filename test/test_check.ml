@@ -266,6 +266,27 @@ let test_bitflip_checksum_detected () =
   assert_detected report Check.Checksum ~structure:"pager" ~page ();
   assert_detected report Check.Checksum ~structure:"rootpaths" ~page ()
 
+(* The same flip in an Edge node-index (backward-link) page: the link
+   checks of the ROOTPATHS entries read it through the Edge table, and
+   must list it as a violation rather than raise. *)
+let test_bitflip_edge_link_detected () =
+  let db = Db.create ~strategies:[ Db.RP ] (xmark ()) in
+  let backward =
+    List.find
+      (fun t -> String.equal (Bptree.name t) "edge_backward")
+      (Tm_xmldb.Edge_table.indices db.Db.edge)
+  in
+  let page =
+    match find_leaves backward with
+    | (page, _, _) :: _ -> page
+    | [] -> Alcotest.fail "no leaves"
+  in
+  Db.drop_caches db;
+  Pager.unsafe_flip_bit db.Db.pager ~page ~bit:100;
+  let report = Check.check_database db in
+  assert_detected report Check.Checksum ~structure:"pager" ~page ();
+  assert_detected report Check.Checksum ~structure:"rootpaths" ()
+
 (* Flip a bit of the stored checksum itself (the page bytes stay good):
    the mismatch must be reported all the same. *)
 let test_crc_bitflip_detected () =
@@ -321,6 +342,7 @@ let suite =
         Alcotest.test_case "non-canonical front coding" `Quick test_roundtrip_detected;
         Alcotest.test_case "dangling next pointer" `Quick test_dangling_next_detected;
         Alcotest.test_case "bit-flipped leaf page" `Quick test_bitflip_checksum_detected;
+        Alcotest.test_case "bit-flipped edge index page" `Quick test_bitflip_edge_link_detected;
         Alcotest.test_case "bit-flipped stored crc" `Quick test_crc_bitflip_detected;
         Alcotest.test_case "check_pager direct" `Quick test_check_pager_direct;
         Alcotest.test_case "clobbered heap page" `Quick test_heap_corruption_detected;

@@ -150,7 +150,8 @@ let test_optimizer_choices () =
   let doc = Tm_datasets.Xmark_gen.generate { Tm_datasets.Xmark_gen.seed = 42; scale = 0.25 } in
   let db = Database.create ~strategies:Database.[ RP; DP ] doc in
   let choice name =
-    fst (Executor.choose_plan db (Tm_datasets.Workload.parse (Tm_datasets.Workload.find name)))
+    (Executor.plan db (Tm_datasets.Workload.parse (Tm_datasets.Workload.find name)))
+      .Tm_plan.Plan.strategy
   in
   (* single path -> RP *)
   Alcotest.(check string) "Q2x" "RP" (Database.strategy_name (choice "Q2x"));
@@ -166,14 +167,14 @@ let test_optimizer_choices () =
       "/site[people/person/profile/@income = '9876.00'][people/person/profile/education = 'College']"
   in
   Alcotest.(check string) "equal branches" "RP"
-    (Database.strategy_name (fst (Executor.choose_plan db equal_branches)))
+    (Database.strategy_name (Executor.plan db equal_branches).Tm_plan.Plan.strategy)
 
-let test_run_auto_correct () =
+let test_auto_hint_correct () =
   let doc, db = doc_and_db Tm_datasets.Workload.Xmark in
   List.iter
     (fun name ->
       let twig = Tm_datasets.Workload.parse (Tm_datasets.Workload.find name) in
-      let r, _, _ = Executor.run_auto db twig in
+      let r = Executor.run ~hint:Tm_plan.Hint.Auto db twig in
       Alcotest.(check (list int)) ("auto " ^ name) (Tm_query.Naive.query doc twig) r.Executor.ids)
     [ "Q2x"; "Q5x"; "Q9x"; "Q10x"; "Q12x"; "Q14x" ]
 
@@ -253,8 +254,8 @@ let () =
       ("recursive", recursive_cases);
       ( "optimizer",
         [
-          Alcotest.test_case "choose_plan picks the paper's winners" `Slow test_optimizer_choices;
-          Alcotest.test_case "run_auto matches oracle" `Slow test_run_auto_correct;
+          Alcotest.test_case "plan picks the paper's winners" `Slow test_optimizer_choices;
+          Alcotest.test_case "Auto hint matches oracle" `Slow test_auto_hint_correct;
           Alcotest.test_case "explain" `Slow test_explain;
         ] );
       ( "sanity",

@@ -405,8 +405,6 @@ let test_span_gc_delta () =
 (* Query-lifecycle journal                                             *)
 (* ------------------------------------------------------------------ *)
 
-let zero_gc = { Journal.g_major_words = 0.0; g_minor_gcs = 0; g_major_gcs = 0 }
-
 let mk_entry ?(latency = 1.0) ?(outcome = Journal.Completed) ?(fallbacks = []) () =
   {
     Journal.j_id = Journal.next_id ();
@@ -425,7 +423,6 @@ let mk_entry ?(latency = 1.0) ?(outcome = Journal.Completed) ?(fallbacks = []) (
     j_jobs = 0;
     j_txn = 0;
     j_outcome = outcome;
-    j_gc = zero_gc;
   }
 
 (* The acceptance property: with the journal off, Executor.run leaves

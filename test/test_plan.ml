@@ -34,13 +34,9 @@ let test_hint_of_string () =
   (match Hint.of_string "force:JI" with
   | Ok (Hint.Force Database.Ji) -> ()
   | _ -> Alcotest.fail "\"force:JI\" must parse as Force Ji");
-  (match Hint.of_string "bogus" with
+  match Hint.of_string "bogus" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown hint must be rejected");
-  (* the compat shim parses identically (and warns through Obs) *)
-  match Hint.of_string_compat ~site:"test" "Edge" with
-  | Ok (Hint.Force Database.Edge) -> ()
-  | _ -> Alcotest.fail "compat shim must parse like of_string"
+  | Ok _ -> Alcotest.fail "unknown hint must be rejected"
 
 let test_hint_round_trip () =
   List.iter

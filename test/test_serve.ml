@@ -65,7 +65,7 @@ let test_healthz_endpoint () =
 
 let test_query_endpoint () =
   let db = mk_db () in
-  let r = Server.handle db ~meth:"GET" ~target:"/query?q=%2Fbook%2F%2Fauthor&s=RP" in
+  let r = Server.handle db ~meth:"GET" ~target:"/query?q=%2Fbook%2F%2Fauthor&hint=RP" in
   check Alcotest.int "status" 200 r.Server.status;
   check Alcotest.bool "row count" true (contains r.Server.body "\"rows\":3");
   check Alcotest.bool "strategy echoed" true (contains r.Server.body "\"strategy\":\"RP\"");
@@ -79,14 +79,14 @@ let test_query_errors () =
   let bad = Server.handle db ~meth:"GET" ~target:"/query?q=%5B%5Bnot-xpath" in
   check Alcotest.int "unparsable q" 400 bad.Server.status;
   check Alcotest.bool "parse error named" true (contains bad.Server.body "parse");
-  let strat = Server.handle db ~meth:"GET" ~target:"/query?q=%2Fbook&s=NOPE" in
+  let strat = Server.handle db ~meth:"GET" ~target:"/query?q=%2Fbook&hint=NOPE" in
   check Alcotest.int "unknown strategy" 400 strat.Server.status
 
 let test_journal_endpoints () =
   let db = mk_db () in
   Tm_obs.Journal.with_enabled true (fun () ->
       Tm_obs.Journal.clear ();
-      ignore (Server.handle db ~meth:"GET" ~target:"/query?q=%2Fbook&s=RP");
+      ignore (Server.handle db ~meth:"GET" ~target:"/query?q=%2Fbook&hint=RP");
       let j = Server.handle db ~meth:"GET" ~target:"/journal" in
       check Alcotest.int "journal status" 200 j.Server.status;
       check Alcotest.bool "journal has the query" true (contains j.Server.body "/book");

@@ -1,12 +1,12 @@
-(** Typedtree static analysis: five concurrency & resource-safety passes
-    over the [.cmt] files dune produces for [lib/] (the [@check] alias).
+(** Typedtree static analysis: nine passes over the [.cmt] files dune
+    produces for [lib/] (the [@check] alias) — the repo's one static
+    checker.
 
-    Where {!Tm_lint} (tools/lint) pattern-matches the {e untyped} AST,
-    these passes read the typed tree, so they can resolve identifiers
-    through module aliases, attribute acquisitions to a specific mutex
-    {e field} (the label's record type names the lock: [Pager.t.lock]),
-    and distinguish [Tm_storage.Lock] tickets by their [Outer]/[Inner]
-    registry class.
+    The passes read the typed tree, so they can resolve identifiers
+    through module aliases, see the type a comparison is used at,
+    attribute acquisitions to a specific mutex {e field} (the label's
+    record type names the lock: [Pager.t.lock]), and distinguish
+    [Tm_storage.Lock] tickets by their [Outer]/[Inner] registry class.
 
     Passes (rule ids as reported):
 
@@ -41,6 +41,17 @@
       exempted with [\[@@analyze.no_failpoint "why"\]]. Site arguments
       must resolve to static strings so [TWIGMATCH_FAILPOINTS] can arm
       them.
+    - [poly-compare]: Stdlib's polymorphic [compare], [=], [<>], [<],
+      [>], [<=], [>=], [min], [max], [List.mem] and [List.assoc*] used
+      at a type other than an immediate (int, char, bool, unit, a
+      constant-only variant), float or string — there they walk
+      structure; use a typed equality or comparator.
+    - [no-failwith] ([lib/core]): no [failwith] and no raising of
+      [Failure] — the core API reports errors via [result] or typed
+      exceptions.
+    - [catch-all]: no [try ... with _ ->], including wildcard binders
+      spelled [_exn]; handlers name the exceptions they swallow.
+    - [mli-coverage]: every module has an interface file.
 
     Output: [path:line:col: \[pass\] message] on stdout, exit 1 on any
     finding; [--json FILE] additionally writes a SARIF-shaped report. *)
@@ -95,7 +106,7 @@ let report ~pass ~(loc : Location.t) msg =
 (* ------------------------------------------------------------------ *)
 
 (* Substring-based so they hold for "lib/...", "./lib/..." and absolute
-   paths, matching tools/lint. [--all-scopes] widens the scoped passes
+   paths. [--all-scopes] widens the scoped passes
    to every analyzed file (used by the fixture tests, which live under
    test/). *)
 let in_dir dir file =
@@ -109,6 +120,7 @@ let typed_error_scope file =
   !all_scopes || List.exists (fun d -> in_dir d file) [ "lib/core/"; "lib/exec/"; "lib/serve/" ]
 
 let failpoint_scope file = !all_scopes || in_dir "lib/storage/" file
+let no_failwith_scope file = !all_scopes || in_dir "lib/core/" file
 
 (* ------------------------------------------------------------------ *)
 (* Paths, keys, attributes                                             *)
@@ -193,6 +205,13 @@ let label_cls : (string, cls) Hashtbl.t = Hashtbl.create 16
 let site_strings : (string, string) Hashtbl.t = Hashtbl.create 16
 let wrappers : (string, node option) Hashtbl.t = Hashtbl.create 16
 
+(* Type declarations of the analyzed modules, for poly-compare: under
+   the declaring ident's unique name (what a [Pident] reference
+   resolves to) and, at a module's top level, under "Mod.t" (what
+   [key_of_path] makes of a reference from another module). A key two
+   modules share keeps both declarations. *)
+let type_decls : (string, Types.type_declaration) Hashtbl.t = Hashtbl.create 64
+
 (* Per-binding lock facts, filled during phase B. *)
 let fn_direct : (string, node list ref) Hashtbl.t = Hashtbl.create 64
 let fn_calls : (string, string list ref) Hashtbl.t = Hashtbl.create 64
@@ -235,6 +254,10 @@ let collect_module ~curmod ~file (str : Typedtree.structure) =
   (* Record literals anywhere in the module tell us the registry class
      of ticket-typed fields ([lock = Lock.create Lock.Outer]). *)
   let super = Tast_iterator.default_iterator in
+  let type_declaration it (d : Typedtree.type_declaration) =
+    Hashtbl.add type_decls (Ident.unique_name d.typ_id) d.typ_type;
+    super.type_declaration it d
+  in
   let expr it (e : Typedtree.expression) =
     (match e.exp_desc with
     | Texp_record { fields; _ } ->
@@ -250,7 +273,7 @@ let collect_module ~curmod ~file (str : Typedtree.structure) =
     | _ -> ());
     super.expr it e
   in
-  let it = { super with expr } in
+  let it = { super with expr; type_declaration } in
   it.structure it str;
   let rec items ~curmod (l : Typedtree.structure_item list) =
     List.iter
@@ -268,6 +291,11 @@ let collect_module ~curmod ~file (str : Typedtree.structure) =
               in
               add_binding ~curmod name vb.vb_attributes vb.vb_expr vb.vb_loc)
             vbs
+        | Tstr_type (_, decls) ->
+          List.iter
+            (fun (d : Typedtree.type_declaration) ->
+              Hashtbl.add type_decls (curmod ^ "." ^ Ident.name d.typ_id) d.typ_type)
+            decls
         | Tstr_module { mb_id = Some id; mb_expr = { mod_desc = Tmod_structure s; _ }; _ } ->
           items ~curmod:(Ident.name id) s.str_items
         | _ -> ())
@@ -786,6 +814,105 @@ let pass_failpoint () =
       end)
     !binding_contexts
 
+(* Is a comparison at [ty] a single machine compare? Immediates (int,
+   char, bool, unit, constant-only variants, including polymorphic
+   ones), float and string are; anything else, a type variable
+   included, walks structure. Types declared outside the analyzed
+   modules are known by name only. *)
+let cheap_paths = Predef.[ path_int; path_char; path_bool; path_unit; path_float; path_string ]
+let cheap_names = [ "Int.t"; "Char.t"; "Bool.t"; "Unit.t"; "Float.t"; "String.t" ]
+
+let rec cheap_type depth ty =
+  depth < 8
+  &&
+  match Types.get_desc ty with
+  | Types.Tconstr (p, _, _) -> (
+    let key = match p with Path.Pident id -> Ident.unique_name id | _ -> key_of_path p in
+    List.exists (Path.same p) cheap_paths
+    || List.exists (String.equal key) cheap_names
+    ||
+    match Hashtbl.find_all type_decls key with
+    | [] -> false
+    | ds -> List.for_all (cheap_decl (depth + 1)) ds)
+  | Types.Tvariant row ->
+    List.for_all
+      (fun (_, f) ->
+        match Types.row_field_repr f with
+        | Types.Rpresent None | Types.Rabsent -> true
+        | Types.Reither (constant, _, _) -> constant
+        | Types.Rpresent (Some _) -> false)
+      (Types.row_fields row)
+  | _ -> false
+
+and cheap_decl depth (d : Types.type_declaration) =
+  match d.Types.type_immediate with
+  | Type_immediacy.Always | Type_immediacy.Always_on_64bits -> true
+  | Type_immediacy.Unknown -> (
+    match d.Types.type_manifest with Some m -> cheap_type depth m | None -> false)
+
+let poly_compare_keys =
+  [ "compare"; "="; "<>"; "<"; ">"; "<="; ">="; "min"; "max"; "List.mem"; "List.assoc";
+    "List.assoc_opt"; "List.mem_assoc"; "List.remove_assoc" ]
+
+(* [p] names a value of the standard library ("Stdlib.compare",
+   "Stdlib__List.mem"), not a local that shadows it. *)
+let is_stdlib p =
+  let h = Ident.name (Path.head p) in
+  String.equal h "Stdlib" || String.starts_with ~prefix:"Stdlib__" h
+
+(* Each of [poly_compare_keys] takes the compared value first. *)
+let compared_type ty =
+  match Types.get_desc ty with Types.Tarrow (_, arg, _, _) -> Some arg | _ -> None
+
+let is_exn ty =
+  match Types.get_desc ty with Types.Tconstr (p, _, _) -> Path.same p Predef.path_exn | _ -> false
+
+(* poly-compare, no-failwith and catch-all: one walk over a module. *)
+let pass_source ~file (str : Typedtree.structure) =
+  let super = Tast_iterator.default_iterator in
+  let expr it (e : Typedtree.expression) =
+    (match e.exp_desc with
+    | Texp_ident (p, _, _) when is_stdlib p -> (
+      let key = key_of_path p in
+      if List.exists (String.equal key) poly_compare_keys then (
+        match compared_type e.exp_type with
+        | Some ty when not (cheap_type 0 ty) ->
+          report ~pass:"poly-compare" ~loc:e.exp_loc
+            (Printf.sprintf
+               "polymorphic %s at type %s walks structure; use a typed equality or comparator"
+               key
+               (Format.asprintf "%a" Printtyp.type_expr ty))
+        | Some _ | None -> ())
+      else if String.equal key "failwith" && no_failwith_scope file then
+        report ~pass:"no-failwith" ~loc:e.exp_loc
+          "failwith in lib/core; raise a typed exception or return a result")
+    | Texp_construct (_, cd, _ :: _)
+      when String.equal cd.Types.cstr_name "Failure" && is_exn cd.Types.cstr_res
+           && no_failwith_scope file ->
+      report ~pass:"no-failwith" ~loc:e.exp_loc
+        "Failure raised in lib/core; raise a typed exception or return a result"
+    | Texp_try (_, cases) ->
+      List.iter
+        (fun (c : Typedtree.value Typedtree.case) ->
+          match (c.c_lhs.pat_desc, c.c_guard) with
+          | Tpat_any, None ->
+            report ~pass:"catch-all" ~loc:c.c_lhs.pat_loc
+              "catch-all `try ... with _ ->`; name the exceptions this handler may swallow"
+          (* A wildcard binder spelled [_exn] is the same catch-all wearing
+             a name the unused-variable warning will not question. *)
+          | Tpat_var (id, _), None when String.starts_with ~prefix:"_" (Ident.name id) ->
+            report ~pass:"catch-all" ~loc:c.c_lhs.pat_loc
+              (Printf.sprintf
+                 "catch-all `try ... with %s ->`; name the exceptions this handler may swallow"
+                 (Ident.name id))
+          | _ -> ())
+        cases
+    | _ -> ());
+    super.expr it e
+  in
+  let it = { super with expr } in
+  it.structure it str
+
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -800,19 +927,33 @@ let rec find_cmts dir acc =
     acc (Sys.readdir dir)
 
 let load_cmt path =
-  match (Cmt_format.read_cmt path).cmt_annots with
-  | Cmt_format.Implementation str ->
+  match Cmt_format.read_cmt path with
+  | { Cmt_format.cmt_annots = Cmt_format.Implementation str; cmt_sourcefile; _ } ->
     let modname = short_unit (Filename.remove_extension (Filename.basename path)) in
-    let file =
-      match str.str_items with
-      | si :: _ -> strip_dots si.str_loc.loc_start.pos_fname
-      | [] -> path
-    in
-    Some (modname, file, str)
+    let file = match cmt_sourcefile with Some f -> strip_dots f | None -> path in
+    Some (modname, file, str, Sys.file_exists (Filename.remove_extension path ^ ".cmti"))
   | _ -> None
   | exception _ ->
     prerr_endline ("analyze: warning: cannot read " ^ path);
     None
+
+(* dune compiles an interface next to every implementation that has
+   one; its generated library alias modules ([.ml-gen]) have no source
+   to cover. *)
+let pass_mli_coverage modules =
+  List.iter
+    (fun (_, file, _, has_mli) ->
+      if (not has_mli) && Filename.check_suffix file ".ml" then
+        findings :=
+          {
+            pass = "mli-coverage";
+            file;
+            line = 1;
+            col = 0;
+            message = Printf.sprintf "module has no interface file (%si expected)" file;
+          }
+          :: !findings)
+    modules
 
 let run ?(scope_all = false) roots =
   all_scopes := scope_all;
@@ -829,11 +970,12 @@ let run ?(scope_all = false) roots =
   Hashtbl.reset wrappers;
   Hashtbl.reset fn_direct;
   Hashtbl.reset fn_calls;
+  Hashtbl.reset type_decls;
   let cmts = List.concat_map (fun r -> find_cmts r []) roots |> List.sort String.compare in
   let modules = List.filter_map load_cmt cmts in
   (* Phase A: two sweeps, so wrappers can resolve cross-module lock
      classes collected in the first. *)
-  List.iter (fun (modname, file, str) -> collect_module ~curmod:modname ~file str) modules;
+  List.iter (fun (modname, file, str, _) -> collect_module ~curmod:modname ~file str) modules;
   detect_wrappers ();
   (* Phase B: walk every toplevel binding. *)
   Hashtbl.iter
@@ -865,6 +1007,8 @@ let run ?(scope_all = false) roots =
   pass_resource_safety ();
   pass_typed_error ();
   pass_failpoint ();
+  List.iter (fun (_, file, str, _) -> pass_source ~file str) modules;
+  pass_mli_coverage modules;
   (List.sort_uniq finding_compare !findings, List.length modules)
 
 (* ------------------------------------------------------------------ *)
@@ -885,7 +1029,9 @@ let json_escape s =
     s;
   Buffer.contents b
 
-let pass_ids = [ "lock-order"; "domain-safety"; "resource-safety"; "typed-error"; "failpoint" ]
+let pass_ids =
+  [ "lock-order"; "domain-safety"; "resource-safety"; "typed-error"; "failpoint"; "poly-compare";
+    "no-failwith"; "catch-all"; "mli-coverage" ]
 
 let write_sarif path fs =
   let oc = open_out path in
