@@ -70,8 +70,8 @@ val is_clean : report -> bool
 val check_pager : Tm_storage.Pager.t -> violation list
 (** Page-image checksum verification only: every allocated page is
     re-read below the buffer pool and compared against its stored
-    CRC32 ({!Tm_storage.Pager.verify_page}). Read-only — dirty frames
-    still in the buffer pool are not flushed. *)
+    CRC32 ({!Tm_storage.Pager.verify_page}). Read-only; the pager holds
+    every page's only copy, so nothing needs flushing first. *)
 
 val check_tree : Tm_storage.Bptree.t -> violation list
 (** Structural B+-tree checks only (raw page walk). *)

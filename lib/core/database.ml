@@ -170,8 +170,9 @@ let strategy_size_bytes t strategy =
   | Built_asr a -> Asr.size_bytes a
   | Built_ji j -> Join_index.size_bytes j
 
-(** Simulate a cold cache (writes back and drops every buffered page);
-    {!Persist.save} calls it, so a save leaves the pool cold. *)
+(** Simulate a cold cache: the buffer pool forgets every resident page
+    (it holds no bytes, so nothing is written back). {!Persist.load}
+    calls it, so a loaded database starts cold. *)
 let drop_caches t = Buffer_pool.clear t.pool
 
 let generation t = t.generation

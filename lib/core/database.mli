@@ -101,9 +101,10 @@ val strategy_size_bytes : t -> strategy -> int
 (** Index space per strategy, with Figure 9's accounting. *)
 
 val drop_caches : t -> unit
-(** Simulate a cold cache: write the buffer pool's dirty frames back to
-    the pager and drop every frame. B+-tree decoded-node caches are
-    kept. {!Persist.save} calls it, so a save leaves the pool cold. *)
+(** Simulate a cold cache: the buffer pool forgets which pages are
+    resident (it holds no page bytes, so nothing is written back).
+    B+-tree decoded-node caches are kept. {!Persist.load} calls it, so
+    a loaded database starts cold. *)
 
 val generation : t -> int
 (** The database's current index generation (see {!note_index_change}). *)

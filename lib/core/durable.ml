@@ -8,8 +8,8 @@
       (parent id + encoded subtree, or deleted node id) are appended;
     + a pager transaction is opened ({!Tm_storage.Pager.begin_txn}) and
       the update executes through {!Updates} — page writes go through
-      the buffer pool's transactional write-through, installing
-      copy-on-write versions for epoch-pinned readers;
+      the buffer pool straight to the pager, which keeps copy-on-write
+      versions for epoch-pinned readers;
     + every dirtied page is appended as a [Page] frame holding its id
       and the CRC32 of its post-image (the image itself is left empty:
       recovery re-executes the [Op] and never reads it), then
@@ -34,10 +34,11 @@
     Partially-logged transactions (a [Begin] without its [Commit] in
     the valid prefix) are never replayed and are truncated away.
 
-    {!checkpoint} folds the log into a fresh snapshot: flush the buffer
-    pool, write the snapshot (fsync + atomic rename + directory fsync,
-    see {!Persist.save}), truncate the log, and stamp it with a
-    [Checkpoint] frame. A crash anywhere in that sequence is safe: the
+    {!checkpoint} folds the log into a fresh snapshot: write the
+    snapshot (fsync + atomic rename + directory fsync, see
+    {!Persist.save}), truncate the log, and stamp it with a
+    [Checkpoint] frame; the buffer pool stays warm. A crash anywhere in
+    that sequence is safe: the
     old snapshot survives until the rename, the new one is durable
     {e before} the truncate can reach the disk (so the log's
     transactions are never lost to a truncated WAL beside a missing
@@ -264,12 +265,6 @@ let create ?(force = false) ~dir db =
             to recover it, or ~force:true to overwrite"
            dir)
   end;
-  (* Outside a transaction the buffer pool writes back lazily, so after
-     the initial build the pager may still hold the zeroed alloc images
-     while the real bytes sit in dirty frames. [Persist.save] writes
-     them back before the first transaction can capture pager images as
-     snapshot pre-images — otherwise a reader pinned at the
-     pre-transaction epoch would be served zeros. *)
   Persist.save db (snapshot_path dir);
   let wal = Wal.create (wal_path dir) in
   Wal.append wal (Wal.Checkpoint db.Database.last_txn);
@@ -324,13 +319,13 @@ let replay_txn (db : Database.t) txn ops pages =
      (* Recovery is the end of every typed-error chain: whatever broke
         replay (corrupt page, I/O fault, codec failure), the verdict is
         the same — this directory cannot be recovered automatically. *)
-     (ignore (Pager.abort_txn pager);
+     (Pager.abort_txn pager;
       recovery_error "replaying txn %d: %s" txn (Printexc.to_string e))
      [@analyze.boundary]);
   (match divergence (Pager.txn_dirty pager) pages with
   | None -> ()
   | Some detail ->
-    ignore (Pager.abort_txn pager);
+    Pager.abort_txn pager;
     recovery_error "txn %d: %s" txn detail);
   Pager.commit_txn pager;
   db.Database.last_txn <- txn;
@@ -377,11 +372,6 @@ let open_ dir =
   let file_len = if Sys.file_exists wpath then (Unix.stat wpath).Unix.st_size else 0 in
   let discarded = max 0 (file_len - scan.Wal.committed_bytes) in
   if discarded > 0 then Wal.truncate wpath scan.Wal.committed_bytes;
-  (* Same write-back flush as [create]: replay leaves its writes in the
-     pager (transactions write through), but make sure no lazily
-     buffered frame can shadow a zeroed pager image once snapshot
-     pre-images start being captured. *)
-  Buffer_pool.flush_all db.Database.pool;
   let wal = Wal.open_append wpath in
   (handle_of dir db wal, { replayed = !replayed; skipped = !skipped; discarded_bytes = discarded })
 
@@ -431,7 +421,7 @@ let run_txn t op exec =
               roll the pager back and poison — the in-memory document,
               dictionary and catalog have already advanced. *)
            poison t e;
-           Buffer_pool.invalidate t.db.Database.pool (Pager.abort_txn pager);
+           Pager.abort_txn pager;
            raise e);
         Pager.commit_txn pager;
         t.db.Database.last_txn <- txn;
@@ -446,16 +436,13 @@ let run_txn t op exec =
           (* Validation failed before anything was written: roll back
              and burn the txn id. Its [Begin]/[Op] frames linger in the
              log without a [Commit]; recovery ignores them. *)
-          Buffer_pool.invalidate t.db.Database.pool (Pager.abort_txn pager);
+          Pager.abort_txn pager;
           t.next_txn <- txn + 1;
           Tm_obs.Obs.incr c_clean_aborts
         end
         else begin
           poison t e;
-          Buffer_pool.invalidate t.db.Database.pool
-            (match Pager.abort_txn pager with
-            | dirty -> dirty
-            | exception Invalid_argument _ -> [])
+          try Pager.abort_txn pager with Invalid_argument _ -> ()
         end;
         raise e)
 

@@ -29,12 +29,13 @@
     {!Bad_snapshot} naming the failing section. {!verify} runs the
     same frame checks without allocating a database.
 
-    The image stores each page once: [save] first writes the buffer
-    pool back to the pager and drops its frames
-    ({!Database.drop_caches}), and B+-trees cache decoded nodes only
-    for pages that were read or committed, never for what a bulk load
-    wrote. A loaded database therefore starts with a cold pool, and the
-    snapshot of a freshly built one with empty node caches.
+    The image stores each page once, in the pager: the buffer pool
+    records only which pages are resident, and B+-trees cache decoded
+    nodes only for pages that were read or committed, never for what a
+    bulk load wrote. [save] leaves the pool warm; [load] forgets the
+    residency it recorded, so a loaded database starts with a cold
+    pool, and the snapshot of a freshly built one with empty node
+    caches.
 
     [save] writes to a temp file in the same directory and atomically
     renames it over the target, so a crash mid-save leaves the previous
@@ -170,8 +171,6 @@ let fsync_dir dir =
       with Unix.Unix_error ((Unix.EINVAL | Unix.EROFS | Unix.EOPNOTSUPP), _, _) -> ())
 
 let save (db : Database.t) path =
-  (* The pager holds every page; frames would store them twice. *)
-  Database.drop_caches db;
   let image =
     try Marshal.to_string db []
     with Invalid_argument _ ->
@@ -241,7 +240,11 @@ let load path : Database.t =
               Bigarray.c_layout false [| len |]
           with Unix.Unix_error (e, _, _) -> bad "cannot map snapshot: %s" (Unix.error_message e)
         in
-        (unmarshal_mapped (Bigarray.array1_of_genarray mapped) : Database.t))
+        let db : Database.t = unmarshal_mapped (Bigarray.array1_of_genarray mapped) in
+        (* The residency recorded at save time says nothing about this
+           process: the loaded database starts cold. *)
+        Database.drop_caches db;
+        db)
 
 type section = { name : string; length : int; crc : int }
 type summary = { sections : section list }

@@ -24,9 +24,8 @@ val save : Database.t -> string -> unit
     snapshot survives a power loss — callers may destroy whatever
     backed the old state (e.g. truncate a WAL) immediately.
 
-    It first calls {!Database.drop_caches}, so each page is stored once
-    (the pager's copy) and a save leaves [db]'s buffer pool cold, as is
-    the pool of the database {!load} returns.
+    Each page is stored once, as the pager holds it; [db]'s buffer
+    pool stays warm.
     @raise Bad_snapshot for databases containing pruning closures. *)
 
 val fsync_dir : string -> unit
@@ -34,7 +33,8 @@ val fsync_dir : string -> unit
     durable. A no-op on filesystems that refuse directory fsync. *)
 
 val load : string -> Database.t
-(** @raise Bad_snapshot on a wrong magic header or format version, a
+(** The loaded database starts with a cold buffer pool.
+    @raise Bad_snapshot on a wrong magic header or format version, a
     truncated file, or any section whose payload fails its checksum —
     checked before unmarshalling. *)
 

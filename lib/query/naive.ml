@@ -82,7 +82,7 @@ let query (doc : T.document) (t : Twig.t) =
       List.rev !all
   in
   List.fold_left (fun acc n -> outputs n t.Twig.root acc) [] start_nodes
-  |> List.sort_uniq compare
+  |> List.sort_uniq Int.compare
 
 (** Number of data nodes matching a single linear path's leaf — the
     paper's per-branch result size (Figures 7 and 8). *)

@@ -242,22 +242,23 @@ let read_node t id =
      way: a node decoded from pre-commit bytes could be cached under
      the post-commit version and served, stale, forever.) *)
   let v0 = Lock.with_lock t.cache_lock (fun () -> version t id) in
-  (* the buffer-pool read happens unconditionally so that logical reads
-     and misses are accounted exactly as without the decode cache *)
-  let bytes, stale = Buffer_pool.read_versioned t.pool id in
+  (* the buffer-pool access happens unconditionally so that logical
+     reads and misses are accounted exactly as without the decode cache;
+     a hit fetches no bytes unless the node must be decoded *)
+  let page = Buffer_pool.access t.pool id in
   Tm_obs.Obs.incr c_node_visits;
-  match written_node t id with
-  | Some node ->
+  match (written_node t id, page) with
+  | Some node, _ ->
     (* A page this transaction wrote: the shared cache does not hold
        its node until commit. *)
     node
-  | None when stale ->
+  | None, Buffer_pool.Pinned bytes ->
     (* Epoch-pinned snapshot read: the bytes are a superseded version,
        so they must bypass the (current-version-keyed) decode cache
        entirely. *)
     Tm_obs.Obs.incr c_node_decodes;
     decode_node (Bytes.to_string bytes)
-  | None -> (
+  | None, (Buffer_pool.Resident | Buffer_pool.Loaded _) -> (
     let cached =
       Lock.with_lock t.cache_lock (fun () ->
           match Hashtbl.find_opt t.decoded id with
@@ -268,17 +269,26 @@ let read_node t id =
     | Some node -> node
     | None ->
       Tm_obs.Obs.incr c_node_decodes;
-      (* Decode outside the lock: concurrent readers missing on different
-         pages parse in parallel; racing decoders of the same page just
-         store equal nodes twice. *)
+      (* A resident page's image is read at the caller's pin, so a
+         transaction that wrote the page since the access above cannot
+         hand a pinned reader its bytes. Decode outside the lock:
+         concurrent readers missing on different pages parse in
+         parallel; racing decoders of the same page just store equal
+         nodes twice. *)
+      let bytes =
+        match page with
+        | Buffer_pool.Loaded b | Pinned b -> b
+        | Resident -> Buffer_pool.image t.pool id
+      in
       let node = decode_node (Bytes.to_string bytes) in
       Lock.with_lock t.cache_lock (fun () -> Hashtbl.replace t.decoded id (v0, node));
       node)
 
 (* Store an already-encoded node image and keep the decode cache
-   consistent with it. *)
+   consistent with it. The pager copies the image, so the fresh string
+   is passed without one. *)
 let commit_node t id node encoded =
-  Buffer_pool.write t.pool id (Bytes.of_string encoded);
+  Buffer_pool.write t.pool id (Bytes.unsafe_of_string encoded);
   if in_txn_writer t then begin
     (* The node stays with the transaction until commit publishes it.
        The shared entry is evicted under a bumped version now, so no

@@ -1,39 +1,42 @@
-(** LRU buffer pool over a {!Pager}.
+(** CLOCK buffer pool over a {!Pager}: a record of which pages are
+    resident.
 
     Mirrors the paper's experimental setup (Section 5.1.1: a fixed-size
     buffer pool with the OS cache disabled): every page access is a
-    logical read; accesses that miss the pool cost a simulated I/O
-    (a physical {!Pager.read}); dirty pages are written back on eviction
-    and on {!flush_all}. Capacity is a number of frames.
+    logical read; an access to a page that is not resident costs a
+    simulated I/O (a physical, checksummed {!Pager.read}) and makes the
+    page resident, evicting another when the pool is full. Capacity is
+    a number of frames.
+
+    The pool holds no page bytes. The pager keeps the one copy of every
+    page, and a frame records only which page it holds and a CLOCK
+    reference bit. A hit hands out the pager's current image without
+    copying it, or nothing at all to a caller that keeps a decoded form
+    of the page ({!access}). Every write goes straight through to
+    {!Pager.write}, inside a transaction or not, so nothing is ever
+    written back, flushed or invalidated: {!clear} only forgets
+    residency.
 
     The pool is striped for domain-safety: frames are partitioned over
-    [page id mod stripes] sub-pools, each with its own mutex, LRU state
+    [page id mod stripes] sub-pools, each with its own mutex, CLOCK hand
     and slice of the total capacity. Concurrent readers on different
     pages almost always hit different stripes and proceed in parallel;
-    readers of the same page serialise briefly on one stripe lock.
-    Eviction is per-stripe (each stripe evicts its own LRU victim), so
-    replacement is approximately-global LRU — the same behaviour a
-    hash-partitioned buffer pool exhibits in a real engine. *)
+    readers of the same page serialise briefly on one stripe lock. *)
 
 (* Eviction and retry totals for the metrics sink (gated on it). Reads
-   and misses go to the reading query's cost record ({!read_versioned}),
-   which stays exact per query. *)
+   and misses go to the reading query's cost record ({!access}), which
+   stays exact per query. *)
 let c_evictions = Tm_obs.Obs.counter "buffer_pool.evictions"
 let c_retries = Tm_obs.Obs.counter "buffer_pool.retries"
-
-type frame = { mutable data : bytes; mutable dirty : bool }
+let site_evict = "buffer_pool.evict"
 
 type stripe = {
   lock : Lock.t;
-  s_capacity : int; (* this stripe's share of the frame budget *)
-  frames : (int, frame) Hashtbl.t; (* page id -> frame *)
-  (* LRU order: we keep a sequence number per page and scan for the
-     minimum on eviction, which is O(stripe capacity) but stripes are
-     small and eviction infrequent at our scales. A doubly-linked list
-     would be the production choice; the simple scheme keeps the
-     invariants obvious. *)
-  last_used : (int, int) Hashtbl.t;
-  mutable clock : int;
+  holds : int array; (* frame -> the page it holds; frames below [used] are in use *)
+  referenced : bool array; (* frame -> CLOCK reference bit, set by each access *)
+  mutable frame_of : int array; (* page id / stripe count -> its frame, or -1 *)
+  mutable used : int;
+  mutable hand : int; (* the frame CLOCK considers next *)
   mutable logical_reads : int;
   mutable misses : int;
   mutable evictions : int;
@@ -53,10 +56,11 @@ let create ?(capacity = 1024) pager =
         let cap = (capacity / n) + if i < capacity mod n then 1 else 0 in
         {
           lock = Lock.create Lock.Outer;
-          s_capacity = cap;
-          frames = Hashtbl.create (2 * cap);
-          last_used = Hashtbl.create (2 * cap);
-          clock = 0;
+          holds = Array.make cap (-1);
+          referenced = Array.make cap false;
+          frame_of = [||];
+          used = 0;
+          hand = 0;
           logical_reads = 0;
           misses = 0;
           evictions = 0;
@@ -71,215 +75,185 @@ let stripe_of t id = t.stripes.(id mod Array.length t.stripes)
 
 let locked st f = Lock.with_lock st.lock f
 
-let touch st id =
-  st.clock <- st.clock + 1;
-  Hashtbl.replace st.last_used id st.clock
+(* The frame holding [id], or -1. Caller holds the stripe lock. *)
+let frame t st id =
+  let k = id / Array.length t.stripes in
+  if k < Array.length st.frame_of then st.frame_of.(k) else -1
 
 (* Bounded retry for transient pager faults. An injected failure
    (Io_error from a failpoint, or a Corrupt_page from torn/bit-flipped
    injected bytes) is usually transient — the fault fires on one call
    and the retry sees clean bytes — so retrying with a short exponential
    relax-loop backoff rides it out. Genuine stored corruption fails
-   every attempt and the last error propagates, typed, to the executor's
-   fallback logic. Called with the stripe lock held; the backoff spins
-   rather than sleeps so the stripe is held for microseconds, not
-   scheduler quanta. *)
+   every attempt's checksum; when the attempts run out, a checksum
+   failure seen on any of them is what propagates, typed, to fsck and
+   the executor's fallback logic, because stored damage outranks an
+   injected I/O error on the last attempt. Called with the stripe lock
+   held; the backoff spins rather than sleeps so the stripe is held for
+   microseconds, not scheduler quanta. *)
 let max_attempts = 4
 
 let with_retry st f =
-  let rec go attempt =
+  let rec go attempt corrupt =
     match f () with
     | v -> v
-    | exception (Tm_fault.Fault.Io_error _ | Pager.Corrupt_page _) when attempt < max_attempts
-      ->
+    | exception ((Tm_fault.Fault.Io_error _ | Pager.Corrupt_page _) as e) ->
+      let corrupt = match e with Pager.Corrupt_page _ -> Some e | _ -> corrupt in
+      if attempt >= max_attempts then raise (Option.value corrupt ~default:e);
       st.retries <- st.retries + 1;
       Tm_obs.Obs.incr c_retries;
       Tm_obs.Flight.emit Tm_obs.Flight.Pool_retry attempt 0 "";
       for _ = 1 to 1 lsl (4 + attempt) do
         Domain.cpu_relax ()
       done;
-      go (attempt + 1)
+      go (attempt + 1) corrupt
   in
-  go 1
+  go 1 None
 
-(* Called with the stripe lock held. *)
-let evict_one pager st =
-  Tm_fault.Fault.guard "buffer_pool.evict";
-  (* Find the stripe's least-recently-used resident page and write it
-     back if dirty. *)
-  let victim = ref (-1) and best = ref max_int in
-  Hashtbl.iter
-    (fun id seq ->
-      if seq < !best then begin
-        best := seq;
-        victim := id
-      end)
-    st.last_used;
-  let id = !victim in
-  assert (id >= 0);
-  (match Hashtbl.find_opt st.frames id with
-  | Some fr when fr.dirty -> Pager.write pager id fr.data
-  | _ -> ());
-  Hashtbl.remove st.frames id;
-  Hashtbl.remove st.last_used id;
-  st.evictions <- st.evictions + 1;
-  Tm_obs.Obs.incr c_evictions;
-  Tm_obs.Flight.emit Tm_obs.Flight.Pool_evict id 0 ""
+(* The [buffer_pool.evict] failpoint, at the head of each eviction. It
+   runs inside the retry of the read or write that makes room, before
+   anything changes. Caller holds the stripe lock. *)
+let guard_evict st = if st.used = Array.length st.holds then Tm_fault.Fault.guard site_evict
 
-(* Called with the stripe lock held. The miss path performs the
-   physical read inside the critical section, which also prevents two
-   domains racing to fault the same page in twice. Stripe locks never
-   nest and the pager's own lock sits strictly below them, so the
-   ordering is acyclic. *)
-let find_frame (q : Tm_exec.Stats.t) pager st id =
-  match Hashtbl.find_opt st.frames id with
-  | Some fr ->
-    touch st id;
-    fr
-  | None ->
+(* Make [id] resident, evicting by CLOCK when the stripe is full: the
+   hand clears set reference bits until it reaches a clear one, and that
+   frame's page leaves. Nothing here can fail, so a failed pager call
+   before it leaves residency as it was. Caller holds the stripe lock;
+   [id] is not resident. *)
+let install t st id =
+  let cap = Array.length st.holds in
+  let f =
+    if st.used < cap then begin
+      st.used <- st.used + 1;
+      st.used - 1
+    end
+    else begin
+      while st.referenced.(st.hand) do
+        st.referenced.(st.hand) <- false;
+        st.hand <- (st.hand + 1) mod cap
+      done;
+      let f = st.hand and victim = st.holds.(st.hand) in
+      st.frame_of.(victim / Array.length t.stripes) <- -1;
+      st.hand <- (f + 1) mod cap;
+      st.evictions <- st.evictions + 1;
+      Tm_obs.Obs.incr c_evictions;
+      Tm_obs.Flight.emit Tm_obs.Flight.Pool_evict victim 0 "";
+      f
+    end
+  in
+  let k = id / Array.length t.stripes in
+  if k >= Array.length st.frame_of then begin
+    let grown = Array.make (max (k + 1) (2 * Array.length st.frame_of)) (-1) in
+    Array.blit st.frame_of 0 grown 0 (Array.length st.frame_of);
+    st.frame_of <- grown
+  end;
+  st.holds.(f) <- id;
+  st.referenced.(f) <- false;
+  st.frame_of.(k) <- f
+
+(* The epoch the calling domain reads at: its pin, unless it is the
+   active transaction's writer, which must see its own writes even when
+   it also holds a pin (the pin is for the query scope that spawned the
+   transaction, not for the write path); [max_int] for the current
+   image. No transaction and no version chain costs one atomic load. *)
+let read_epoch t =
+  if (not (Pager.snapshot_active t.pager)) || Pager.in_txn_writer t.pager then max_int
+  else match Epoch.pinned_for t.pager with Some e -> e | None -> max_int
+
+type access = Resident | Loaded of bytes | Pinned of bytes
+
+(* Caller holds the stripe lock. The epoch check and the miss path's
+   physical read happen under it, and so does every write of the page,
+   so a pinned reader sees either the old epoch with the old image or
+   the new epoch and takes the snapshot path: never a torn mix. The
+   miss path's read inside the critical section also keeps two domains
+   from faulting the same page in twice. Stripe locks never nest and the
+   pager's own lock sits strictly below them. *)
+let access_locked t st (q : Tm_exec.Stats.t) id =
+  st.logical_reads <- st.logical_reads + 1;
+  let e = read_epoch t in
+  if e < max_int && Pager.epoch_of_page t.pager id > e then begin
+    (* A transaction wrote the page after the caller's pin: serve the
+       pinned version from the pager's version chain, uncached (it must
+       not become the resident image), counted as a miss. *)
     st.misses <- st.misses + 1;
     q.Tm_exec.Stats.pool_misses <- q.Tm_exec.Stats.pool_misses + 1;
-    (* Retry covers both the eviction (its failpoint and write-back)
-       and the fault-in read. Eviction mutates nothing until its
-       write-back succeeds, so re-running it after a partial failure is
-       safe: the same victim is picked again. *)
-    let data =
-      with_retry st (fun () ->
-          if Hashtbl.length st.frames >= st.s_capacity then evict_one pager st;
-          Pager.read pager id)
-    in
-    let fr = { data; dirty = false } in
-    Hashtbl.replace st.frames id fr;
-    touch st id;
-    fr
+    Pinned (with_retry st (fun () -> Pager.read_at t.pager ~epoch:e id))
+  end
+  else
+    let f = frame t st id in
+    if f >= 0 then begin
+      (* A hit reads no bytes, so a page whose stored image the pager
+         knows to fail its checksum is read again with its check. *)
+      if Pager.damaged t.pager id then ignore (with_retry st (fun () -> Pager.read t.pager id));
+      st.referenced.(f) <- true;
+      Resident
+    end
+    else begin
+      st.misses <- st.misses + 1;
+      q.Tm_exec.Stats.pool_misses <- q.Tm_exec.Stats.pool_misses + 1;
+      let data =
+        with_retry st (fun () ->
+            guard_evict st;
+            Pager.read t.pager id)
+      in
+      install t st id;
+      Loaded data
+    end
 
-(** Read a page through the pool, reporting whether the bytes came from
-    a superseded snapshot version. When the calling domain holds an
-    {!Epoch} pin older than the page's current epoch (a writer
-    transaction dirtied the page after the pin), the read bypasses the
-    frame cache — frames always hold the {e newest} image — and serves
-    the pinned version straight from the pager's version chain,
-    uncached. The epoch check happens under the stripe lock, the same
-    lock a transactional write-through holds, so a reader sees either
-    the old epoch with the old frame or the new epoch and takes the
-    snapshot path: never a torn mix. The fast path ({!Pager.snapshot_active}
-    false, i.e. no transaction and no version chains) costs one atomic
-    load. Every read is charged to the calling domain's query cost
-    record ({!Tm_exec.Stats.current}) as well as to the stripe. The
-    returned bytes must not be mutated; use {!write} to modify a page. *)
-let read_versioned t id =
+let access t id =
   let st = stripe_of t id in
   let q = Tm_exec.Stats.current () in
   q.Tm_exec.Stats.logical_reads <- q.Tm_exec.Stats.logical_reads + 1;
-  locked st (fun () ->
-      st.logical_reads <- st.logical_reads + 1;
-      let pinned_stale =
-        (* The active transaction's writer must always see its own
-           writes: its reads serve the newest image even when the domain
-           also happens to hold a pin (the pin is for the query scope
-           that spawned the transaction, not for the write path). *)
-        if (not (Pager.snapshot_active t.pager)) || Pager.in_txn_writer t.pager then None
-        else
-          match Epoch.pinned_for t.pager with
-          | Some e when Pager.epoch_of_page t.pager id > e -> Some e
-          | Some _ | None -> None
-      in
-      match pinned_stale with
-      | Some e ->
-        (* Snapshot read: uncached (version-chain bytes must never
-           alias the newest-image frame cache), counted as a miss. *)
-        st.misses <- st.misses + 1;
-        q.Tm_exec.Stats.pool_misses <- q.Tm_exec.Stats.pool_misses + 1;
-        (with_retry st (fun () -> Pager.read_at t.pager ~epoch:e id), true)
-      | None -> ((find_frame q t.pager st id).data, false))
+  Lock.acquire st.lock;
+  match access_locked t st q id with
+  | r ->
+    Lock.release st.lock;
+    r
+  | exception e ->
+    Lock.release st.lock;
+    raise e
+[@@analyze.manual_lock "the hit path allocates nothing, so it takes the lock without a closure"]
 
-(** Read a page through the pool. The returned bytes must not be mutated;
-    use {!write} to modify a page. *)
-let read t id = fst (read_versioned t id)
+let image t id = Pager.image t.pager ~epoch:(read_epoch t) id
 
-(** Replace a page's contents through the pool. Outside a transaction
-    this is write-back caching (the frame is marked dirty and reaches
-    the pager on eviction or {!flush_all}). When the calling domain is
-    the active transaction's writer, the write goes {e through} to the
-    pager immediately — {!Pager.write} captures the pre-image for
-    pinned readers and tags the page with the reserved epoch — and the
-    frame is refreshed clean, so commit needs no separate flush and
-    abort can simply drop frames. *)
+let read t id = match access t id with Resident -> image t id | Loaded b | Pinned b -> b
+
+let resident t id =
+  let st = stripe_of t id in
+  locked st (fun () -> frame t st id >= 0)
+
 let write t id data =
   let st = stripe_of t id in
   locked st (fun () ->
       st.logical_reads <- st.logical_reads + 1;
-      if Pager.in_txn_writer t.pager then begin
-        with_retry st (fun () -> Pager.write t.pager id data);
-        match Hashtbl.find_opt st.frames id with
-        | Some fr ->
-          touch st id;
-          fr.data <- data;
-          fr.dirty <- false
-        | None ->
-          with_retry st (fun () ->
-              if Hashtbl.length st.frames >= st.s_capacity then evict_one t.pager st);
-          Hashtbl.replace st.frames id { data; dirty = false };
-          touch st id
-      end
-      else
-        (* Avoid a pointless physical read when overwriting a non-resident
-           page. *)
-        match Hashtbl.find_opt st.frames id with
-        | Some fr ->
-          touch st id;
-          fr.data <- data;
-          fr.dirty <- true
-        | None ->
-          with_retry st (fun () ->
-              if Hashtbl.length st.frames >= st.s_capacity then evict_one t.pager st);
-          Hashtbl.replace st.frames id { data; dirty = true };
-          touch st id)
+      let f = frame t st id in
+      with_retry st (fun () ->
+          if f < 0 then guard_evict st;
+          Pager.write t.pager id data);
+      if f >= 0 then st.referenced.(f) <- true else install t st id)
 
-(** Allocate a fresh page (through the pager) and cache it as dirty. *)
 let alloc t =
   (* No page id yet, so no stripe to charge: book alloc retries to
      stripe 0 — stats are only ever read folded over all stripes. *)
   let st0 = t.stripes.(0) in
   let id = locked st0 (fun () -> with_retry st0 (fun () -> Pager.alloc t.pager)) in
-  write t id (Bytes.make (Pager.page_size t.pager) '\x00');
+  let st = stripe_of t id in
+  locked st (fun () ->
+      st.logical_reads <- st.logical_reads + 1;
+      with_retry st (fun () -> guard_evict st);
+      install t st id);
   id
 
-let flush_all t =
-  Array.iter
-    (fun st ->
-      locked st (fun () ->
-          Hashtbl.iter
-            (fun id fr ->
-              if fr.dirty then begin
-                with_retry st (fun () -> Pager.write t.pager id fr.data);
-                fr.dirty <- false
-              end)
-            st.frames))
-    t.stripes
-
-(** Drop every cached frame (after writing dirty ones back), simulating a
-    cold cache for benchmark runs. *)
 let clear t =
-  flush_all t;
   Array.iter
     (fun st ->
       locked st (fun () ->
-          Hashtbl.reset st.frames;
-          Hashtbl.reset st.last_used))
+          Array.fill st.frame_of 0 (Array.length st.frame_of) (-1);
+          Array.fill st.referenced 0 (Array.length st.referenced) false;
+          st.used <- 0;
+          st.hand <- 0))
     t.stripes
-
-(** Drop the frames caching the given pages without writing them back —
-    after a transaction abort restored their pager images, the frames
-    hold bytes that were rolled back. *)
-let invalidate t ids =
-  List.iter
-    (fun id ->
-      let st = stripe_of t id in
-      locked st (fun () ->
-          Hashtbl.remove st.frames id;
-          Hashtbl.remove st.last_used id))
-    ids
 
 (* Transaction passthroughs, so structures built over the pool need not
    reach around it for the pager. *)

@@ -1,11 +1,17 @@
-(** LRU buffer pool over a {!Pager}: the paper's fixed-size DB2 buffer
-    pool analogue. Logical reads, misses (simulated I/O) and evictions
-    are counted; dirty pages are written back on eviction and flush.
+(** CLOCK buffer pool over a {!Pager}: the paper's fixed-size DB2
+    buffer pool analogue, reduced to a record of which pages are
+    resident. Logical reads, misses (simulated I/O) and evictions are
+    counted.
+
+    The pool holds no page bytes: the pager keeps the one copy of every
+    page, a hit hands out the pager's image without copying it, and
+    every write goes straight through to {!Pager.write}. Nothing is
+    written back, flushed or invalidated; {!clear} forgets residency.
 
     Domain-safe via striped locks: frames are partitioned by
-    [page id mod stripes], each stripe with its own mutex, LRU order and
-    capacity share, so concurrent readers on different pages proceed in
-    parallel and replacement is approximately-global LRU. *)
+    [page id mod stripes], each stripe with its own mutex, CLOCK hand
+    and capacity share, so concurrent readers on different pages
+    proceed in parallel. *)
 
 type t
 
@@ -13,10 +19,11 @@ val max_attempts : int
 (** Bound on attempts per pager operation: transient faults (an
     injected {!Tm_fault.Fault.Io_error} or a {!Pager.Corrupt_page} from
     torn injected bytes) are retried with exponential relax-loop
-    backoff up to this many times; the last error then propagates.
-    Retries are counted in {!stats} and as [buffer_pool.retries].
-    The [buffer_pool.evict] failpoint fires at the head of each
-    eviction and is covered by the same retry. *)
+    backoff up to this many times. When they run out, the last
+    {!Pager.Corrupt_page} any attempt raised propagates, else the last
+    error. Retries are counted in {!stats} and as
+    [buffer_pool.retries]. The [buffer_pool.evict] failpoint fires at
+    the head of each eviction and is covered by the same retry. *)
 
 val create : ?capacity:int -> Pager.t -> t
 (** [capacity] is a number of frames (default 1024).
@@ -25,27 +32,42 @@ val create : ?capacity:int -> Pager.t -> t
 val pager : t -> Pager.t
 val capacity : t -> int
 
-val read : t -> int -> bytes
-(** Read a page through the pool. The returned bytes must not be
-    mutated; use {!write} to modify a page. When the calling domain
-    holds an {!Epoch} pin older than the page's current epoch, the
-    pinned snapshot version is served uncached from the pager's
-    version chain (counted as a miss). *)
+(** What one logical read found. *)
+type access =
+  | Resident  (** a hit; its bytes were not fetched (see {!image}) *)
+  | Loaded of bytes  (** a miss: the checksummed copy just read, now resident *)
+  | Pinned of bytes
+      (** the caller's {!Epoch} pin predates the page's current image:
+          the pinned version from the pager's version chain, uncached
+          and counted as a miss. Do not cache decoded forms of it under
+          the page's current version. *)
 
-val read_versioned : t -> int -> bytes * bool
-(** Like {!read}, also reporting whether the bytes came from a
-    superseded snapshot version ([true] = stale: do not cache decoded
-    forms under the page's current version). *)
+val access : t -> int -> access
+(** One logical read, charged to the stripe and to the calling domain's
+    query cost record ({!Tm_exec.Stats.current}). A hit takes only its
+    stripe's lock and allocates nothing; a caller that keeps a decoded
+    form of the page needs no bytes from it. A hit on a page the pager
+    marks {!Pager.damaged} re-reads it with its checksum, which raises
+    {!Pager.Corrupt_page}. *)
+
+val image : t -> int -> bytes
+(** The bytes of a page {!access} found [Resident], as the caller may
+    see them: the pager's image at the caller's pin (its newest image
+    for an unpinned caller or the transaction's writer), not copied.
+    Must not be mutated. *)
+
+val read : t -> int -> bytes
+(** {!access}, then the page's bytes. The returned bytes must not be
+    mutated; use {!write} to modify a page. *)
+
+val resident : t -> int -> bool
+(** Whether the page is resident. Not counted as an access. *)
 
 val write : t -> int -> bytes -> unit
-(** Replace a page's contents. Write-back caching normally; when the
-    calling domain is the active {!Pager} transaction's writer, the
-    write goes through to the pager immediately (capturing the
-    pre-image for pinned readers) and the frame is refreshed clean. *)
-
-val invalidate : t -> int list -> unit
-(** Drop the frames caching the given pages without write-back — used
-    after {!Pager.abort_txn} rolled their images back. *)
+(** Replace a page's contents: the write goes straight through to
+    {!Pager.write}, which copies [data] and, inside a transaction,
+    keeps the pre-image for pinned readers. The page becomes resident.
+    Counted as a logical read on the pool, not on the query record. *)
 
 val in_txn_writer : t -> bool
 (** Passthrough for {!Pager.in_txn_writer} on the underlying pager. *)
@@ -54,13 +76,11 @@ val add_participant : t -> (committed:bool -> unit) -> unit
 (** Passthrough for {!Pager.add_participant} on the underlying pager. *)
 
 val alloc : t -> int
-(** Allocate a fresh page via the pager and cache it dirty. *)
-
-val flush_all : t -> unit
-(** Write every dirty frame back to the pager. *)
+(** Allocate a fresh zeroed page via the pager; it becomes resident, as
+    if written. *)
 
 val clear : t -> unit
-(** Flush, then drop every frame — simulates a cold cache. *)
+(** Forget every resident page — simulates a cold cache. *)
 
 type stats = { logical_reads : int; misses : int; evictions : int; retries : int }
 

@@ -88,38 +88,72 @@ let encode_page records =
   List.iter (Codec.add_lstring buf) records;
   Buffer.contents buf
 
-(** Append a record; returns its rid. *)
-let append t record =
+(* The page space a record takes, by which [append] and [build] break
+   pages: a length prefix of at most five bytes plus the record. *)
+let record_size t record =
   let rsize = String.length record + 5 in
   if rsize + header_size > t.page_size then
-    invalid_arg (Printf.sprintf "Heap_file.append(%s): record too large (%d bytes)" t.name rsize);
-  let mt = m t in
-  let mt =
-    if mt.current = -1 || mt.current_used + rsize > t.page_size then begin
-      let page = Buffer_pool.alloc t.pool in
-      {
-        mt with
-        current = page;
-        current_used = header_size;
-        current_count = 0;
-        pages = page :: mt.pages;
-        n_pages = mt.n_pages + 1;
-      }
-    end
-    else mt
-  in
-  let existing = Array.to_list (decode_page (Buffer_pool.read t.pool mt.current)) in
-  let records = existing @ [ record ] in
-  Buffer_pool.write t.pool mt.current (Bytes.of_string (encode_page records));
-  let slot = mt.current_count in
-  set_m t
+    invalid_arg (Printf.sprintf "Heap_file(%s): record too large (%d bytes)" t.name rsize);
+  rsize
+
+(* [mt] with room for a record of [rsize] bytes: unchanged when it fits
+   in the current page, else with a fresh page allocated and current. *)
+let page_for t mt rsize =
+  if mt.current >= 0 && mt.current_used + rsize <= t.page_size then mt
+  else
+    let page = Buffer_pool.alloc t.pool in
     {
       mt with
-      current_used = mt.current_used + rsize;
-      current_count = mt.current_count + 1;
-      n_records = mt.n_records + 1;
-    };
-  { page = mt.current; slot }
+      current = page;
+      current_used = header_size;
+      current_count = 0;
+      pages = page :: mt.pages;
+      n_pages = mt.n_pages + 1;
+    }
+
+let with_record mt rsize =
+  {
+    mt with
+    current_used = mt.current_used + rsize;
+    current_count = mt.current_count + 1;
+    n_records = mt.n_records + 1;
+  }
+
+(** Append a record; returns its rid. *)
+let append t record =
+  let rsize = record_size t record in
+  let mt = page_for t (m t) rsize in
+  let existing = Array.to_list (decode_page (Buffer_pool.read t.pool mt.current)) in
+  let records = existing @ [ record ] in
+  (* The pager copies the image, so the fresh string is passed without one. *)
+  Buffer_pool.write t.pool mt.current (Bytes.unsafe_of_string (encode_page records));
+  set_m t (with_record mt rsize);
+  { page = mt.current; slot = mt.current_count }
+
+(** A heap file holding [records] in order, each page written once: the
+    pages break exactly where appending the records one by one would
+    break them, so the two files are the same page for page. *)
+let build ~name pool records =
+  let t = create ~name pool in
+  let sizes = List.map (record_size t) records in
+  let mt = ref (m t) and page = ref [] (* the current page's records, newest first *) in
+  let write_page () =
+    if not (List.is_empty !page) then
+      Buffer_pool.write t.pool !mt.current (Bytes.unsafe_of_string (encode_page (List.rev !page)))
+  in
+  List.iter2
+    (fun record rsize ->
+      let next = page_for t !mt rsize in
+      if next.current <> !mt.current then begin
+        write_page ();
+        page := []
+      end;
+      mt := with_record next rsize;
+      page := record :: !page)
+    records sizes;
+  write_page ();
+  set_m t !mt;
+  t
 
 (** Fetch the record at [rid]. *)
 let get t rid =

@@ -13,8 +13,16 @@ val page_count : t -> int
 val size_bytes : t -> int
 
 val append : t -> string -> rid
-(** Append a record. @raise Invalid_argument if it cannot fit in one
-    page. *)
+(** Append a record: the current page is decoded, extended and written
+    again. @raise Invalid_argument if it cannot fit in one page. *)
+
+val build : name:string -> Buffer_pool.t -> string list -> t
+(** A heap file holding the records in order, each page written once.
+    Pages break where appending the records one at a time would break
+    them, so both files have the same page ids and bytes, and later
+    appends continue the last page.
+    @raise Invalid_argument, before any page is allocated, if a record
+    cannot fit in one page. *)
 
 val get : t -> rid -> string
 (** @raise Invalid_argument on a bad rid. *)

@@ -30,12 +30,13 @@ let fill_slot id =
   | Some _ -> ());
   cell
 
+(* The fast path allocates nothing: the buffer pool takes a stripe
+   lock on every page access. *)
 let rec mutex_of id =
   let arr = Atomic.get registry in
-  let cell = if id < Array.length arr then Some arr.(id) else None in
-  match Option.map Atomic.get cell with
-  | Some (Some m) -> m
-  | Some None | None ->
+  match if id < Array.length arr then Atomic.get arr.(id) else None with
+  | Some m -> m
+  | None ->
     (* Unregistered ticket (loaded from a snapshot) or a stale read:
        materialize the slot under the registry lock and retry. *)
     Mutex.protect registry_lock (fun () ->

@@ -15,11 +15,18 @@
     out-of-band page headers real engines use; page payloads keep the
     full page to themselves.
 
+    The pager holds the only copy of every page: the buffer pool above
+    records which pages are resident but keeps no bytes, and writes go
+    straight through to {!write}. An installed image is never changed in
+    place (a write, an abort or a test hook installs a fresh buffer), so
+    {!image} can hand a resident page's bytes to a reader without
+    copying them. A hit reads no bytes, so the pager remembers every
+    page whose stored image does not match its checksum ({!damaged}),
+    and the pool verifies such a page on its next read.
+
     A single mutex serialises every operation, making the pager safe to
-    share across domains. The lock covers little work (an array slot
-    swap plus a [Bytes.copy]), and the buffer pool absorbs most traffic
-    before it reaches the pager, so contention here is not the
-    bottleneck it would be on a real disk. *)
+    share across domains. The lock covers little work: an array slot
+    swap, or a [Bytes.copy] on a pool miss. *)
 
 exception Corrupt_page of { page : int; detail : string }
 
@@ -76,6 +83,9 @@ type t = {
   snapshot_work : int Atomic.t;
       (* versioned-page count + active-txn flag: a lock-free hint that
          lets the read fast path skip all epoch bookkeeping *)
+  damaged : (int, unit) Hashtbl.t;
+      (* pages whose stored image fails its checksum (checksums on only) *)
+  damage : int Atomic.t; (* [Hashtbl.length damaged], readable without the lock *)
   mutable physical_reads : int;
   mutable physical_writes : int;
 }
@@ -97,6 +107,8 @@ let create ?(page_size = default_page_size) ?(checksums = true) () =
     pins = Hashtbl.create 8;
     txn = Atomic.make None;
     snapshot_work = Atomic.make 0;
+    damaged = Hashtbl.create 8;
+    damage = Atomic.make 0;
     physical_reads = 0;
     physical_writes = 0;
   }
@@ -164,6 +176,22 @@ let check_id t id =
   if id < 0 || id >= t.n_pages then
     raise (Corrupt_page { page = id; detail = "unallocated page id" })
 
+(* Record whether [id]'s stored image fails its checksum. Caller holds
+   the lock. *)
+let set_damaged t id bad =
+  if bad then begin
+    if not (Hashtbl.mem t.damaged id) then begin
+      Hashtbl.replace t.damaged id ();
+      Atomic.incr t.damage
+    end
+  end
+  else if Atomic.get t.damage > 0 && Hashtbl.mem t.damaged id then begin
+    Hashtbl.remove t.damaged id;
+    Atomic.decr t.damage
+  end
+
+let damaged t id = Atomic.get t.damage > 0 && locked t (fun () -> Hashtbl.mem t.damaged id)
+
 (** Physical read: returns a copy of the page image, verified against the
     stored checksum. Only successful reads are counted. *)
 let read t id =
@@ -186,14 +214,15 @@ let read t id =
 (** Physical write: stores a copy of [data] (padded/truncated to page
     size). The stored checksum is always that of the {e intended} image:
     a torn/bit-flipped injected write therefore persists bytes that no
-    longer match their CRC, and the damage is detected on the next
-    read — the torn-write crash model. *)
+    longer match their CRC, the page is marked {!damaged}, and the
+    damage is detected on the next read — the torn-write crash model. *)
 let write t id data =
-  let page = Bytes.make t.page_size '\x00' in
+  let intended = Bytes.make t.page_size '\x00' in
   let len = min (Bytes.length data) t.page_size in
-  Bytes.blit data 0 page 0 len;
-  let crc = if t.checksums then Codec.crc32 page else 0 in
-  let page = Tm_fault.Fault.apply ~site:site_write page in
+  Bytes.blit data 0 intended 0 len;
+  let crc = if t.checksums then Codec.crc32 intended else 0 in
+  let page = Tm_fault.Fault.apply ~site:site_write intended in
+  let bad = t.checksums && page != intended && not (Bytes.equal page intended) in
   locked t (fun () ->
       check_id t id;
       (match txn_if_writer t with
@@ -215,7 +244,8 @@ let write t id data =
       | None -> t.page_epochs.(id) <- t.epoch);
       t.physical_writes <- t.physical_writes + 1;
       t.pages.(id) <- page;
-      t.crcs.(id) <- crc);
+      t.crcs.(id) <- crc;
+      set_damaged t id bad);
   Tm_obs.Obs.incr c_writes;
   Tm_obs.Obs.add c_write_bytes t.page_size
 
@@ -230,21 +260,25 @@ let verify_page t id =
       else Codec.crc32 t.pages.(id) = t.crcs.(id))
 [@@analyze.no_failpoint "fsck path: integrity checks must see the store as it is, not as injected"]
 
-(** Test hooks: plant corruption directly in the backing store, without
-    touching the sidecar checksum — the states fsck and the read path
-    must detect. *)
+(** Test hooks: plant corruption in the backing store, without touching
+    the sidecar checksum — the states fsck and the read path must
+    detect. The flipped image is a fresh buffer, so bytes a reader
+    already holds never change. *)
 let unsafe_flip_bit t ~page ~bit =
   locked t (fun () ->
       check_id t page;
-      let img = t.pages.(page) in
+      let img = Bytes.copy t.pages.(page) in
       let byte = bit / 8 mod Bytes.length img in
-      Bytes.set img byte (Char.chr (Char.code (Bytes.get img byte) lxor (1 lsl (bit mod 8)))))
+      Bytes.set img byte (Char.chr (Char.code (Bytes.get img byte) lxor (1 lsl (bit mod 8))));
+      t.pages.(page) <- img;
+      set_damaged t page t.checksums)
 [@@analyze.no_failpoint "test hook: plants the corruption failpoints are meant to simulate"]
 
 let unsafe_flip_crc_bit t ~page ~bit =
   locked t (fun () ->
       check_id t page;
-      t.crcs.(page) <- t.crcs.(page) lxor (1 lsl (bit mod 32)))
+      t.crcs.(page) <- t.crcs.(page) lxor (1 lsl (bit mod 32));
+      set_damaged t page t.checksums)
 [@@analyze.no_failpoint "test hook: plants the corruption failpoints are meant to simulate"]
 
 let reset_stats t =
@@ -270,29 +304,34 @@ let epoch_of_page t id =
 let in_txn t = Option.is_some (Atomic.get t.txn)
 let in_txn_writer t = Option.is_some (txn_if_writer t)
 
+(* The newest version of [id] whose epoch is [<= epoch], as its image
+   and checksum: the current image when it qualifies, else a walk of the
+   version chain. Caller holds the lock. *)
+let version_at t ~epoch id =
+  check_id t id;
+  if t.page_epochs.(id) <= epoch then (t.pages.(id), t.crcs.(id))
+  else
+    match List.find_opt (fun (ve, _, _) -> ve <= epoch) t.versions.(id) with
+    | Some (_, img, vcrc) -> (img, vcrc)
+    | None -> raise (Corrupt_page { page = id; detail = "no page version at pinned epoch" })
+[@@analyze.no_failpoint "a lookup: [read_at] applies the read failpoint to what it returns"]
+
 (** Snapshot read: the newest image of [id] whose epoch is [<= epoch].
-    Serves the current image when it qualifies, else walks the version
-    chain. Raises {!Corrupt_page} if no version covers the requested
-    epoch (a pin taken before the versions were pruned away — callers
-    must hold a registered pin, see {!pin}). *)
+    Raises {!Corrupt_page} if no version covers the requested epoch (a
+    pin taken before the versions were pruned away — callers must hold
+    a registered pin, see {!pin}). *)
 let read_at t ~epoch id =
-  let data, crc =
-    locked t (fun () ->
-        check_id t id;
-        if t.page_epochs.(id) <= epoch then (Bytes.copy t.pages.(id), t.crcs.(id))
-        else
-          match List.find_opt (fun (ve, _, _) -> ve <= epoch) t.versions.(id) with
-          | Some (_, img, vcrc) -> (Bytes.copy img, vcrc)
-          | None ->
-            raise (Corrupt_page { page = id; detail = "no page version at pinned epoch" }))
-  in
-  let data = Tm_fault.Fault.apply ~site:site_read data in
+  let image, crc = locked t (fun () -> version_at t ~epoch id) in
+  let data = Tm_fault.Fault.apply ~site:site_read (Bytes.copy image) in
   if t.checksums && Codec.crc32 data <> crc then
     raise (Corrupt_page { page = id; detail = "checksum mismatch on snapshot read" });
   locked t (fun () -> t.physical_reads <- t.physical_reads + 1);
   Tm_obs.Obs.incr c_reads;
   Tm_obs.Obs.add c_read_bytes t.page_size;
   data
+
+(* The image [read_at] would copy: the bytes of a buffer-pool hit. *)
+let image t ~epoch id = fst (locked t (fun () -> version_at t ~epoch id))
 
 (* Drop versions of [id] no pin can reach: for each pinned epoch the
    newest version at or below it (when the current image is above it)
@@ -453,11 +492,11 @@ let commit_txn t =
 
 (** Restore every touched page to its pre-transaction image (pages
     allocated inside the transaction are re-zeroed), discard the
-    reserved epoch, and run participants with [~committed:false].
-    Returns the touched page ids so callers can invalidate caches
-    layered above. *)
+    reserved epoch, and run participants with [~committed:false]. A
+    restored image is checksummed again: it is {!damaged} if it was
+    when the transaction first wrote over it. *)
 let abort_txn t =
-  let participants, dirty =
+  let participants, epoch, touched =
     locked t (fun () ->
         match Atomic.get t.txn with
         | None -> invalid_arg "Pager.abort_txn: no active transaction"
@@ -469,6 +508,7 @@ let abort_txn t =
                 | (ve, img, vcrc) :: rest ->
                   t.pages.(id) <- img;
                   t.crcs.(id) <- vcrc;
+                  set_damaged t id (t.checksums && Codec.crc32 img <> vcrc);
                   t.page_epochs.(id) <- ve;
                   t.versions.(id) <- rest;
                   if List.length rest = 0 && Hashtbl.mem t.versioned id then begin
@@ -483,15 +523,14 @@ let abort_txn t =
                     (if not t.checksums then 0
                      else if t.page_size = default_page_size then crc_of_zero_page
                      else Codec.crc32 t.pages.(id));
+                  set_damaged t id false;
                   t.page_epochs.(id) <- t.epoch
               end)
             tx.t_dirty;
           Atomic.set t.txn None;
           Atomic.decr t.snapshot_work;
-          ((tx.t_participants, tx.t_epoch), Hashtbl.fold (fun id () acc -> id :: acc) tx.t_dirty []))
+          (tx.t_participants, tx.t_epoch, Hashtbl.length tx.t_dirty))
   in
-  let participants, epoch = participants in
-  Tm_obs.Flight.emit Tm_obs.Flight.Txn_abort epoch (List.length dirty) "";
-  List.iter (fun f -> f ~committed:false) participants;
-  dirty
+  Tm_obs.Flight.emit Tm_obs.Flight.Txn_abort epoch touched "";
+  List.iter (fun f -> f ~committed:false) participants
 [@@analyze.no_failpoint "txn rollback: restores pre-images captured by a faultable write"]

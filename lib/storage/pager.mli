@@ -1,7 +1,8 @@
 (** Simulated disk: a growable array of fixed-size pages with physical
-    I/O accounting and per-page CRC32 checksums. Structured access
-    should go through {!Buffer_pool}. A single internal mutex makes
-    every operation domain-safe.
+    I/O accounting and per-page CRC32 checksums. It holds the only copy
+    of every page; structured access should go through {!Buffer_pool},
+    which counts logical reads and residency and writes through. A
+    single internal mutex makes every operation domain-safe.
 
     Failpoint sites (see {!Tm_fault.Fault}): [pager.read],
     [pager.write], [pager.alloc]. Hooks fire before the physical
@@ -41,10 +42,25 @@ val read : t -> int -> bytes
     fires with the [Fail] action. *)
 
 val write : t -> int -> bytes -> unit
-(** Physical write (counted); pads or truncates to the page size and
-    records the checksum of the intended image (so an injected torn
-    write is detected on the next read).
+(** Physical write (counted); stores a padded or truncated copy and
+    records the checksum of the intended image, so an injected torn or
+    bit-flipped write leaves the page {!damaged}. [data] is not kept.
     @raise Corrupt_page on an unallocated page id. *)
+
+val damaged : t -> int -> bool
+(** Whether the page's stored image fails its checksum: a torn or
+    bit-flipped [pager.write] fault, or a test hook below, altered it,
+    and no write has replaced it since. The buffer pool verifies such a
+    page on its next read, resident or not. Costs one atomic load while
+    no page is damaged; always [false] when checksums are disabled. *)
+
+val image : t -> epoch:int -> int -> bytes
+(** The stored image of the newest version whose epoch is [<= epoch]
+    ([max_int]: the current image), without a copy, a count, a failpoint
+    or a checksum: the bytes of a buffer-pool hit. Installed images are
+    never changed in place; the caller must not mutate them.
+    @raise Corrupt_page on an unallocated page id, or when no version
+    covers [epoch]. *)
 
 val verify_page : t -> int -> bool
 (** Offline integrity check: does the stored image match its checksum?
@@ -52,12 +68,13 @@ val verify_page : t -> int -> bool
     disabled; [false] for unallocated ids. *)
 
 val unsafe_flip_bit : t -> page:int -> bit:int -> unit
-(** Test hook: flip one bit of the stored page image in place, leaving
-    the sidecar checksum stale — the corruption reads and fsck must
-    detect. *)
+(** Test hook: store a copy of the page image with one bit flipped,
+    leaving the sidecar checksum stale — the corruption reads and fsck
+    must detect. The page becomes {!damaged}. *)
 
 val unsafe_flip_crc_bit : t -> page:int -> bit:int -> unit
-(** Test hook: flip one bit of the stored checksum itself. *)
+(** Test hook: flip one bit of the stored checksum itself; the page
+    becomes {!damaged}. *)
 
 val reset_stats : t -> unit
 val physical_reads : t -> int
@@ -133,8 +150,9 @@ val commit_txn : t -> unit
 (** Publish the reserved epoch, prune version chains against live
     pins, then run participants with [~committed:true]. *)
 
-val abort_txn : t -> int list
+val abort_txn : t -> unit
 (** Restore every touched page to its pre-transaction image (pages
-    allocated inside the transaction are re-zeroed), run participants
-    with [~committed:false], and return the touched page ids so caches
-    above can invalidate. *)
+    allocated inside the transaction are re-zeroed) and run
+    participants with [~committed:false]. The buffer pool keeps no
+    bytes, so no cache above the pager needs invalidating; B+-trees
+    drop their staged nodes in their participants. *)

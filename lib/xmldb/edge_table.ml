@@ -66,14 +66,8 @@ let decode_backward s =
 
 (** Shred [doc] into an Edge table, bulk-loading all three indices. *)
 let build pool dict doc =
-  let heap = Heap_file.create ~name:"edge_heap" pool in
-  let rows =
-    Shred.fold_nodes doc dict
-      (fun acc info ->
-        ignore (Heap_file.append heap (encode_record info));
-        info :: acc)
-      []
-  in
+  let rows = Shred.fold_nodes doc dict (fun acc info -> info :: acc) [] in
+  let heap = Heap_file.build ~name:"edge_heap" pool (List.rev_map encode_record rows) in
   let n_nodes = List.length rows in
   let node_payload id = Codec.u32_to_string id in
   let value_entries =

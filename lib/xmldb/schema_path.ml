@@ -70,5 +70,3 @@ let to_string dict (p : t) =
   if Array.length p = 0 then "/"
   else
     Array.to_list p |> List.map (Dictionary.name dict) |> String.concat "/" |> ( ^ ) "/"
-
-let compare (a : t) (b : t) = Stdlib.compare (encode a) (encode b)

@@ -29,5 +29,3 @@ val decode_reversed : string -> t
 
 val to_string : Dictionary.t -> t -> string
 (** Human-readable, e.g. ["/site/regions/item"]. *)
-
-val compare : t -> t -> int

@@ -196,6 +196,43 @@ let test_torn_read_is_corrupt_page () =
   check Alcotest.string "stored page intact" "x"
     (String.make 1 (Bytes.get (Pager.read pager id) 0))
 
+(* A torn write to a resident page: the pool holds no copy to serve, and
+   the pager remembers that the stored image fails its checksum, so the
+   next read raises Corrupt_page although the page is resident. A clean
+   write replaces the damage. *)
+let test_torn_write_on_resident_page () =
+  with_clear @@ fun () ->
+  let pager = Pager.create () in
+  let pool = Buffer_pool.create ~capacity:8 pager in
+  let id = Buffer_pool.alloc pool in
+  let page c = Bytes.make (Pager.page_size pager) c in
+  Buffer_pool.write pool id (page 'x');
+  ignore (Buffer_pool.read pool id);
+  Fault.inject ~site:"pager.write" ~action:Fault.Torn (Fault.After 0);
+  Buffer_pool.write pool id (page 'y');
+  Fault.clear ();
+  check Alcotest.bool "still resident" true (Buffer_pool.resident pool id);
+  (match Buffer_pool.read pool id with
+  | _ -> Alcotest.fail "expected Corrupt_page from a torn write"
+  | exception Pager.Corrupt_page { page; _ } -> check Alcotest.int "page id" id page);
+  Buffer_pool.write pool id (page 'z');
+  check Alcotest.char "rewritten" 'z' (Bytes.get (Buffer_pool.read pool id) 0)
+
+(* Stored damage outranks an injected I/O error: with every second
+   pager read failing, the retries of a read of a bit-flipped page
+   alternate checksum failures and I/O errors, and the last attempt
+   draws an I/O error; the checksum failure is what propagates. *)
+let test_stored_damage_outranks_io_error () =
+  with_clear @@ fun () ->
+  let pool, ids = make_pool 1 in
+  let id = fst (List.hd ids) in
+  Pager.unsafe_flip_bit (Buffer_pool.pager pool) ~page:id ~bit:3;
+  Fault.inject ~site:"pager.read" (Fault.Every 2);
+  match Buffer_pool.read pool id with
+  | _ -> Alcotest.fail "expected Corrupt_page"
+  | exception Pager.Corrupt_page { page; _ } -> check Alcotest.int "page id" id page
+  | exception Fault.Io_error _ -> Alcotest.fail "the injected I/O error hid the stored damage"
+
 let test_evict_failpoint_survived () =
   with_clear @@ fun () ->
   let pager = Pager.create () in
@@ -338,6 +375,10 @@ let () =
           Alcotest.test_case "retry exhaustion" `Quick test_retry_exhaustion;
           Alcotest.test_case "torn read is Corrupt_page" `Quick test_torn_read_is_corrupt_page;
           Alcotest.test_case "evict failpoint survived" `Quick test_evict_failpoint_survived;
+          Alcotest.test_case "torn write on a resident page" `Quick
+            test_torn_write_on_resident_page;
+          Alcotest.test_case "stored damage outranks an I/O error" `Quick
+            test_stored_damage_outranks_io_error;
         ] );
       ( "deadline",
         [

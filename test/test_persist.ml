@@ -60,10 +60,11 @@ let test_roundtrip () =
       check (Alcotest.list Alcotest.int) (Db.strategy_name s ^ " ids survive reload") a b)
     (Db.built_strategies db)
 
-(* A save writes the pool back and drops its frames, and a bulk load
-   caches no decoded node, so the snapshot holds each page once and a
-   loaded database starts cold: its first query faults pages in and
-   decodes the nodes it reads. *)
+(* The pager holds each page once and the pool none, and a bulk load
+   caches no decoded node, so the snapshot holds each page once. A
+   loaded database forgets the residency it was saved with and starts
+   cold: its first query faults pages in and decodes the nodes it
+   reads. *)
 let test_loaded_snapshot_starts_cold () =
   with_tmp_dir @@ fun dir ->
   let path = Filename.concat dir "db.snap" in
@@ -77,6 +78,20 @@ let test_loaded_snapshot_starts_cold () =
       check Alcotest.bool "first Q1x misses the pool" true
         (r.Executor.stats.Tm_exec.Stats.pool_misses > 0);
       check Alcotest.bool "first Q1x decodes nodes" true (Tm_obs.Obs.value decodes > d0))
+
+(* A checkpoint writes the snapshot from the pager and leaves the pool
+   as it was, so a query that ran warm before it runs warm after it. *)
+let test_checkpoint_keeps_pool_warm () =
+  with_tmp_dir @@ fun dir ->
+  let db = Db.create (xmark ~scale:0.05 ()) in
+  let d = Twigmatch.Durable.create ~dir db in
+  Fun.protect ~finally:(fun () -> Twigmatch.Durable.close d) @@ fun () ->
+  let q1x = Tm_datasets.Workload.parse (Tm_datasets.Workload.find "Q1x") in
+  ignore (Executor.run db q1x);
+  Twigmatch.Durable.checkpoint d;
+  let r = Executor.run db q1x in
+  check Alcotest.int "Q1x misses after the checkpoint" 0
+    r.Executor.stats.Tm_exec.Stats.pool_misses
 
 let test_verify_reports_sections () =
   with_tmp_dir @@ fun dir ->
@@ -184,6 +199,8 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_roundtrip;
           Alcotest.test_case "loaded snapshot starts cold" `Quick test_loaded_snapshot_starts_cold;
+          Alcotest.test_case "pool stays warm across a checkpoint" `Quick
+            test_checkpoint_keeps_pool_warm;
           Alcotest.test_case "verify reports sections" `Quick test_verify_reports_sections;
           Alcotest.test_case "truncation rejected at 1/8 steps" `Quick
             test_truncation_rejected_everywhere;

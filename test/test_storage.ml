@@ -226,41 +226,197 @@ let test_buffer_pool_caching () =
   check Alcotest.int "logical reads" 2 s.Buffer_pool.logical_reads;
   check Alcotest.int "misses" 0 s.Buffer_pool.misses
 
-let test_buffer_pool_eviction_writeback () =
+(* Writes go straight through: the pager holds a page's bytes while the
+   page is still resident. Capacity 2 is two stripes of one frame, so
+   [c] shares [a]'s stripe and evicts it; re-reading [a] is one miss
+   that fetches the same bytes from the pager. *)
+let test_buffer_pool_write_through () =
   let pager = Pager.create ~page_size:128 () in
   let pool = Buffer_pool.create ~capacity:2 pager in
   let a = Buffer_pool.alloc pool in
   let b = Buffer_pool.alloc pool in
   let c = Buffer_pool.alloc pool in
   Buffer_pool.write pool a (Bytes.of_string "AAA");
+  check Alcotest.bool "a resident" true (Buffer_pool.resident pool a);
+  check Alcotest.string "the pager holds a's bytes" "AAA"
+    (Bytes.sub_string (Pager.image pager ~epoch:max_int a) 0 3);
   Buffer_pool.write pool b (Bytes.of_string "BBB");
   Buffer_pool.write pool c (Bytes.of_string "CCC");
-  (* capacity 2: page [a] must have been evicted and written back. *)
-  check Alcotest.string "a persisted" "AAA" (Bytes.sub_string (Pager.read pager a) 0 3);
-  (* Re-reading [a] is a miss that refetches from the pager. *)
+  check Alcotest.bool "c evicted a" false (Buffer_pool.resident pool a);
   Buffer_pool.reset_stats pool;
   check Alcotest.string "a content" "AAA" (Bytes.sub_string (Buffer_pool.read pool a) 0 3);
   check Alcotest.int "one miss" 1 (Buffer_pool.stats pool).Buffer_pool.misses
 
-(* The pool is striped for concurrent readers (16 stripes, page id mod
-   16), and LRU order is maintained per stripe. Exercise it with three
-   pages of the same stripe: ids 0, 16 and 32, in a stripe holding two
-   frames (capacity 32 over 16 stripes). *)
-let test_buffer_pool_lru_order () =
+(* Each stripe runs CLOCK over its frames. Capacity 32 over 16 stripes
+   gives stripe 0 two frames, for pages 0, 16, 32 and 48. A miss clears
+   set reference bits until the hand reaches a clear one, whose page
+   leaves: a page read since it came in gets a second chance. Once every
+   page has used its chance, the page the hand started at leaves, even
+   when it was read last, where LRU would evict the other. *)
+let test_buffer_pool_clock_second_chance () =
   let pager = Pager.create ~page_size:128 () in
   let pool = Buffer_pool.create ~capacity:32 pager in
-  let pages = List.init 33 (fun _ -> Buffer_pool.alloc pool) in
-  let page n = List.nth pages n in
-  Buffer_pool.write pool (page 0) (Bytes.of_string "A");
-  Buffer_pool.write pool (page 16) (Bytes.of_string "B");
-  ignore (Buffer_pool.read pool (page 0));
-  (* page 0 is now the stripe's MRU; touching page 32 evicts 16, not 0. *)
-  ignore (Buffer_pool.read pool (page 32));
+  for _ = 0 to 48 do
+    ignore (Buffer_pool.alloc pool)
+  done;
+  Buffer_pool.clear pool;
   Buffer_pool.reset_stats pool;
-  ignore (Buffer_pool.read pool (page 0));
-  check Alcotest.int "page 0 still resident" 0 (Buffer_pool.stats pool).Buffer_pool.misses;
-  ignore (Buffer_pool.read pool (page 16));
-  check Alcotest.int "page 16 was evicted" 1 (Buffer_pool.stats pool).Buffer_pool.misses
+  let read p = ignore (Buffer_pool.read pool p) in
+  let resident p = Buffer_pool.resident pool p in
+  (* frames 0 and 1 take pages 0 and 16, bits clear; the hand is at 0 *)
+  read 0;
+  read 16;
+  read 0;
+  read 32;
+  check Alcotest.bool "page 0 had a second chance" true (resident 0);
+  check Alcotest.bool "page 16 left" false (resident 16);
+  (* frames hold 0 and 32, bits clear; the hand is at frame 0 again *)
+  read 32;
+  read 0;
+  read 48;
+  check Alcotest.bool "page 0 left although read last" false (resident 0);
+  check Alcotest.bool "page 32 stayed" true (resident 32);
+  check Alcotest.int "evictions" 2 (Buffer_pool.stats pool).Buffer_pool.evictions
+
+(* A hit takes its stripe's lock and allocates nothing. *)
+let test_buffer_pool_hit_allocates_nothing () =
+  let pool = Buffer_pool.create ~capacity:8 (Pager.create ~page_size:128 ()) in
+  let id = Buffer_pool.alloc pool in
+  ignore (Buffer_pool.access pool id);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Buffer_pool.access pool id)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  if words > 50.0 then Alcotest.failf "1000 hits allocated %.0f words" words
+
+(* The pool against a reference model: striping by page id, each
+   stripe's share of the frames, CLOCK within a stripe, and the pager's
+   bytes behind it. Capacities up to 128 give stripes of 1 to 8 frames.
+   After every step the counts and the resident set must equal the
+   model's, no stripe may hold more pages than its share, and a read
+   must return the bytes last written. *)
+type pool_op = Alloc | Write of int * string | Read of int | Clear
+
+type model_stripe = {
+  m_holds : int array;
+  m_refd : bool array;
+  mutable m_used : int;
+  mutable m_hand : int;
+}
+
+let prop_pool_clock_model =
+  let page_size = 64 in
+  let gen =
+    QCheck.Gen.(
+      pair (int_range 1 128)
+        (list_size (int_range 1 300)
+           (frequency
+              [
+                (2, return Alloc);
+                (3, map2 (fun i s -> Write (i, s)) nat (string_size ~gen:printable (int_range 0 64)));
+                (6, map (fun i -> Read i) nat);
+                (1, return Clear);
+              ])))
+  in
+  let print_op = function
+    | Alloc -> "alloc"
+    | Write (i, s) -> Printf.sprintf "write %d %S" i s
+    | Read i -> Printf.sprintf "read %d" i
+    | Clear -> "clear"
+  in
+  let print (cap, ops) = Printf.sprintf "capacity %d: %s" cap (String.concat "; " (List.map print_op ops)) in
+  QCheck.Test.make ~name:"pool agrees with a CLOCK model" ~count:300 (QCheck.make ~print gen)
+    (fun (capacity, ops) ->
+      let pool = Buffer_pool.create ~capacity (Pager.create ~page_size ()) in
+      let n = min 16 capacity in
+      let share i = (capacity / n) + if i < capacity mod n then 1 else 0 in
+      let stripes =
+        Array.init n (fun i ->
+            { m_holds = Array.make (share i) (-1); m_refd = Array.make (share i) false; m_used = 0; m_hand = 0 })
+      in
+      let contents = ref [||] in
+      let reads = ref 0 and misses = ref 0 and evictions = ref 0 in
+      let frame_of id =
+        let st = stripes.(id mod n) in
+        let rec go f = if f >= st.m_used then None else if st.m_holds.(f) = id then Some f else go (f + 1) in
+        (st, go 0)
+      in
+      let access id =
+        incr reads;
+        match frame_of id with
+        | st, Some f -> st.m_refd.(f) <- true
+        | st, None ->
+          let cap = Array.length st.m_holds in
+          let f =
+            if st.m_used < cap then begin
+              st.m_used <- st.m_used + 1;
+              st.m_used - 1
+            end
+            else begin
+              while st.m_refd.(st.m_hand) do
+                st.m_refd.(st.m_hand) <- false;
+                st.m_hand <- (st.m_hand + 1) mod cap
+              done;
+              incr evictions;
+              let f = st.m_hand in
+              st.m_hand <- (f + 1) mod cap;
+              f
+            end
+          in
+          st.m_holds.(f) <- id;
+          st.m_refd.(f) <- false
+      in
+      let page i = i mod Array.length !contents in
+      let agree () =
+        let s = Buffer_pool.stats pool in
+        let counts = Array.make n 0 in
+        Array.iteri
+          (fun id _ ->
+            let model = Option.is_some (snd (frame_of id)) in
+            if Buffer_pool.resident pool id then counts.(id mod n) <- counts.(id mod n) + 1;
+            if Buffer_pool.resident pool id <> model then
+              QCheck.Test.fail_reportf "page %d: resident %b, model %b" id (not model) model)
+          !contents;
+        Array.iteri
+          (fun i c -> if c > share i then QCheck.Test.fail_reportf "stripe %d holds %d > %d" i c (share i))
+          counts;
+        s.Buffer_pool.logical_reads = !reads
+        && s.Buffer_pool.misses = !misses
+        && s.Buffer_pool.evictions = !evictions
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Alloc ->
+            let id = Buffer_pool.alloc pool in
+            assert (id = Array.length !contents);
+            contents := Array.append !contents [| "" |];
+            access id
+          | Write (i, data) when Array.length !contents > 0 ->
+            Buffer_pool.write pool (page i) (Bytes.of_string data);
+            !contents.(page i) <- data;
+            access (page i)
+          | Read i when Array.length !contents > 0 ->
+            let id = page i in
+            (match frame_of id with _, None -> incr misses | _, Some _ -> ());
+            let got = Buffer_pool.read pool id in
+            access id;
+            let want = !contents.(id) in
+            let padded = want ^ String.make (page_size - String.length want) '\x00' in
+            if not (String.equal (Bytes.to_string got) padded) then
+              QCheck.Test.fail_reportf "page %d: read %S, last wrote %S" id (Bytes.to_string got) want
+          | Write _ | Read _ -> ()
+          | Clear ->
+            Buffer_pool.clear pool;
+            Array.iter
+              (fun st ->
+                st.m_used <- 0;
+                st.m_hand <- 0;
+                Array.fill st.m_refd 0 (Array.length st.m_refd) false)
+              stripes);
+          agree ())
+        ops)
 
 let test_buffer_pool_clear () =
   let pager = Pager.create ~page_size:128 () in
@@ -430,15 +586,14 @@ let test_bptree_abort_evicts_decode_cache () =
   let t = Bptree.create ~name:"t" pool in
   Bptree.insert t "a" "1";
   Bptree.insert t "b" "2";
-  Buffer_pool.flush_all pool;
   let pager = Buffer_pool.pager pool in
   ignore (Pager.begin_txn pager);
   Bptree.insert t "c" "3";
-  (* Unpinned reader on another domain: sees the write-through frame
-     and populates the shared decode cache from uncommitted bytes. *)
+  (* Unpinned reader on another domain: reads the written page and
+     populates the shared decode cache from uncommitted bytes. *)
   let seen = Domain.join (Domain.spawn (fun () -> Bptree.lookup_all t "c")) in
   check Alcotest.(list string) "unpinned reader sees the uncommitted write" [ "3" ] seen;
-  Buffer_pool.invalidate pool (Pager.abort_txn pager);
+  Pager.abort_txn pager;
   check Alcotest.(list string) "rolled-back key not served after abort" []
     (Bptree.lookup_all t "c");
   check Alcotest.(list string) "pre-transaction keys intact" [ "1" ] (Bptree.lookup_all t "a");
@@ -478,7 +633,6 @@ let test_bptree_txn_shares_cache () =
   let pager = Buffer_pool.pager pool in
   let t = Bptree.create ~name:"t" pool in
   List.iter (fun k -> Bptree.insert t k "old") [ "a"; "c"; "e" ];
-  Buffer_pool.flush_all pool;
   let insert_committed k =
     Domain.join
       (Domain.spawn (fun () ->
@@ -525,6 +679,37 @@ let test_bptree_txn_shares_cache () =
   check Alcotest.(list string) "a new reader sees the commit" [ "new" ] seen;
   check Alcotest.int "a new reader decodes nothing" 0 n;
   ignore (Bptree.check_invariants t)
+
+(* Writes outside a transaction reach the pager at once, so nothing has
+   to be flushed before one begins: a reader pinned before the
+   transaction is served the pre-transaction image the pager keeps for
+   it, not the zeroed page the tree's leaf was allocated as. *)
+let test_bptree_txn_needs_no_flush () =
+  let pool = make_pool () in
+  let pager = Buffer_pool.pager pool in
+  let t = Bptree.create ~name:"t" pool in
+  List.iter (fun k -> Bptree.insert t k "old") [ "a"; "b" ];
+  let pinned = Atomic.make false and written = Atomic.make false in
+  let wait flag = while not (Atomic.get flag) do Domain.cpu_relax () done in
+  let reader =
+    Domain.spawn (fun () ->
+        Epoch.with_pin pager (fun () ->
+            Atomic.set pinned true;
+            wait written;
+            Bptree.to_list t))
+  in
+  wait pinned;
+  ignore (Pager.begin_txn pager);
+  Bptree.insert t "c" "new";
+  Atomic.set written true;
+  let seen = Domain.join reader in
+  Pager.commit_txn pager;
+  check
+    Alcotest.(list (pair string string))
+    "the pinned reader sees the entries from before the transaction"
+    [ ("a", "old"); ("b", "old") ]
+    seen;
+  check Alcotest.(list string) "the insert committed" [ "new" ] (Bptree.lookup_all t "c")
 
 (* The leaf encoder as it was written with [Buffer] and [String.sub]:
    the reference the sized, single-buffer encoder must match byte for
@@ -717,6 +902,52 @@ let test_heap_file_large_record_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
+(* A built heap file and one appended record by record have the same
+   page ids and the same page bytes, and appends after the build
+   continue it alike. Record sizes cluster where a record, or two,
+   exactly fill a 128-byte page (3 header bytes, 5 + length each). *)
+let prop_heap_build_equals_appends =
+  let page_size = 128 in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 0 80)
+        (map
+           (fun n -> String.make n 'r')
+           (frequency
+              [
+                (4, int_range 0 40);
+                (1, int_range 100 120);
+                (1, return 120);
+                (1, return 57);
+                (1, return 58);
+              ])))
+  in
+  let print rs = String.concat "," (List.map (fun r -> string_of_int (String.length r)) rs) in
+  QCheck.Test.make ~name:"heap build equals appends" ~count:300 (QCheck.make ~print gen)
+    (fun records ->
+      let pager_a = Pager.create ~page_size () and pager_b = Pager.create ~page_size () in
+      let appended = Heap_file.create ~name:"h" (Buffer_pool.create ~capacity:4 pager_a) in
+      List.iter (fun r -> ignore (Heap_file.append appended r)) records;
+      let built = Heap_file.build ~name:"h" (Buffer_pool.create ~capacity:4 pager_b) records in
+      let image pager p = Pager.image pager ~epoch:max_int p in
+      let same_pages () =
+        List.equal Int.equal (Heap_file.pages appended) (Heap_file.pages built)
+        && Pager.page_count pager_a = Pager.page_count pager_b
+        && List.for_all
+             (fun p -> Bytes.equal (image pager_a p) (image pager_b p))
+             (Heap_file.pages built)
+      in
+      same_pages ()
+      && Heap_file.record_count built = List.length records
+      && Heap_file.append appended "next" = Heap_file.append built "next"
+      && same_pages ())
+
+let test_heap_build_rejects_oversized () =
+  let pager = Pager.create ~page_size:128 () in
+  match Heap_file.build ~name:"h" (Buffer_pool.create pager) [ "ok"; String.make 121 'x' ] with
+  | exception Invalid_argument _ -> check Alcotest.int "no page allocated" 0 (Pager.page_count pager)
+  | _ -> Alcotest.fail "expected Invalid_argument"
+
 let suite =
   [
     ( "codec",
@@ -743,9 +974,12 @@ let suite =
         Alcotest.test_case "pager roundtrip" `Quick test_pager_roundtrip;
         Alcotest.test_case "pager bad id" `Quick test_pager_bad_id;
         Alcotest.test_case "pool caching" `Quick test_buffer_pool_caching;
-        Alcotest.test_case "pool eviction writes back" `Quick test_buffer_pool_eviction_writeback;
-        Alcotest.test_case "pool LRU order" `Quick test_buffer_pool_lru_order;
+        Alcotest.test_case "pool writes through" `Quick test_buffer_pool_write_through;
+        Alcotest.test_case "pool CLOCK second chance" `Quick test_buffer_pool_clock_second_chance;
+        Alcotest.test_case "pool hit allocates nothing" `Quick
+          test_buffer_pool_hit_allocates_nothing;
         Alcotest.test_case "pool clear" `Quick test_buffer_pool_clear;
+        qtest prop_pool_clock_model;
       ] );
     ( "bptree",
       [
@@ -767,6 +1001,7 @@ let suite =
         Alcotest.test_case "bulk load caches no node" `Quick test_bptree_bulk_load_caches_nothing;
         Alcotest.test_case "transactions share the decode cache" `Quick
           test_bptree_txn_shares_cache;
+        Alcotest.test_case "no flush before a transaction" `Quick test_bptree_txn_needs_no_flush;
         qtest prop_leaf_encoder_matches_reference;
         qtest prop_bptree_delete_model;
         qtest prop_bptree_model;
@@ -777,6 +1012,9 @@ let suite =
       [
         Alcotest.test_case "roundtrip" `Quick test_heap_file_roundtrip;
         Alcotest.test_case "large record rejected" `Quick test_heap_file_large_record_rejected;
+        Alcotest.test_case "build rejects an oversized record" `Quick
+          test_heap_build_rejects_oversized;
+        qtest prop_heap_build_equals_appends;
       ] );
   ]
 
