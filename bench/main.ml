@@ -411,7 +411,8 @@ let ablation_prefix_compression () =
    table only one per node. *)
 let ablation_update_cost () =
   print_header
-    (Printf.sprintf "Ablation: subtree insert+delete cost (ms per cycle, %d cycles)" !runs)
+    (Printf.sprintf "Ablation: subtree insert+delete cost, XMark scale %.2f (ms per cycle, %d cycles)"
+       !xmark_scale !runs)
     [ "indices built"; "ms/cycle" ];
   let subtree () =
     Tm_xml.Xml_tree.(
@@ -419,7 +420,9 @@ let ablation_update_cost () =
   in
   List.iter
     (fun (label, strategies) ->
-      let doc = Tm_datasets.Xmark_gen.generate { Tm_datasets.Xmark_gen.seed = !seed; scale = 0.1 } in
+      let doc =
+        Tm_datasets.Xmark_gen.generate { Tm_datasets.Xmark_gen.seed = !seed; scale = !xmark_scale }
+      in
       let db = Database.create ~strategies doc in
       let parent =
         Tm_xml.Xml_tree.fold doc

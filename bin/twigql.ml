@@ -527,7 +527,7 @@ let run_serve snap file xmark dblp seed jobs port journal_cap slow_ms wal_dir ma
     (Sys.signal Sys.sigquit
        (Sys.Signal_handle
           (fun _ ->
-            (match Tm_obs.Flight.dump ~reason:"SIGQUIT" with
+            (match Tm_wal.Blackbox.dump ~reason:"SIGQUIT" with
             | Some p -> Printf.eprintf "twigql serve: flight recorder dumped to %s\n%!" p
             | None -> ());
             exit 131)));
@@ -575,7 +575,7 @@ let blackbox_file_arg =
    missing header means the file is not a dump at all: exit 2 like any
    other corrupt input. *)
 let load_blackbox path =
-  match Tm_obs.Flight.load_dump path with
+  match Tm_wal.Blackbox.load_dump path with
   | d -> d
   | exception Failure msg ->
     Printf.eprintf "twigql blackbox: %s: %s\n" path msg;
@@ -584,32 +584,32 @@ let load_blackbox path =
     Printf.eprintf "twigql blackbox: %s\n" msg;
     exit 124
 
-let describe_dump (d : Tm_obs.Flight.dump_file) =
+let describe_dump (d : Tm_wal.Blackbox.dump_file) =
   let events =
-    List.fold_left (fun acc (_, es) -> acc + List.length es) 0 d.Tm_obs.Flight.d_domains
+    List.fold_left (fun acc (_, es) -> acc + List.length es) 0 d.Tm_wal.Blackbox.d_domains
   in
-  let tm = Unix.localtime d.Tm_obs.Flight.d_time in
+  let tm = Unix.localtime d.Tm_wal.Blackbox.d_time in
   Printf.eprintf "post-mortem v%d from pid %d at %04d-%02d-%02d %02d:%02d:%02d: %s\n"
-    d.Tm_obs.Flight.d_version d.Tm_obs.Flight.d_pid (tm.Unix.tm_year + 1900)
+    d.Tm_wal.Blackbox.d_version d.Tm_wal.Blackbox.d_pid (tm.Unix.tm_year + 1900)
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
-    d.Tm_obs.Flight.d_reason;
+    d.Tm_wal.Blackbox.d_reason;
   Printf.eprintf "%d domain ring(s), %d event(s)%s\n"
-    (List.length d.Tm_obs.Flight.d_domains)
+    (List.length d.Tm_wal.Blackbox.d_domains)
     events
-    (match d.Tm_obs.Flight.d_damaged with
+    (match d.Tm_wal.Blackbox.d_damaged with
     | None -> ""
     | Some why -> Printf.sprintf " — truncated by the dying process (%s)" why)
 
 let run_blackbox_render file =
   let d = load_blackbox file in
   describe_dump d;
-  print_string (Tm_obs.Flight.render_dump d)
+  print_string (Tm_wal.Blackbox.render_dump d)
 
 let run_blackbox_dump file out =
   let d = load_blackbox file in
   describe_dump d;
   let chrome =
-    Tm_obs.Export.flight_to_chrome (Tm_obs.Flight.merge_events d.Tm_obs.Flight.d_domains)
+    Tm_obs.Export.flight_to_chrome (Tm_obs.Flight.merge_events d.Tm_wal.Blackbox.d_domains)
   in
   match out with
   | None -> print_endline chrome
@@ -623,7 +623,7 @@ let run_blackbox_dump file out =
 let run_blackbox_tail file n =
   let d = load_blackbox file in
   describe_dump d;
-  let events = Tm_obs.Flight.merge_events d.Tm_obs.Flight.d_domains in
+  let events = Tm_obs.Flight.merge_events d.Tm_wal.Blackbox.d_domains in
   let len = List.length events in
   let t0 = match events with [] -> 0 | e :: _ -> e.Tm_obs.Flight.e_ts_ns in
   List.iteri

@@ -393,7 +393,7 @@ let poison (t : t) e =
   Tm_obs.Obs.incr c_poisoned;
   if Tm_obs.Flight.enabled () then begin
     Tm_obs.Flight.emit Tm_obs.Flight.Poisoned 0 0 msg;
-    ignore (Tm_obs.Flight.dump ~reason:("durable-poison: " ^ msg))
+    ignore (Tm_wal.Blackbox.dump ~reason:("durable-poison: " ^ msg))
   end
 
 (* One logged transaction around [exec]. Holds the writer lock. *)

@@ -36,6 +36,7 @@ open Tm_query
 open Tm_exec
 
 module Cancel = Tm_par.Cancel
+module Estimate = Tm_plan.Estimate
 
 (* Pool workers must serve pages at the same epoch as the domain that
    submitted the task: propagate the submitting domain's pin (captured
@@ -102,11 +103,6 @@ type cpath = {
   range : Twig.range option;  (** inequality predicate at the leaf *)
   needed_idx : int list;  (** step indices bound into the relation, ascending *)
 }
-
-(* Twig range -> Family/Edge bound pairs. *)
-let vbounds (r : Twig.range) =
-  ( Option.map (fun (b : Twig.bound) -> (b.Twig.bval, b.Twig.binc)) r.Twig.rlo,
-    Option.map (fun (b : Twig.bound) -> (b.Twig.bval, b.Twig.binc)) r.Twig.rhi )
 
 (* The relation columns of the steps [needed] (ascending indices). *)
 let columns_at cp needed = Array.of_list (List.map (fun i -> cp.uids.(i)) needed)
@@ -299,12 +295,10 @@ let eval_paths ?par ?(cancel = Cancel.never) ?watch (db : Database.t) eval cpath
 (* Selectivity estimation (used by DP and JI to pick the driver path)  *)
 (* ------------------------------------------------------------------ *)
 
-(* Both now live in the planner layer (Tm_plan.Estimate) so the cost
-   model and the physical operators read the same statistics. *)
-let catalog_matches catalog pattern = Tm_plan.Estimate.catalog_matches catalog pattern
-
+(* Estimates come from the planner layer (Tm_plan.Estimate), so the
+   cost model and the physical operators read the same statistics. *)
 let estimate (db : Database.t) cp =
-  Tm_plan.Estimate.path_cardinality ~catalog:db.Database.catalog ~edge:db.Database.edge
+  Estimate.path_cardinality ~catalog:db.Database.catalog ~edge:db.Database.edge
     ~pattern:cp.pattern ~value:cp.value ~range:cp.range
 
 (* ------------------------------------------------------------------ *)
@@ -328,7 +322,7 @@ let value_index_ids ?tag (db : Database.t) cp =
   | _ when tag = Decompose.wildcard -> None
   | Some value, _ -> lookup (Edge_table.lookup_value ~tag ~value)
   | None, Some r ->
-    let lo, hi = vbounds r in
+    let lo, hi = Estimate.vbounds r in
     lookup (Edge_table.lookup_value_range ~tag ~lo ~hi)
   | None, None -> None
 
@@ -373,7 +367,7 @@ let eval_family_rooted fam ~head cp =
   let rows =
     match cp.range with
     | Some r ->
-      let lo, hi = vbounds r in
+      let lo, hi = Estimate.vbounds r in
       Family.scan_value_range fam ?head ~lo ~hi ~schema on_hit []
     | None -> Family.scan fam ?head ~value:cp.value ~schema on_hit []
   in
@@ -425,7 +419,7 @@ let dp_probe fam cp ~idx_b ~h =
   in
   (match cp.range with
   | Some r ->
-    let lo, hi = vbounds r in
+    let lo, hi = Estimate.vbounds r in
     Family.scan_value_range fam ~head:h ~lo ~hi ~schema on_hit []
   | None -> Family.scan fam ~head:h ~value:cp.value ~schema on_hit [])
   |> fun rows -> Relation.distinct (Relation.create (columns_at cp needed_below) rows)
@@ -630,14 +624,13 @@ let climb_known_path (db : Database.t) ~path_len ~needed_schema_pos leaf =
    filtered by the leaf predicate, climbed to the needed positions. *)
 let eval_guide_path (db : Database.t) ~guide ~fabric cp =
   let stats = Stats.current () in
-  let matches = catalog_matches db.Database.catalog cp.pattern in
+  let matches = Estimate.catalog_matches db.Database.catalog cp.pattern in
   let leaf_tag = leaf_tag cp in
   let value_set ?tag () = Option.map id_set (value_index_ids ?tag db cp) in
   let leaf_set =
     match fabric with
-    | Some _ when Option.is_none cp.range ->
-      None (* Index Fabric resolves value + path in one lookup *)
-    | _ -> value_set () (* a wildcard leaf's: per catalog path below *)
+    | Some _ -> None (* Index Fabric's own scan resolves path + value or range *)
+    | None -> value_set () (* a wildcard leaf's: per catalog path below *)
   in
   let rows =
     List.concat_map
@@ -653,7 +646,7 @@ let eval_guide_path (db : Database.t) ~guide ~fabric cp =
           | Some fabric, None, Some r ->
             (* Index Fabric key order is (path, value): the range scan
                stays contiguous within this concrete path *)
-            let lo, hi = vbounds r in
+            let lo, hi = Estimate.vbounds r in
             Family.scan_value_range fabric ~lo ~hi ~schema single_ids []
           | _ -> (
             let structural = Family.scan guide ~value:None ~schema single_ids [] in
@@ -693,7 +686,7 @@ let run_guide ?par ?cancel ?watch db ~out_uid ~guide ~fabric cpaths =
 (* ------------------------------------------------------------------ *)
 
 let eval_asr_path (db : Database.t) asrs cp =
-  let matches = catalog_matches db.Database.catalog cp.pattern in
+  let matches = Estimate.catalog_matches db.Database.catalog cp.pattern in
   let rows =
     List.concat_map
       (fun ((entry : Schema_catalog.entry), positions_list) ->
@@ -701,7 +694,7 @@ let eval_asr_path (db : Database.t) asrs cp =
         let tuples =
           match cp.range with
           | Some r ->
-            let lo, hi = vbounds r in
+            let lo, hi = Estimate.vbounds r in
             Asr.scan_relation_range asrs ~path:entry.Schema_catalog.path ~lo ~hi tuple []
           | None ->
             Asr.scan_relation asrs ~path:entry.Schema_catalog.path
@@ -728,7 +721,7 @@ let run_asr ?par ?cancel ?watch db asrs ~out_uid cpaths =
    needed position per matching rooted path. *)
 let eval_ji_driver (db : Database.t) ji cp =
   let stats = Stats.current () in
-  let matches = catalog_matches db.Database.catalog cp.pattern in
+  let matches = Estimate.catalog_matches db.Database.catalog cp.pattern in
   let leaf_candidates = value_index_ids db cp in
   let rows =
     List.concat_map

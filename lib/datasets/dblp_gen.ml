@@ -15,8 +15,6 @@ module T = Tm_xml.Xml_tree
 
 type params = { seed : int; scale : float (** 1.0 ~ 8000 records *) }
 
-let default = { seed = 7; scale = 1.0 }
-
 let first_names = [| "a"; "b"; "c"; "d"; "e"; "j"; "k"; "l"; "m"; "r"; "s"; "t" |]
 
 let last_names =

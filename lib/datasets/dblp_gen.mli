@@ -5,5 +5,4 @@
 
 type params = { seed : int; scale : float (** 1.0 ~ 8000 records *) }
 
-val default : params
 val generate : params -> Tm_xml.Xml_tree.document

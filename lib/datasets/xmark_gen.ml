@@ -27,8 +27,6 @@ type params = {
   scale : float;  (** 1.0 ~ 30k element nodes *)
 }
 
-let default = { seed = 42; scale = 1.0 }
-
 let n_scaled p base = max 1 (int_of_float (float_of_int base *. p.scale))
 
 let word_pool =

@@ -5,5 +5,4 @@
 
 type params = { seed : int; scale : float (** 1.0 ~ 55k element nodes *) }
 
-val default : params
 val generate : params -> Tm_xml.Xml_tree.document

@@ -34,20 +34,6 @@ let column_values t uid =
 let shared_columns a b =
   Array.to_list a.columns |> List.filter (fun c -> Array.exists (( = ) c) b.columns)
 
-let project t uids =
-  let idx =
-    List.map
-      (fun uid ->
-        match column_index t uid with
-        | Some i -> i
-        | None -> invalid_arg "Relation.project: no such column")
-      uids
-  in
-  {
-    columns = Array.of_list uids;
-    rows = List.map (fun row -> Array.of_list (List.map (fun i -> row.(i)) idx)) t.rows;
-  }
-
 (* Rows are uid vectors; order them lexicographically with typed
    comparisons (length first, like the polymorphic order on arrays). *)
 let compare_row (a : int array) (b : int array) =

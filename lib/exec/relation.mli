@@ -15,7 +15,6 @@ val column_values : t -> int -> int list
     @raise Invalid_argument if absent. *)
 
 val shared_columns : t -> t -> int list
-val project : t -> int list -> t
 val distinct : t -> t
 
 val hash_join : ?on_result:(unit -> unit) -> t -> t -> t

@@ -4,10 +4,6 @@
 
 (** {1 JSON helpers} *)
 
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal (no
-    surrounding quotes). *)
-
 val json_string : string -> string
 (** A quoted, escaped JSON string literal. *)
 
@@ -49,18 +45,11 @@ val quantile_of_counts : bounds:float array -> counts:int array -> float -> floa
     largest finite bound). Raises [Invalid_argument] on q outside
     [0,1]. *)
 
-val quantile : Obs.histogram -> float -> float option
-
 val summary : Obs.histogram -> (string * float) list
 (** [("p50", v); ("p95", v); ("p99", v)] — empty when the histogram has
     no observations. *)
 
 (** {1 Derived gauges} *)
-
-val pool_hit_rate : unit -> float option
-(** Buffer hit rate over every finished query's reads, derived from the
-    [query.logical_reads] and [query.pool_misses] totals at export time
-    ([None] before any query read a page with the sink on). *)
 
 val all_gauges : unit -> (string * float) list
 (** Registered {!Obs.gauge}s plus the derived [buffer_pool.hit_rate]. *)

@@ -24,10 +24,9 @@
        crash case) are therefore torn-free without ever stalling a
        writer.}}
 
-    The post-mortem dump reuses the WAL's framing discipline — magic,
-    kind byte, length, payload, CRC32 — so a dump truncated by the
-    dying process is still readable up to the damage, exactly like log
-    recovery. *)
+    Post-mortem dumps of the rings are written by [Tm_wal.Blackbox]
+    with the WAL's frame codec; this module keeps where they go
+    ({!set_dump_path}). *)
 
 (* ------------------------------------------------------------------ *)
 (* Event vocabulary                                                    *)
@@ -58,8 +57,6 @@ type kind =
   | Task_begin  (** pool task started on a worker domain *)
   | Task_end  (** [a] = elapsed ns *)
   | Sem_acquire  (** [a] = permits in use after the acquire *)
-  | Sem_park  (** [a] = waiters at park time *)
-  | Sem_timeout  (** [a] = expired budget, ms *)
   | Cancel_deadline  (** [a] = expired budget, ms *)
   | Cancel_explicit  (** [detail] = reason *)
   | Breaker_open  (** [a] = consecutive failures, [detail] = failure class *)
@@ -73,7 +70,9 @@ type kind =
   | Plan_build  (** [a] = estimated rows, [b] = override count, [detail] = reason *)
   | Unknown  (** decoded from a newer writer; never emitted *)
 
-(* Codes are the on-disk encoding: append-only, never renumber. *)
+(* Codes are the on-disk encoding: append-only, never renumber. Codes
+   24 and 25 (the semaphore's retired park and timeout events) are not
+   reused; they decode as [Unknown]. *)
 let kind_code = function
   | Span_begin -> 0
   | Span_end -> 1
@@ -99,8 +98,6 @@ let kind_code = function
   | Task_begin -> 21
   | Task_end -> 22
   | Sem_acquire -> 23
-  | Sem_park -> 24
-  | Sem_timeout -> 25
   | Cancel_deadline -> 26
   | Cancel_explicit -> 27
   | Breaker_open -> 28
@@ -119,7 +116,7 @@ let kinds =
     Span_begin; Span_end; Query_begin; Query_end; Replan; Fault_hit; Wal_append;
     Wal_fsync; Wal_commit; Wal_truncate; Txn_begin; Txn_commit; Txn_abort;
     Epoch_publish; Epoch_pin; Epoch_unpin; Epoch_prune; Pool_evict; Pool_retry;
-    Checkpoint; Poisoned; Task_begin; Task_end; Sem_acquire; Sem_park; Sem_timeout;
+    Checkpoint; Poisoned; Task_begin; Task_end; Sem_acquire; Unknown; Unknown;
     Cancel_deadline; Cancel_explicit; Breaker_open; Breaker_half_open; Breaker_close;
     Breaker_reject; Req_begin; Req_end; Shed; Dump; Plan_build;
   |]
@@ -151,8 +148,6 @@ let kind_name = function
   | Task_begin -> "task.begin"
   | Task_end -> "task.end"
   | Sem_acquire -> "sem.acquire"
-  | Sem_park -> "sem.park"
-  | Sem_timeout -> "sem.timeout"
   | Cancel_deadline -> "cancel.deadline"
   | Cancel_explicit -> "cancel.explicit"
   | Breaker_open -> "breaker.open"
@@ -227,18 +222,14 @@ let make_ring domain capacity =
     r_written = Atomic.make 0;
   }
 
-let rec take n = function
-  | [] -> []
-  | _ :: _ when n = 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
 let my_ring () =
   let slot = Domain.DLS.get ring_key in
   match !slot with
   | Some r -> r
   | None ->
     let r = make_ring (Domain.self () :> int) (max 8 (Atomic.get capacity_ref)) in
-    Mutex.protect rings_lock (fun () -> rings := take max_rings (r :: !rings));
+    Mutex.protect rings_lock (fun () ->
+        rings := List.filteri (fun i _ -> i < max_rings) (r :: !rings));
     slot := Some r;
     r
 
@@ -335,7 +326,7 @@ let snapshot_ring r =
 
 let all_rings () = Mutex.protect rings_lock (fun () -> !rings)
 
-let by_domain () =
+let snapshot_domains () =
   all_rings ()
   |> List.rev_map (fun r -> (r.r_domain, snapshot_ring r))
   |> List.filter (fun (_, es) -> match es with [] -> false | _ :: _ -> true)
@@ -344,9 +335,8 @@ let by_domain () =
 (* One merged timeline: per-domain order is preserved (stable sort on
    a globally comparable clock), which is what lets one trace id be
    followed across the accept domain, the workers and the WAL. *)
-let snapshot () =
-  by_domain ()
-  |> List.concat_map snd
+let merge_events domains =
+  List.concat_map snd domains
   |> List.stable_sort (fun x y ->
          match Int.compare x.e_ts_ns y.e_ts_ns with
          | 0 -> (
@@ -355,288 +345,18 @@ let snapshot () =
            | c -> c)
          | c -> c)
 
+let snapshot () = merge_events (snapshot_domains ())
+
 let total_events () =
   List.fold_left (fun acc r -> acc + Atomic.get r.r_written) 0 (all_rings ())
 
 (* ------------------------------------------------------------------ *)
-(* Dump codec                                                          *)
+(* Dump path                                                           *)
 (* ------------------------------------------------------------------ *)
-
-(* Self-contained varint + CRC32 (this library sits below the storage
-   codec, so it cannot borrow it). CRC32 is the standard reflected
-   polynomial — same one the WAL uses — over kind byte ^ payload.
-   Built eagerly: a lazy block would be forced unsynchronized from
-   every dumping domain. *)
-
-let crc_table =
-  Array.init 256 (fun n ->
-      let c = ref n in
-      for _ = 0 to 7 do
-        c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-      done;
-      !c)
-
-let crc32_string s =
-  let c = ref 0xffffffff in
-  String.iter
-    (fun ch -> c := crc_table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-    s;
-  !c lxor 0xffffffff
-
-let add_varint buf n =
-  if n < 0 then invalid_arg "Flight.add_varint: negative";
-  let rec go n =
-    if n < 0x80 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
-
-let add_zigzag buf n = add_varint buf ((n lsl 1) lxor (n asr 62))
-
-let add_lstring buf s =
-  add_varint buf (String.length s);
-  Buffer.add_string buf s
-
-let read_varint s pos =
-  let rec go acc shift pos =
-    if pos >= String.length s then failwith "truncated varint";
-    let b = Char.code s.[pos] in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b < 0x80 then (acc, pos + 1) else go acc (shift + 7) (pos + 1)
-  in
-  go 0 0 pos
-
-let read_zigzag s pos =
-  let v, pos = read_varint s pos in
-  ((v lsr 1) lxor (-(v land 1)), pos)
-
-let read_lstring s pos =
-  let n, pos = read_varint s pos in
-  if pos + n > String.length s then failwith "truncated string";
-  (String.sub s pos n, pos + n)
-
-let dump_magic = "FB" (* flight black-box frame *)
-let dump_version = 1
-
-let add_u32 buf n =
-  Buffer.add_char buf (Char.chr (n land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 24) land 0xff))
-
-let read_u32 s pos =
-  Char.code s.[pos]
-  lor (Char.code s.[pos + 1] lsl 8)
-  lor (Char.code s.[pos + 2] lsl 16)
-  lor (Char.code s.[pos + 3] lsl 24)
-
-let add_frame buf kind payload =
-  Buffer.add_string buf dump_magic;
-  Buffer.add_char buf kind;
-  add_u32 buf (String.length payload);
-  Buffer.add_string buf payload;
-  add_u32 buf (crc32_string (String.make 1 kind ^ payload))
-
-let encode_events buf events =
-  add_varint buf (List.length events);
-  let prev = ref 0 in
-  List.iter
-    (fun e ->
-      (* Timestamps are monotonic per domain, so delta-coding keeps
-         frames compact; the first delta is the absolute stamp. *)
-      add_varint buf (e.e_ts_ns - !prev);
-      prev := e.e_ts_ns;
-      add_varint buf (kind_code e.e_kind);
-      add_varint buf e.e_trace;
-      add_zigzag buf e.e_a;
-      add_zigzag buf e.e_b;
-      add_lstring buf e.e_detail)
-    events
-
-let encode_dump ~reason domains =
-  let buf = Buffer.create 4096 in
-  let header = Buffer.create 64 in
-  add_varint header dump_version;
-  add_varint header (Unix.getpid ());
-  add_lstring header reason;
-  add_lstring header (Printf.sprintf "%.6f" (Unix.gettimeofday ()));
-  add_frame buf 'H' (Buffer.contents header);
-  let total = ref 0 in
-  List.iter
-    (fun (domain, events) ->
-      match events with
-      | [] -> ()
-      | first :: _ ->
-        let body = Buffer.create 1024 in
-        add_varint body domain;
-        add_varint body first.e_seq;
-        encode_events body events;
-        add_frame buf 'D' (Buffer.contents body);
-        total := !total + List.length events)
-    domains;
-  let footer = Buffer.create 8 in
-  add_varint footer !total;
-  add_frame buf 'E' (Buffer.contents footer);
-  Buffer.contents buf
-
-type dump_file = {
-  d_version : int;
-  d_pid : int;
-  d_reason : string;
-  d_time : float;
-  d_domains : (int * event list) list;
-  d_total : int;  (** footer count; -1 when the footer never made it *)
-  d_damaged : string option;  (** [Some why] when the scan stopped at damage *)
-}
-
-let decode_events ~domain ~start_seq payload pos =
-  let count, pos = read_varint payload pos in
-  let rec go acc prev_ts seq pos = function
-    | 0 -> List.rev acc
-    | k ->
-      let dts, pos = read_varint payload pos in
-      let ts = prev_ts + dts in
-      let kc, pos = read_varint payload pos in
-      let trace, pos = read_varint payload pos in
-      let a, pos = read_zigzag payload pos in
-      let b, pos = read_zigzag payload pos in
-      let detail, pos = read_lstring payload pos in
-      let e =
-        {
-          e_domain = domain;
-          e_seq = seq;
-          e_ts_ns = ts;
-          e_trace = trace;
-          e_kind = kind_of_code kc;
-          e_a = a;
-          e_b = b;
-          e_detail = detail;
-        }
-      in
-      go (e :: acc) ts (seq + 1) pos (k - 1)
-  in
-  go [] 0 start_seq pos count
-
-let parse_dump s =
-  let len = String.length s in
-  let header = ref None in
-  let domains = ref [] in
-  let total = ref (-1) in
-  let damaged = ref None in
-  let damage pos why = damaged := Some (Printf.sprintf "offset %d: %s" pos why) in
-  let rec frames pos =
-    if pos < len then
-      if pos + 7 > len then damage pos "truncated frame header"
-      else if not (String.equal (String.sub s pos 2) dump_magic) then
-        damage pos "bad frame magic"
-      else begin
-        let kind = s.[pos + 2] in
-        let plen = read_u32 s (pos + 3) in
-        let body_at = pos + 7 in
-        if body_at + plen + 4 > len then damage pos "truncated frame body"
-        else begin
-          let payload = String.sub s body_at plen in
-          let crc = read_u32 s (body_at + plen) in
-          if crc <> crc32_string (String.make 1 kind ^ payload) then
-            damage pos "frame CRC mismatch"
-          else begin
-            (match kind with
-            | 'H' ->
-              let version, p = read_varint payload 0 in
-              let pid, p = read_varint payload p in
-              let reason, p = read_lstring payload p in
-              let time, _ = read_lstring payload p in
-              header := Some (version, pid, reason, float_of_string time)
-            | 'D' ->
-              let domain, p = read_varint payload 0 in
-              let start_seq, p = read_varint payload p in
-              let events = decode_events ~domain ~start_seq payload p in
-              domains := (domain, events) :: !domains
-            | 'E' ->
-              let n, _ = read_varint payload 0 in
-              total := n
-            | _ -> () (* unknown frame kind: forward-compatible skip *));
-            frames (body_at + plen + 4)
-          end
-        end
-      end
-  in
-  (try frames 0 with Failure why -> damage 0 ("malformed payload: " ^ why));
-  match !header with
-  | None -> failwith "Flight.parse_dump: no valid header frame"
-  | Some (version, pid, reason, time) ->
-    {
-      d_version = version;
-      d_pid = pid;
-      d_reason = reason;
-      d_time = time;
-      d_domains = List.sort (fun (a, _) (b, _) -> Int.compare a b) !domains;
-      d_total = !total;
-      d_damaged = !damaged;
-    }
-
-let load_dump path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> parse_dump (really_input_string ic (in_channel_length ic)))
-
-(* ------------------------------------------------------------------ *)
-(* Dump triggers                                                       *)
-(* ------------------------------------------------------------------ *)
-
-type last_dump = {
-  ld_path : string;
-  ld_reason : string;
-  ld_time : float;  (** wall clock, Unix epoch seconds *)
-  ld_events : int;
-  ld_domains : int;
-}
 
 let dump_path_ref : string option Atomic.t = Atomic.make None
-let last_dump_ref : last_dump option Atomic.t = Atomic.make None
 let set_dump_path p = Atomic.set dump_path_ref p
 let dump_path () = Atomic.get dump_path_ref
-let last_dump () = Atomic.get last_dump_ref
-
-(* Write-to-temp + rename: a dump interrupted mid-write (the process
-   is, after all, dying) never clobbers the previous complete one. *)
-let dump_to ~path ~reason =
-  let domains = by_domain () in
-  let data = encode_dump ~reason domains in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc data);
-  Sys.rename tmp path;
-  Atomic.set last_dump_ref
-    (Some
-       {
-         ld_path = path;
-         ld_reason = reason;
-         ld_time = Unix.gettimeofday ();
-         ld_events = List.fold_left (fun acc (_, es) -> acc + List.length es) 0 domains;
-         ld_domains = List.length domains;
-       })
-
-(* Automatic trigger: records a [Dump] event (so the dump explains
-   itself) and snapshots every ring to the configured path. Errors are
-   swallowed — a failing post-mortem must never mask the original
-   incident. *)
-let dump ~reason =
-  if not (Atomic.get enabled_flag) then None
-  else
-    match Atomic.get dump_path_ref with
-    | None -> None
-    | Some path -> (
-      emit Dump 0 0 reason;
-      match dump_to ~path ~reason with
-      | () -> Some path
-      | exception _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Text rendering                                                      *)
@@ -652,34 +372,6 @@ let event_to_string ?(t0 = 0) e =
   if e.e_b <> 0 then Buffer.add_string buf (Printf.sprintf " b=%d" e.e_b);
   if not (String.equal e.e_detail "") then
     Buffer.add_string buf (Printf.sprintf " %s" e.e_detail);
-  Buffer.contents buf
-
-let merge_events domains =
-  List.concat_map snd domains
-  |> List.stable_sort (fun x y ->
-         match Int.compare x.e_ts_ns y.e_ts_ns with
-         | 0 -> (
-           match Int.compare x.e_domain y.e_domain with
-           | 0 -> Int.compare x.e_seq y.e_seq
-           | c -> c)
-         | c -> c)
-
-let render_dump d =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "flight dump v%d  pid %d  reason %S  %d domain(s), %d event(s)\n"
-       d.d_version d.d_pid d.d_reason (List.length d.d_domains)
-       (List.fold_left (fun acc (_, es) -> acc + List.length es) 0 d.d_domains));
-  (match d.d_damaged with
-  | Some why -> Buffer.add_string buf (Printf.sprintf "  DAMAGED: %s\n" why)
-  | None -> ());
-  let merged = merge_events d.d_domains in
-  let t0 = match merged with e :: _ -> e.e_ts_ns | [] -> 0 in
-  List.iter
-    (fun e ->
-      Buffer.add_string buf (event_to_string ~t0 e);
-      Buffer.add_char buf '\n')
-    merged;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

@@ -1,6 +1,6 @@
 (** Always-on flight recorder: per-domain, lock-free rings of typed,
-    nanosecond-stamped events, snapshotted seqlock-style into versioned
-    CRC-framed post-mortem dumps.
+    nanosecond-stamped events, snapshotted seqlock-style. [Tm_wal.Blackbox]
+    writes the snapshots as CRC-framed post-mortem dumps.
 
     Disabled by default; every {!emit} costs exactly one atomic load
     when off (the {!Obs} contract). When on, recording is one slot
@@ -35,8 +35,6 @@ type kind =
   | Task_begin  (** pool task started on a worker domain *)
   | Task_end  (** [a] = elapsed ns *)
   | Sem_acquire  (** [a] = permits in use after the acquire *)
-  | Sem_park  (** [a] = waiters at park time *)
-  | Sem_timeout  (** [a] = expired budget, ms *)
   | Cancel_deadline  (** [a] = expired budget, ms *)
   | Cancel_explicit  (** [detail] = reason *)
   | Breaker_open  (** [a] = consecutive failures, [detail] = failure class *)
@@ -57,7 +55,8 @@ val kind_code : kind -> int
 (** The on-disk code: append-only, never renumbered. *)
 
 val kind_of_code : int -> kind
-(** Inverse of {!kind_code}; unassigned codes decode to {!Unknown}. *)
+(** Inverse of {!kind_code}; unassigned and retired codes decode to
+    {!Unknown}. *)
 
 type event = {
   e_domain : int;  (** recording domain's id *)
@@ -102,62 +101,23 @@ val emit_traced : int -> kind -> int -> int -> string -> unit
 (** {1 Snapshots} *)
 
 val snapshot : unit -> event list
-(** All domains merged onto one timeline (sorted by timestamp, stable
-    within a domain). Safe to call while every domain keeps emitting. *)
+(** All domains merged onto one timeline ({!merge_events} of
+    {!snapshot_domains}). Safe to call while every domain keeps
+    emitting. *)
+
+val snapshot_domains : unit -> (int * event list) list
+(** Each non-empty domain ring's window, by ascending domain id. *)
 
 val total_events : unit -> int
 (** Events ever recorded across all registered rings (including ones
     since overwritten). *)
 
-(** {1 Post-mortem dumps}
-
-    A dump is a sequence of CRC-framed records (the WAL's framing
-    discipline): a header frame, one frame per domain ring, a footer
-    with the total count. A dump truncated by the dying process parses
-    up to the damage. *)
-
-type dump_file = {
-  d_version : int;
-  d_pid : int;
-  d_reason : string;
-  d_time : float;  (** wall clock at dump, Unix epoch seconds *)
-  d_domains : (int * event list) list;
-  d_total : int;  (** footer count; -1 when the footer never made it *)
-  d_damaged : string option;  (** [Some why] when the scan stopped at damage *)
-}
-
-val dump_to : path:string -> reason:string -> unit
-(** Snapshot every ring into a post-mortem file (temp + rename, so an
-    interrupted dump never clobbers a previous complete one). *)
-
-val dump : reason:string -> string option
-(** The automatic trigger: when the recorder is enabled and a dump path
-    is configured, record a {!Dump} event, write the post-mortem there
-    and return the path. Never raises — a failing dump must not mask
-    the incident that triggered it. *)
+(** {1 Post-mortem dump path} *)
 
 val set_dump_path : string option -> unit
-(** Configure where automatic {!dump}s land. *)
+(** Configure where automatic post-mortem dumps land. *)
 
 val dump_path : unit -> string option
-
-type last_dump = {
-  ld_path : string;
-  ld_reason : string;
-  ld_time : float;  (** wall clock, Unix epoch seconds *)
-  ld_events : int;
-  ld_domains : int;
-}
-
-val last_dump : unit -> last_dump option
-(** Metadata of the most recent dump written by this process. *)
-
-val parse_dump : string -> dump_file
-(** Parse dump-file contents. Raises [Failure] only when no valid
-    header frame exists; later damage is reported via [d_damaged]. *)
-
-val load_dump : string -> dump_file
-(** {!parse_dump} over a file's contents. *)
 
 (** {1 Rendering} *)
 
@@ -168,12 +128,8 @@ val merge_events : (int * event list) list -> event list
 (** Per-domain windows merged onto one timeline, per-domain order
     preserved. *)
 
-val render_dump : dump_file -> string
-(** Human-readable merged timeline of a parsed dump. *)
+(** {1 Environment}
 
-(** {1 Environment} *)
-
-val install_env : unit -> unit
-(** Apply [TWIGMATCH_FLIGHT] (enable, value = capacity) and
-    [TWIGMATCH_FLIGHT_DUMP] (post-mortem path, implies enable). Runs
-    automatically at link time. *)
+    At link time, [TWIGMATCH_FLIGHT] enables the recorder (a value of
+    8 or more is the capacity) and [TWIGMATCH_FLIGHT_DUMP] sets the
+    dump path and enables it. *)

@@ -56,11 +56,6 @@ val capacity : unit -> int
 val clear : unit -> unit
 (** Drop every entry (capacity unchanged). *)
 
-val env_var : string
-(** ["TWIGMATCH_JOURNAL"]: set to a positive integer at startup to
-    enable the journal at link time ([1] keeps the default capacity;
-    larger values become the capacity). *)
-
 (** {1 Recording and reading} *)
 
 val record : entry -> unit

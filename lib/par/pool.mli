@@ -46,11 +46,6 @@ val spawn : t -> (unit -> 'a) -> 'a future
 (** Enqueue a task. With [jobs = 1] the task runs inline before
     [spawn] returns. *)
 
-val await : t -> 'a future -> 'a
-(** Block until the future is fulfilled, helping drain the pool's queue
-    while waiting. Re-raises the task's exception (with its original
-    backtrace) if it failed. *)
-
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Parallel [List.map]: spawn one task per element, await in order.
     Result order matches input order. The first failed task's exception

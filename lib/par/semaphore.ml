@@ -1,149 +1,42 @@
-(* Counting semaphore for admission control: a fixed number of permits,
-   domain-safe, with non-blocking, blocking and deadline-bounded
-   acquisition plus an idle-wait used by graceful drain.
+(* Admission counter: a fixed number of permits held in one atomic
+   counter, taken without blocking ([try_acquire] refusing is the
+   shedding signal) and returned by [release]; graceful drain polls for
+   the counter to reach zero. *)
 
-   Blocking [acquire] parks on a condition variable signalled by
-   [release]. The timed variants ([acquire_for], [await_idle]) poll on
-   a short sleep instead: stdlib [Condition] has no timed wait, and the
-   admission paths that need a bound are shedding decisions where
-   millisecond granularity is plenty. *)
-
-(* Park/timeout visibility: admission stalls are exactly the moments an
-   overload post-mortem needs, so both land in the metrics sink and the
-   flight recorder. *)
-let c_parked = Tm_obs.Obs.counter "semaphore.parked"
-let c_timeouts = Tm_obs.Obs.counter "semaphore.timeouts"
-
-type t = {
-  lock : Mutex.t;
-  released : Condition.t;
-  capacity : int;
-  mutable in_use : int; [@analyze.guarded_by "lock"]
-  mutable waiting : int; [@analyze.guarded_by "lock"]
-}
+type t = { capacity : int; in_use : int Atomic.t }
 
 let create capacity =
   if capacity < 0 then invalid_arg "Semaphore.create: capacity must be >= 0";
-  {
-    lock = Mutex.create ();
-    released = Condition.create ();
-    capacity;
-    in_use = 0;
-    waiting = 0;
-  }
+  { capacity; in_use = Atomic.make 0 }
 
-let capacity t = t.capacity
-let in_use t = Mutex.protect t.lock (fun () -> t.in_use)
-let waiting t = Mutex.protect t.lock (fun () -> t.waiting)
-let available t = Mutex.protect t.lock (fun () -> t.capacity - t.in_use)
+let in_use t = Atomic.get t.in_use
 
-let try_acquire t =
-  let got =
-    Mutex.protect t.lock (fun () ->
-        if t.in_use < t.capacity then begin
-          t.in_use <- t.in_use + 1;
-          Some t.in_use
-        end
-        else None)
-  in
-  match got with
-  | Some n ->
-    Tm_obs.Flight.emit Tm_obs.Flight.Sem_acquire n 0 "";
+let rec try_acquire t =
+  let n = Atomic.get t.in_use in
+  if n >= t.capacity then false
+  else if Atomic.compare_and_set t.in_use n (n + 1) then begin
+    Tm_obs.Flight.emit Tm_obs.Flight.Sem_acquire (n + 1) 0 "";
     true
-  | None -> false
+  end
+  else try_acquire t
 
-let acquire t =
-  let n =
-    Mutex.protect t.lock (fun () ->
-        t.waiting <- t.waiting + 1;
-        if t.in_use >= t.capacity then begin
-          Tm_obs.Obs.incr c_parked;
-          Tm_obs.Flight.emit Tm_obs.Flight.Sem_park t.waiting 0 ""
-        end;
-        while t.in_use >= t.capacity do
-          Condition.wait t.released t.lock
-        done;
-        t.waiting <- t.waiting - 1;
-        t.in_use <- t.in_use + 1;
-        t.in_use)
-  in
-  Tm_obs.Flight.emit Tm_obs.Flight.Sem_acquire n 0 ""
+let rec release t =
+  let n = Atomic.get t.in_use in
+  if n <= 0 then invalid_arg "Semaphore.release: no permit held";
+  if not (Atomic.compare_and_set t.in_use n (n - 1)) then release t
 
-(* Sleep quantum for the polling waits: long enough not to burn a core,
-   short enough that admission deadlines keep ms granularity. *)
+(* Sleep quantum for the drain wait: long enough not to burn a core,
+   short enough that the drain deadline keeps ms granularity. *)
 let poll_s = 0.001
 
-let deadline_of ms = Int64.add (Monotonic_clock.now ()) (Int64.of_float (ms *. 1e6))
-let past d = Int64.compare (Monotonic_clock.now ()) d >= 0
-
-let acquire_for t ~timeout_ms =
-  if try_acquire t then true
-  else if timeout_ms <= 0.0 then begin
-    Tm_obs.Obs.incr c_timeouts;
-    Tm_obs.Flight.emit Tm_obs.Flight.Sem_timeout 0 0 "";
-    false
-  end
-  else begin
-    let deadline = deadline_of timeout_ms in
-    Mutex.protect t.lock (fun () -> t.waiting <- t.waiting + 1);
-    Tm_obs.Obs.incr c_parked;
-    Tm_obs.Flight.emit Tm_obs.Flight.Sem_park (waiting t) 0 "";
-    let rec wait () =
-      let got =
-        Mutex.protect t.lock (fun () ->
-            if t.in_use < t.capacity then begin
-              t.in_use <- t.in_use + 1;
-              Some t.in_use
-            end
-            else None)
-      in
-      match got with
-      | Some n ->
-        Tm_obs.Flight.emit Tm_obs.Flight.Sem_acquire n 0 "";
-        true
-      | None ->
-        if past deadline then begin
-          Tm_obs.Obs.incr c_timeouts;
-          Tm_obs.Flight.emit Tm_obs.Flight.Sem_timeout (int_of_float timeout_ms) 0 "";
-          false
-        end
-        else begin
-          Unix.sleepf poll_s;
-          wait ()
-        end
-    in
-    Fun.protect
-      ~finally:(fun () -> Mutex.protect t.lock (fun () -> t.waiting <- t.waiting - 1))
-      wait
-  end
-
-let release t =
-  Mutex.protect t.lock (fun () ->
-      if t.in_use <= 0 then invalid_arg "Semaphore.release: no permit held";
-      t.in_use <- t.in_use - 1;
-      Condition.signal t.released)
-
-let with_permit t f =
-  acquire t;
-  Fun.protect ~finally:(fun () -> release t) f
-
-let idle t = Mutex.protect t.lock (fun () -> t.in_use = 0 && t.waiting = 0)
-
-let await_idle ?timeout_ms t =
-  match timeout_ms with
-  | None ->
-    while not (idle t) do
-      Unix.sleepf poll_s
-    done;
-    true
-  | Some ms ->
-    let deadline = deadline_of ms in
-    let rec wait () =
-      if idle t then true
-      else if past deadline then idle t
-      else begin
-        Unix.sleepf poll_s;
-        wait ()
-      end
-    in
-    wait ()
+let await_idle ~timeout_ms t =
+  let deadline = Int64.add (Monotonic_clock.now ()) (Int64.of_float (timeout_ms *. 1e6)) in
+  let rec wait () =
+    if in_use t = 0 then true
+    else if Int64.compare (Monotonic_clock.now ()) deadline >= 0 then false
+    else begin
+      Unix.sleepf poll_s;
+      wait ()
+    end
+  in
+  wait ()

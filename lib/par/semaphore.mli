@@ -1,49 +1,31 @@
-(** Counting semaphore: the bounded-admission primitive under the
-    serving layer. A semaphore holds [capacity] permits; a connection
-    (or any other unit of work) holds one permit from admission to
-    completion, so [capacity] bounds the number simultaneously inside —
-    executing or queued — and {!try_acquire} failing {e is} the
-    load-shedding signal.
+(** Admission counter: the bounded-admission primitive under the
+    serving layer. It holds [capacity] permits; a connection (or any
+    other unit of work) holds one permit from admission to completion,
+    so [capacity] bounds the number simultaneously inside — executing
+    or queued — and {!try_acquire} failing {e is} the load-shedding
+    signal.
 
-    Domain-safe (mutex + condition). {!acquire} blocks on the condition
-    variable; the deadline-bounded variants ({!acquire_for},
-    {!await_idle}) poll at ~1 ms granularity (stdlib [Condition] has no
-    timed wait), which is plenty for admission-control decisions. *)
+    Domain-safe: one atomic counter. Nothing blocks on a permit;
+    {!await_idle} polls at ~1 ms granularity, plenty for a drain. *)
 
 type t
 
 val create : int -> t
-(** A semaphore with that many permits (0 is allowed: every acquisition
+(** A counter with that many permits (0 is allowed: every acquisition
     fails — a drained/closed gate).
     @raise Invalid_argument on a negative capacity. *)
 
-val capacity : t -> int
 val in_use : t -> int
-val available : t -> int
-
-val waiting : t -> int
-(** Callers currently parked in {!acquire}/{!acquire_for}. *)
 
 val try_acquire : t -> bool
 (** Take a permit if one is free; never blocks. *)
 
-val acquire : t -> unit
-(** Block until a permit is free and take it. *)
-
-val acquire_for : t -> timeout_ms:float -> bool
-(** Take a permit, waiting up to [timeout_ms] (polled at ~1 ms);
-    [false] on timeout. [timeout_ms <= 0] degrades to {!try_acquire}. *)
-
 val release : t -> unit
-(** Return a permit and wake one blocked acquirer.
+(** Return a permit.
     @raise Invalid_argument when no permit is held (a release/acquire
     pairing bug, not a recoverable condition). *)
 
-val with_permit : t -> (unit -> 'a) -> 'a
-(** {!acquire}, run, {!release} (also on exception). *)
-
-val await_idle : ?timeout_ms:float -> t -> bool
-(** Wait (polling) until every permit is free and no acquirer is
-    parked — how graceful drain waits for in-flight requests. Returns
-    [false] if [timeout_ms] elapsed first; without a timeout, waits
-    indefinitely and returns [true]. *)
+val await_idle : timeout_ms:float -> t -> bool
+(** Wait (polling) until every permit is free — how graceful drain
+    waits for in-flight requests. Returns [false] if [timeout_ms]
+    elapsed first. *)

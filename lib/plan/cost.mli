@@ -15,10 +15,8 @@ type input = {
 val join_order : int array -> int array
 (** Path indices sorted by ascending estimate (driver first), stable. *)
 
-val costs : input -> built:Strategy.t list -> (Strategy.t * float) list
-(** Per-strategy cost for every costed, built strategy — cheapest
-    first, ties broken by {!Strategy.rank}. *)
-
 val choose :
   input -> built:Strategy.t list -> Strategy.t * float * (Strategy.t * float) list * string
-(** Winner, its cost, the full comparison, and a one-line reason. *)
+(** Winner, its cost, the full comparison — every costed, built
+    strategy, cheapest first, ties broken by {!Strategy.compare} — and
+    a one-line reason. *)

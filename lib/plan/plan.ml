@@ -36,12 +36,6 @@ let trivial ~shape ~strategy reason =
     reason;
   }
 
-let summary p =
-  Printf.sprintf "%s est=%d%s%s" (Strategy.name p.strategy) p.est_rows
-    (if p.cached then " (cached)" else "")
-    (if Float.equal p.calibration 1.0 then ""
-     else Printf.sprintf " (calibration x%.2f)" p.calibration)
-
 let to_string p =
   let buf = Buffer.create 256 in
   let add fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in

@@ -23,9 +23,6 @@ type t = {
 val trivial : shape:string -> strategy:Strategy.t -> string -> t
 (** A plan with an empty cover (unknown query tags, pinned defaults). *)
 
-val summary : t -> string
-(** One line: strategy, estimated rows, cache/calibration markers. *)
-
 val to_string : t -> string
 (** Multi-line operator rendering (shape, join order, costs). *)
 

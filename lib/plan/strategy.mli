@@ -7,12 +7,11 @@ type t = RP | DP | Edge | DG_edge | IF_edge | Asr | Ji
 val all : t list
 val name : t -> string
 
-val rank : t -> int
-(** Dense 0-based rank; also the planner's tie-break preference order
-    (RP before DP before JI, then the Edge-family strategies). *)
-
 val equal : t -> t -> bool
+
 val compare : t -> t -> int
+(** The planner's tie-break preference order: RP before DP before JI,
+    then the Edge-family strategies. *)
 
 val mem : t -> t list -> bool
 (** Typed membership test (no polymorphic comparison). *)

@@ -83,26 +83,3 @@ let query (doc : T.document) (t : Twig.t) =
   in
   List.fold_left (fun acc n -> outputs n t.Twig.root acc) [] start_nodes
   |> List.sort_uniq Int.compare
-
-(** Number of data nodes matching a single linear path's leaf — the
-    paper's per-branch result size (Figures 7 and 8). *)
-let branch_cardinality (doc : T.document) (l : Decompose.linear) =
-  (* Build a one-path twig whose output is the leaf and count. *)
-  let rec to_spec = function
-    | [] -> assert false
-    | [ (s : Decompose.step) ] -> Twig.spec ?value:None ~output:true s.Decompose.name []
-    | s :: rest -> Twig.spec s.Decompose.name [ ((List.hd rest).Decompose.axis, to_spec rest) ]
-  in
-  match l.Decompose.steps with
-  | [] -> 0
-  | first :: _ ->
-    let spec = to_spec l.Decompose.steps in
-    (* attach the value predicate to the leaf *)
-    let rec with_value (s : Twig.spec) =
-      match s.Twig.s_branches with
-      | [] -> { s with Twig.s_value = l.Decompose.value; Twig.s_range = l.Decompose.range }
-      | [ (ax, c) ] -> { s with Twig.s_branches = [ (ax, with_value c) ] }
-      | _ -> assert false
-    in
-    let t = Twig.make first.Decompose.axis (with_value spec) in
-    List.length (query doc t)

@@ -4,7 +4,3 @@
 val query : Tm_xml.Xml_tree.document -> Twig.t -> int list
 (** Sorted, de-duplicated ids of data nodes bound to the twig's output
     node over all matches. *)
-
-val branch_cardinality : Tm_xml.Xml_tree.document -> Decompose.linear -> int
-(** Number of matches of one linear path (the paper's per-branch result
-    size). *)

@@ -125,7 +125,7 @@ let failure ?(cls = "unclassified") t =
       (Printf.sprintf "breaker opened after %d consecutive failures (%s)" failures cls);
     Tm_obs.Flight.emit Tm_obs.Flight.Breaker_open failures 0 cls;
     if Tm_obs.Flight.enabled () then
-      ignore (Tm_obs.Flight.dump ~reason:("breaker-open: " ^ cls))
+      ignore (Tm_wal.Blackbox.dump ~reason:("breaker-open: " ^ cls))
 
 let state t =
   Mutex.protect t.lock (fun () ->

@@ -9,10 +9,10 @@
 
     Overload behaviour (see README "Serving"):
 
-    - {e admission control}: a {!Tm_par.Semaphore} bounds the number of
-      connections inside the server (executing plus queued); a full
-      queue sheds with a typed 429 + Retry-After instead of queueing
-      unboundedly;
+    - {e admission control}: an atomic counter ({!Tm_par.Semaphore})
+      bounds the number of connections inside the server (executing
+      plus queued); a full queue sheds with a typed 429 + Retry-After
+      instead of queueing unboundedly;
     - {e adaptive shedding}: the admission queue shrinks as the
       observed p99 latency climbs past the configured target, so
       queueing stops amplifying latency exactly when it would;
@@ -354,16 +354,16 @@ let handle ?canary ?durable ?cancel ?breaker (db : Database.t) ~meth ~target =
           | Some _ | None -> respond 200 json (Tm_obs.Export.flight_to_json events)
         end
       | "/debug/last-dump" -> (
-        match Tm_obs.Flight.last_dump () with
+        match Tm_wal.Blackbox.last_dump () with
         | None -> respond 404 json "{\"error\":\"no post-mortem dump written yet\"}"
         | Some d ->
           respond 200 json
             (Printf.sprintf
                "{\"path\":%s,\"reason\":%s,\"time\":%s,\"events\":%d,\"domains\":%d}"
-               (json_string d.Tm_obs.Flight.ld_path)
-               (json_string d.Tm_obs.Flight.ld_reason)
-               (json_float d.Tm_obs.Flight.ld_time)
-               d.Tm_obs.Flight.ld_events d.Tm_obs.Flight.ld_domains))
+               (json_string d.Tm_wal.Blackbox.ld_path)
+               (json_string d.Tm_wal.Blackbox.ld_reason)
+               (json_float d.Tm_wal.Blackbox.ld_time)
+               d.Tm_wal.Blackbox.ld_events d.Tm_wal.Blackbox.ld_domains))
       | "/query" -> run_query ?cancel ?breaker db params
       | "/plan" -> plan_query db params
       | _ -> respond 404 text "not found\n"
@@ -940,7 +940,7 @@ let run ?pool t =
              "accounting violation after drain: accepted=%d but responses=%d + write_failures=%d + accept_faults=%d"
              s.accepted s.responses s.write_failures s.accept_faults);
         if Tm_obs.Flight.enabled () then
-          ignore (Tm_obs.Flight.dump ~reason:"accounting-violation")
+          ignore (Tm_wal.Blackbox.dump ~reason:"accounting-violation")
       end;
       Drained
     end

@@ -713,49 +713,3 @@ let encode_view t = function
   | Leaf_view { entries; next } ->
     encode_leaf t entries (match next with None -> 0 | Some p -> p + 1)
   | Internal_view { keys; children } -> encode_internal keys children
-
-(* ------------------------------------------------------------------ *)
-(* Invariant checking (used by tests)                                  *)
-(* ------------------------------------------------------------------ *)
-
-(** Walk the whole tree checking ordering and fanout invariants; returns
-    the number of entries seen. Raises [Failure] on violation. *)
-let check_invariants t =
-  let rec go page lo hi depth =
-    match read_node t page with
-    | Leaf l ->
-      Array.iter
-        (fun (k, _) ->
-          (match lo with
-          | Some l when String.compare k l < 0 -> failwith "leaf key below lower bound"
-          | _ -> ());
-          (* duplicates may equal the separator on either side *)
-          match hi with
-          | Some h when String.compare k h > 0 -> failwith "leaf key above upper bound"
-          | _ -> ())
-        l.entries;
-      let sorted = ref true in
-      Array.iteri
-        (fun i (k, _) -> if i > 0 && String.compare (fst l.entries.(i - 1)) k > 0 then sorted := false)
-        l.entries;
-      if not !sorted then failwith "leaf entries unsorted";
-      (Array.length l.entries, depth)
-    | Internal node ->
-      if Array.length node.children <> Array.length node.keys + 1 then failwith "bad fanout";
-      let total = ref 0 in
-      let leaf_depth = ref (-1) in
-      Array.iteri
-        (fun i child ->
-          let lo' = if i = 0 then lo else Some node.keys.(i - 1) in
-          let hi' = if i = Array.length node.keys then hi else Some node.keys.(i) in
-          let n, d = go child lo' hi' (depth + 1) in
-          total := !total + n;
-          if !leaf_depth = -1 then leaf_depth := d
-          else if !leaf_depth <> d then failwith "leaves at different depths")
-        node.children;
-      (!total, !leaf_depth)
-  in
-  let n, _ = go (m t).root None None 1 in
-  if n <> (m t).n_entries then
-    failwith (Printf.sprintf "entry count mismatch: counted %d, recorded %d" n (m t).n_entries);
-  n

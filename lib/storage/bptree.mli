@@ -70,11 +70,6 @@ val count_prefix : t -> prefix:string -> int
 val to_list : t -> (string * string) list
 (** All entries in key order. *)
 
-val check_invariants : t -> int
-(** Walk the tree checking ordering, fanout and balance invariants;
-    returns the entry count. @raise Failure on violation. Testing
-    hook; {!Tm_check.Check} is the structured offline verifier. *)
-
 (** {1 Raw page views}
 
     Fsck support: the offline verifier ({!Tm_check.Check}) must read

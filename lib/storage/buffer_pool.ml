@@ -43,7 +43,7 @@ type stripe = {
   mutable retries : int;
 }
 
-type t = { pager : Pager.t; capacity : int; stripes : stripe array }
+type t = { pager : Pager.t; stripes : stripe array }
 
 let default_stripes = 16
 
@@ -67,10 +67,9 @@ let create ?(capacity = 1024) pager =
           retries = 0;
         })
   in
-  { pager; capacity; stripes }
+  { pager; stripes }
 
 let pager t = t.pager
-let capacity t = t.capacity
 let stripe_of t id = t.stripes.(id mod Array.length t.stripes)
 
 let locked st f = Lock.with_lock st.lock f

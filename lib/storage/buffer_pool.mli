@@ -30,7 +30,6 @@ val create : ?capacity:int -> Pager.t -> t
     @raise Invalid_argument if capacity < 1. *)
 
 val pager : t -> Pager.t
-val capacity : t -> int
 
 (** What one logical read found. *)
 type access =

@@ -19,7 +19,6 @@ val read_varint : string -> int -> int * int
 
 (** {1 Zigzag-coded signed varints} *)
 
-val zigzag : int -> int
 val add_signed_varint : Buffer.t -> int -> unit
 val read_signed_varint : string -> int -> int * int
 

@@ -155,13 +155,6 @@ let build ~name pool records =
   set_m t !mt;
   t
 
-(** Fetch the record at [rid]. *)
-let get t rid =
-  let records = decode_page (Buffer_pool.read t.pool rid.page) in
-  if rid.slot >= Array.length records then
-    invalid_arg (Printf.sprintf "Heap_file.get(%s): bad rid" t.name);
-  records.(rid.slot)
-
 (** Pages in allocation order (fsck support). *)
 let pages t = List.rev (m t).pages
 
@@ -180,13 +173,3 @@ let records_of_page t page =
       | records -> Ok records
       | exception Invalid_argument m -> Error m
       | exception Failure m -> Error m)
-
-(** Fold over all records in insertion order. *)
-let fold t f acc =
-  List.fold_left
-    (fun acc page ->
-      Array.fold_left (fun acc r -> f acc r) acc (decode_page (Buffer_pool.read t.pool page)))
-    acc
-    (List.rev (m t).pages)
-
-let iter t f = fold t (fun () r -> f r) ()

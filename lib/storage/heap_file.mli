@@ -24,14 +24,6 @@ val build : name:string -> Buffer_pool.t -> string list -> t
     @raise Invalid_argument, before any page is allocated, if a record
     cannot fit in one page. *)
 
-val get : t -> rid -> string
-(** @raise Invalid_argument on a bad rid. *)
-
-val fold : t -> ('a -> string -> 'a) -> 'a -> 'a
-(** Fold over all records in insertion order. *)
-
-val iter : t -> (string -> unit) -> unit
-
 (** {1 Raw page access (fsck support)} *)
 
 val pages : t -> int list

@@ -116,7 +116,6 @@ let create ?(page_size = default_page_size) ?(checksums = true) () =
 let locked t f = Lock.with_lock t.lock f
 
 let page_size t = t.page_size
-let checksums t = t.checksums
 let page_count t = locked t (fun () -> t.n_pages)
 
 (** Total bytes occupied on the simulated disk. *)
@@ -191,25 +190,6 @@ let set_damaged t id bad =
   end
 
 let damaged t id = Atomic.get t.damage > 0 && locked t (fun () -> Hashtbl.mem t.damaged id)
-
-(** Physical read: returns a copy of the page image, verified against the
-    stored checksum. Only successful reads are counted. *)
-let read t id =
-  let data, crc =
-    locked t (fun () ->
-        check_id t id;
-        (Bytes.copy t.pages.(id), t.crcs.(id)))
-  in
-  (* The failpoint may raise (Fail) or corrupt the copy (Torn/Bitflip);
-     a corrupted copy then fails the checksum below, exactly as a bad
-     sector would. *)
-  let data = Tm_fault.Fault.apply ~site:site_read data in
-  if t.checksums && Codec.crc32 data <> crc then
-    raise (Corrupt_page { page = id; detail = "checksum mismatch on read" });
-  locked t (fun () -> t.physical_reads <- t.physical_reads + 1);
-  Tm_obs.Obs.incr c_reads;
-  Tm_obs.Obs.add c_read_bytes t.page_size;
-  data
 
 (** Physical write: stores a copy of [data] (padded/truncated to page
     size). The stored checksum is always that of the {e intended} image:
@@ -316,19 +296,26 @@ let version_at t ~epoch id =
     | None -> raise (Corrupt_page { page = id; detail = "no page version at pinned epoch" })
 [@@analyze.no_failpoint "a lookup: [read_at] applies the read failpoint to what it returns"]
 
-(** Snapshot read: the newest image of [id] whose epoch is [<= epoch].
-    Raises {!Corrupt_page} if no version covers the requested epoch (a
-    pin taken before the versions were pruned away — callers must hold
-    a registered pin, see {!pin}). *)
+(** Snapshot read: a verified copy of the newest image of [id] whose
+    epoch is [<= epoch]. Only successful reads are counted. Raises
+    {!Corrupt_page} if no version covers the requested epoch (a pin
+    taken before the versions were pruned away — callers must hold a
+    registered pin, see {!pin}). *)
 let read_at t ~epoch id =
   let image, crc = locked t (fun () -> version_at t ~epoch id) in
+  (* The failpoint may raise (Fail) or corrupt the copy (Torn/Bitflip);
+     a corrupted copy then fails the checksum below, exactly as a bad
+     sector would. *)
   let data = Tm_fault.Fault.apply ~site:site_read (Bytes.copy image) in
   if t.checksums && Codec.crc32 data <> crc then
-    raise (Corrupt_page { page = id; detail = "checksum mismatch on snapshot read" });
+    raise (Corrupt_page { page = id; detail = "checksum mismatch on read" });
   locked t (fun () -> t.physical_reads <- t.physical_reads + 1);
   Tm_obs.Obs.incr c_reads;
   Tm_obs.Obs.add c_read_bytes t.page_size;
   data
+
+(* Physical read of the current image: no version is newer. *)
+let read t id = read_at t ~epoch:max_int id
 
 (* The image [read_at] would copy: the bytes of a buffer-pool hit. *)
 let image t ~epoch id = fst (locked t (fun () -> version_at t ~epoch id))

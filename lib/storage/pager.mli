@@ -23,9 +23,6 @@ val create : ?page_size:int -> ?checksums:bool -> unit -> t
 
 val page_size : t -> int
 
-val checksums : t -> bool
-(** Whether this pager maintains per-page checksums. *)
-
 val page_count : t -> int
 
 val size_bytes : t -> int
@@ -35,8 +32,9 @@ val alloc : t -> int
 (** Allocate a fresh zeroed page; returns its id. *)
 
 val read : t -> int -> bytes
-(** Physical read (counted on success); returns a copy of the page
-    image, verified against the stored checksum.
+(** Physical read of the current image: [read_at ~epoch:max_int].
+    Counted on success; returns a copy of the page image, verified
+    against the stored checksum.
     @raise Corrupt_page on an unallocated page id or checksum mismatch.
     @raise Tm_fault.Fault.Io_error when the [pager.read] failpoint
     fires with the [Fail] action. *)

@@ -21,6 +21,10 @@
       crc     u32                       CRC32 over kind + payload
     v}
 
+    The frame writer ({!add_frame}) and reader ({!read_frames}) take the
+    magic as an argument: the flight recorder's post-mortem dumps
+    ({!Blackbox}, magic ["FB"]) are framed by the same code.
+
     Recovery ({!scan}) walks frames from the start and stops at the
     first damaged one — bad magic, unknown kind, implausible length,
     CRC mismatch, or truncation. Everything after the last [Commit] (or
@@ -58,17 +62,9 @@ type frame =
   | Commit of int  (** transaction id *)
   | Checkpoint of int  (** last transaction id folded into the snapshot *)
 
-type t = { path : string; fd : Unix.file_descr; mutable appended : int }
+type t = Unix.file_descr (* the log, opened for appending *)
 
 let magic = "WF"
-
-exception Damaged of { offset : int; detail : string }
-
-let () =
-  Printexc.register_printer (function
-    | Damaged { offset; detail } ->
-      Some (Printf.sprintf "Wal.Damaged(offset %d: %s)" offset detail)
-    | _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Frame codec                                                         *)
@@ -132,15 +128,48 @@ let frame_crc kind payload =
     (Codec.crc32_string (String.make 1 kind))
     (Bytes.unsafe_of_string payload) 0 (String.length payload)
 
-let encode_frame frame =
-  let kind, payload = encode_payload frame in
-  let buf = Buffer.create (String.length payload + 16) in
+let add_frame buf ~magic kind payload =
   Buffer.add_string buf magic;
   Buffer.add_char buf kind;
   Codec.add_u32 buf (String.length payload);
   Buffer.add_string buf payload;
-  Codec.add_u32 buf (frame_crc kind payload);
+  Codec.add_u32 buf (frame_crc kind payload)
+
+let encode_frame frame =
+  let kind, payload = encode_payload frame in
+  let buf = Buffer.create (String.length payload + 16) in
+  add_frame buf ~magic kind payload;
   Buffer.contents buf
+
+type walk = {
+  intact : (char * string * int) list;
+  stop : int;
+  damage : string option;
+}
+
+let header_len = 2 (* magic *) + 1 (* kind *) + 4 (* u32 len *)
+
+(* Stop at the first frame that is cut short, carries another magic or
+   fails its CRC; every bound is checked before a read, so no input
+   raises. *)
+let read_frames ~magic s =
+  let total = String.length s in
+  let rec go pos acc =
+    let stop damage = { intact = List.rev acc; stop = pos; damage } in
+    if pos = total then stop None
+    else if pos + header_len > total then stop (Some "truncated frame header")
+    else if not (String.equal (String.sub s pos 2) magic) then stop (Some "bad frame magic")
+    else
+      let kind = s.[pos + 2] in
+      let len, body = Codec.read_u32 s (pos + 3) in
+      if body + len + 4 > total then stop (Some "truncated frame body")
+      else
+        let payload = String.sub s body len in
+        let crc, fin = Codec.read_u32 s (body + len) in
+        if crc <> frame_crc kind payload then stop (Some "frame CRC mismatch")
+        else go fin ((kind, payload, fin) :: acc)
+  in
+  go 0 []
 
 (* ------------------------------------------------------------------ *)
 (* Appending                                                           *)
@@ -152,20 +181,14 @@ let openfile path flags = Unix.openfile path flags 0o644
 let create path =
   (* O_APPEND even for a fresh log: [reset] can then ftruncate and keep
      appending through the same descriptor without repositioning. *)
-  let fd =
-    openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_APPEND; Unix.O_CLOEXEC ]
-  in
-  { path; fd; appended = 0 }
+  openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_APPEND; Unix.O_CLOEXEC ]
 [@@analyze.fd_ok "the descriptor is the handle: it lives in t until close"]
 
 let open_append path =
-  let fd = openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND; Unix.O_CLOEXEC ] in
-  { path; fd; appended = 0 }
+  openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND; Unix.O_CLOEXEC ]
 [@@analyze.fd_ok "the descriptor is the handle: it lives in t until close"]
 
-let path t = t.path
-let appended t = t.appended
-let size_bytes t = (Unix.fstat t.fd).Unix.st_size
+let size_bytes t = (Unix.fstat t).Unix.st_size
 
 let write_all fd bytes =
   let len = Bytes.length bytes in
@@ -196,8 +219,7 @@ let append t frame =
     with_retry (fun () ->
         Tm_fault.Fault.apply ~site:site_append (Bytes.of_string (encode_frame frame)))
   in
-  write_all t.fd encoded;
-  t.appended <- t.appended + 1;
+  write_all t encoded;
   Tm_obs.Obs.incr c_appends;
   Tm_obs.Obs.add c_append_bytes (Bytes.length encoded);
   let kind =
@@ -220,11 +242,11 @@ let append t frame =
 let sync t =
   with_retry (fun () ->
       Tm_fault.Fault.guard site_fsync;
-      Unix.fsync t.fd);
+      Unix.fsync t);
   Tm_obs.Obs.incr c_syncs;
   Tm_obs.Flight.emit Tm_obs.Flight.Wal_fsync 0 0 ""
 
-let close t = Unix.close t.fd
+let close t = Unix.close t
 
 (* ------------------------------------------------------------------ *)
 (* Scanning (recovery)                                                 *)
@@ -240,8 +262,6 @@ type scanned = {
   damaged : bool;  (** the scan stopped before the end of the file *)
 }
 
-let header_len = 2 (* magic *) + 1 (* kind *) + 4 (* u32 len *)
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -254,44 +274,8 @@ let read_file path =
     mid-replay by a fault leg). *)
 let scan path =
   let contents = if Sys.file_exists path then read_file path else "" in
-  let total = String.length contents in
-  let is_kind c =
-    match c with 'B' | 'O' | 'P' | 'C' | 'K' -> true | _ -> false
-  in
-  let rec go pos frames committed committed_bytes =
-    if pos + header_len > total then finish pos frames committed committed_bytes (pos < total)
-    else if not (String.equal (String.sub contents pos 2) magic) then
-      finish pos frames committed committed_bytes true
-    else begin
-      let kind = contents.[pos + 2] in
-      if not (is_kind kind) then finish pos frames committed committed_bytes true
-      else begin
-        let len, body = Codec.read_u32 contents (pos + 3) in
-        if len < 0 || body + len + 4 > total then
-          finish pos frames committed committed_bytes true
-        else begin
-          let payload = String.sub contents body len in
-          let crc, fin = Codec.read_u32 contents (body + len) in
-          if crc <> frame_crc kind payload then finish pos frames committed committed_bytes true
-          else begin
-            match decode_payload kind payload with
-            | exception (Invalid_argument _ | Failure _) ->
-              finish pos frames committed committed_bytes true
-            | frame ->
-              Tm_fault.Fault.guard site_replay;
-              Tm_obs.Obs.incr c_replayed;
-              let committed, committed_bytes =
-                match frame with
-                | Commit txn -> (txn :: committed, fin)
-                | Checkpoint _ -> (committed, fin)
-                | Begin _ | Op _ | Page _ -> (committed, committed_bytes)
-              in
-              go fin (frame :: frames) committed committed_bytes
-          end
-        end
-      end
-    end
-  and finish pos frames committed committed_bytes damaged =
+  let walk = read_frames ~magic contents in
+  let finish pos frames committed committed_bytes damaged =
     {
       frames = List.rev frames;
       committed = List.rev committed;
@@ -300,7 +284,24 @@ let scan path =
       damaged;
     }
   in
-  go 0 [] [] 0
+  let rec go pos frames committed committed_bytes = function
+    | [] -> finish pos frames committed committed_bytes (Option.is_some walk.damage)
+    | (kind, payload, fin) :: rest -> (
+      match decode_payload kind payload with
+      | exception (Invalid_argument _ | Failure _) ->
+        finish pos frames committed committed_bytes true
+      | frame ->
+        Tm_fault.Fault.guard site_replay;
+        Tm_obs.Obs.incr c_replayed;
+        let committed, committed_bytes =
+          match frame with
+          | Commit txn -> (txn :: committed, fin)
+          | Checkpoint _ -> (committed, fin)
+          | Begin _ | Op _ | Page _ -> (committed, committed_bytes)
+        in
+        go fin (frame :: frames) committed committed_bytes rest)
+  in
+  go 0 [] [] 0 walk.intact
 
 (** Truncate the file to [len] bytes — discarding a damaged tail and
     any partially-logged transactions after {!scan}. *)
@@ -313,9 +314,8 @@ let truncate path len =
 
 (** Close, truncate to empty and reopen — the checkpoint reset. *)
 let reset t =
-  Unix.ftruncate t.fd 0;
+  Unix.ftruncate t 0;
   (* O_APPEND handles positioning for appends; creation-mode handles
-     start at 0 already. Reset the frame counter for status output. *)
-  t.appended <- 0;
+     start at 0 already. *)
   Tm_obs.Obs.incr c_truncations;
   Tm_obs.Flight.emit Tm_obs.Flight.Wal_truncate 0 0 ""

@@ -24,20 +24,11 @@ type frame =
 type t
 (** An open log handle (append side). *)
 
-exception Damaged of { offset : int; detail : string }
-(** Raised by consumers that require an undamaged log; {!scan} itself
-    never raises it (damage is reported in {!scanned.damaged}). *)
-
 val create : string -> t
 (** Create (or truncate) the log file and open it for appending. *)
 
 val open_append : string -> t
 (** Open an existing log (created if missing) for appending. *)
-
-val path : t -> string
-
-val appended : t -> int
-(** Frames appended through this handle since open/{!reset}. *)
 
 val size_bytes : t -> int
 (** Current file size. *)
@@ -60,6 +51,30 @@ val reset : t -> unit
 val encode_frame : frame -> string
 (** The exact bytes {!append} writes — exposed for frame-boundary crash
     matrices in tests. *)
+
+(** {1 Frame codec}
+
+    The framing of {!append} and {!scan}, under a caller's two-byte
+    magic; the flight recorder's post-mortem dumps ({!Blackbox}) use it
+    with ["FB"]. *)
+
+val add_frame : Buffer.t -> magic:string -> char -> string -> unit
+(** [add_frame buf ~magic kind payload] appends one frame: [magic],
+    [kind], u32 payload length, [payload], CRC32 over kind and
+    payload. *)
+
+type walk = {
+  intact : (char * string * int) list;
+      (** kind, payload and the offset just past each intact frame, in
+          order *)
+  stop : int;  (** offset just past the last intact frame *)
+  damage : string option;  (** why the walk stopped before the end of the input *)
+}
+
+val read_frames : magic:string -> string -> walk
+(** Walk frames from offset 0 up to the first damaged one: a truncated
+    header or body, another magic, or a CRC mismatch. Kinds are not
+    checked. Never raises. *)
 
 type scanned = {
   frames : frame list;  (** every frame of the valid prefix, in file order *)

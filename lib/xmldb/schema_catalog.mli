@@ -11,7 +11,6 @@ type entry = {
 
 type t
 
-val create : unit -> t
 val record : t -> Shred.node_info -> unit
 
 val unrecord : t -> Shred.node_info -> unit

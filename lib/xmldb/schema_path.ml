@@ -14,8 +14,6 @@ let length (p : t) = Array.length p
 let of_list = Array.of_list
 let to_list = Array.to_list
 
-let append (p : t) tag : t = Array.append p [| tag |]
-
 let equal (a : t) (b : t) = Array.length a = Array.length b && Array.for_all2 Int.equal a b
 
 (** Tags from the leaf end upward: [reverse [|b;u;a;f|] = [|f;a;u;b|]]. *)

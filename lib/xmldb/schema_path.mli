@@ -9,7 +9,6 @@ val empty : t
 val length : t -> int
 val of_list : int list -> t
 val to_list : t -> int list
-val append : t -> int -> t
 val equal : t -> t -> bool
 val reverse : t -> t
 

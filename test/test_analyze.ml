@@ -4,7 +4,8 @@
    tree must come back with zero findings — mirroring test_check.ml's
    injected-corruption style, with source-level violations in place of
    page-level ones. Every fixture but bad_no_mli.ml has an interface,
-   so mli-coverage fires on that one alone.
+   so mli-coverage fires on that one alone, and callers.ml names every
+   export but one, so unused-export does too.
 
    The fixture libraries are linked into this executable, so dune has
    built their .cmt files (the analyzer's input) before the test runs;
@@ -116,8 +117,14 @@ let test_catch_all () = assert_detects ~pass:"catch-all" ~file:"bad_catch_all.ml
 let test_mli_coverage () =
   assert_detects ~pass:"mli-coverage" ~file:"bad_no_mli.ml" ~lines:[ 1 ] ()
 
+let test_unused_export () =
+  (* [called] has a caller in callers.ml; [uncalled], line 2, has none *)
+  assert_detects ~pass:"unused-export" ~file:"bad_unused_export.mli" ~lines:[ 2 ] ();
+  check Alcotest.int "one finding" 1
+    (List.length (in_pass "unused-export" (Lazy.force bad_findings)))
+
 let test_all_passes_fire () =
-  check Alcotest.int "pass count" 9 (List.length Analyze.pass_ids);
+  check Alcotest.int "pass count" 10 (List.length Analyze.pass_ids);
   let fs = Lazy.force bad_findings in
   List.iter
     (fun pass ->
@@ -128,7 +135,7 @@ let test_all_passes_fire () =
 
 let test_clean_tree () =
   let fs, nmodules = Analyze.run ~scope_all:true [ clean_root () ] in
-  check Alcotest.int "clean fixture tree analyzed" 1 nmodules;
+  check Alcotest.int "clean fixture tree analyzed" 2 nmodules;
   match fs with
   | [] -> ()
   | _ :: _ -> Alcotest.failf "clean tree produced findings: %s" (show fs)
@@ -146,7 +153,8 @@ let suite =
         Alcotest.test_case "no-failwith detects both Failures" `Quick test_no_failwith;
         Alcotest.test_case "catch-all detects the wildcard handler" `Quick test_catch_all;
         Alcotest.test_case "mli-coverage detects the bare module" `Quick test_mli_coverage;
-        Alcotest.test_case "all nine passes fire on the fixture tree" `Quick test_all_passes_fire;
+        Alcotest.test_case "unused-export detects the uncalled value" `Quick test_unused_export;
+        Alcotest.test_case "all ten passes fire on the fixture tree" `Quick test_all_passes_fire;
         Alcotest.test_case "clean tree yields zero findings" `Quick test_clean_tree;
       ] );
   ]

@@ -357,6 +357,7 @@ let test_chaos_shed_at_accept () =
    [query.begin]) that never reached [req.end]. *)
 let test_chaos_flight_dump_reconstructs_in_flight () =
   let module Flight = Tm_obs.Flight in
+  let module Blackbox = Tm_wal.Blackbox in
   Tm_obs.Obs.set_warn_handler (Some (fun _ -> ()));
   let db = mk_db () in
   let config =
@@ -430,16 +431,16 @@ let test_chaos_flight_dump_reconstructs_in_flight () =
       let live = Flight.snapshot () in
       let held_reqs = open_windows Flight.Req_begin Flight.Req_end live in
       let held_queries = open_windows Flight.Query_begin Flight.Query_end live in
-      (match Flight.dump ~reason:"chaos-kill" with
+      (match Blackbox.dump ~reason:"chaos-kill" with
       | None -> Alcotest.fail "enabled recorder with a configured path must dump"
       | Some p -> check Alcotest.string "dump path honoured" dump_file p);
       (* the storm keeps running; the post-mortem is already on disk *)
       List.iter (fun c -> ignore (Domain.join c)) clients;
-      let dump = Flight.load_dump dump_file in
-      check Alcotest.bool "every CRC frame intact" true (dump.Flight.d_damaged = None);
-      check Alcotest.string "dump reason recorded" "chaos-kill" dump.Flight.d_reason;
-      check Alcotest.int "footer count matches the frames" dump.Flight.d_total
-        (List.fold_left (fun a (_, es) -> a + List.length es) 0 dump.Flight.d_domains);
+      let dump = Blackbox.load_dump dump_file in
+      check Alcotest.bool "every CRC frame intact" true (dump.Blackbox.d_damaged = None);
+      check Alcotest.string "dump reason recorded" "chaos-kill" dump.Blackbox.d_reason;
+      check Alcotest.int "footer count matches the frames" dump.Blackbox.d_total
+        (List.fold_left (fun a (_, es) -> a + List.length es) 0 dump.Blackbox.d_domains);
       (* per-domain ordering: dense sequence numbers, monotone clock *)
       List.iter
         (fun (_, es) ->
@@ -454,10 +455,10 @@ let test_chaos_flight_dump_reconstructs_in_flight () =
                      (e.Flight.e_ts_ns >= pts));
                  Some (e.Flight.e_seq, e.Flight.e_ts_ns))
                None es))
-        dump.Flight.d_domains;
+        dump.Blackbox.d_domains;
       (* reconstruction: every window held open at dump time appears in
          the post-mortem with its begin marker and no end *)
-      let events = Flight.merge_events dump.Flight.d_domains in
+      let events = Flight.merge_events dump.Blackbox.d_domains in
       let has kind id =
         List.exists
           (fun (e : Flight.event) -> e.Flight.e_kind == kind && e.Flight.e_trace = id)

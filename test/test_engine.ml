@@ -224,6 +224,30 @@ let test_results_nonempty () =
       if n = 0 then Alcotest.failf "%s returned no results on the test dataset" name)
     [ "Q1x"; "Q3x"; "Q8x"; "Q10x"; "Q14x" ]
 
+(* IF+Edge answers a range path from the Index Fabric's own range scan,
+   so it makes no Edge value-index lookup for it; DG+Edge still joins
+   the DataGuide's leaves with that lookup. Equality paths cost the
+   same as before either way. *)
+let test_guide_range_lookups () =
+  let doc = Tm_datasets.Xmark_gen.generate { Tm_datasets.Xmark_gen.seed = 42; scale = 0.05 } in
+  let db = Database.create ~strategies:Database.[ DG_edge; IF_edge ] doc in
+  List.iter
+    (fun (xpath, s, rows, lookups) ->
+      let twig = Tm_query.Xpath_parser.parse xpath in
+      let r = Executor.run ~hint:(Tm_plan.Hint.Force s) db twig in
+      let label = Printf.sprintf "%s under %s" xpath (Database.strategy_name s) in
+      Alcotest.(check (list int)) label (Tm_query.Naive.query doc twig) r.Executor.ids;
+      Alcotest.(check int) (label ^ ": rows") rows (List.length r.Executor.ids);
+      Alcotest.(check int) (label ^ ": index lookups") lookups
+        r.Executor.stats.Tm_exec.Stats.index_lookups)
+    Database.
+      [
+        ("/site/regions//item[quantity >= '2']/name", IF_edge, 32, 186);
+        ("/site/regions//item[quantity >= '2']/name", DG_edge, 32, 219);
+        ("/site/regions//item[quantity = '2']/name", IF_edge, 10, 164);
+        ("/site/regions//item[quantity = '2']/name", DG_edge, 10, 175);
+      ]
+
 let workload_cases =
   List.map
     (fun (q : Tm_datasets.Workload.query) ->
@@ -262,5 +286,7 @@ let () =
         [
           Alcotest.test_case "headline results nonempty" `Quick test_results_nonempty;
           Alcotest.test_case "tiny buffer pool (eviction stress)" `Slow test_tiny_buffer_pool;
+          Alcotest.test_case "IF+Edge range paths skip the value index" `Quick
+            test_guide_range_lookups;
         ] );
     ]

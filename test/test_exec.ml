@@ -11,12 +11,10 @@ let rel cols rows = Relation.create (Array.of_list cols) (List.map Array.of_list
 
 let rows_sorted r = List.sort compare (List.map Array.to_list r.Relation.rows)
 
-let test_project_distinct () =
+let test_distinct_columns () =
   let r = rel [ 1; 2; 3 ] [ [ 10; 20; 30 ]; [ 10; 21; 30 ]; [ 10; 20; 30 ] ] in
-  let p = Relation.project r [ 1; 3 ] in
-  check Alcotest.(list (list int)) "projection" [ [ 10; 30 ]; [ 10; 30 ]; [ 10; 30 ] ]
-    (List.map Array.to_list p.Relation.rows);
-  check Alcotest.int "distinct" 1 (Relation.cardinality (Relation.distinct p));
+  check Alcotest.(list (list int)) "distinct" [ [ 10; 20; 30 ]; [ 10; 21; 30 ] ]
+    (rows_sorted (Relation.distinct r));
   check Alcotest.(list int) "column values" [ 20; 21 ] (Relation.column_values r 2)
 
 let test_hash_join_basic () =
@@ -139,7 +137,7 @@ let suite =
   [
     ( "relation",
       [
-        Alcotest.test_case "project/distinct/columns" `Quick test_project_distinct;
+        Alcotest.test_case "distinct/columns" `Quick test_distinct_columns;
         Alcotest.test_case "hash join" `Quick test_hash_join_basic;
         Alcotest.test_case "merge = hash" `Quick test_merge_join_equals_hash;
         Alcotest.test_case "multi-column join" `Quick test_join_on_multiple_columns;

@@ -3,6 +3,7 @@
    tolerance, and the Chrome export shape. *)
 
 module Flight = Tm_obs.Flight
+module Blackbox = Tm_wal.Blackbox
 module Obs = Tm_obs.Obs
 module Export = Tm_obs.Export
 
@@ -149,7 +150,9 @@ let test_kind_codes_roundtrip () =
         (Flight.kind_of_code (Flight.kind_code k) == k))
     (Array.init 37 Flight.kind_of_code);
   check Alcotest.bool "unknown future code decodes to Unknown" true
-    (Flight.kind_of_code 200 = Flight.Unknown)
+    (Flight.kind_of_code 200 = Flight.Unknown);
+  check Alcotest.bool "retired semaphore codes decode to Unknown" true
+    (Flight.kind_of_code 24 = Flight.Unknown && Flight.kind_of_code 25 = Flight.Unknown)
 
 (* ------------------------------------------------------------------ *)
 (* Post-mortem dumps                                                   *)
@@ -165,15 +168,15 @@ let test_dump_roundtrip () =
   Flight.emit Flight.Breaker_open 5 0 "io-error";
   let path = temp_dump () in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  Flight.dump_to ~path ~reason:"unit-test";
-  let d = Flight.load_dump path in
-  check Alcotest.int "version" 1 d.Flight.d_version;
-  check Alcotest.int "pid" (Unix.getpid ()) d.Flight.d_pid;
-  check Alcotest.string "reason" "unit-test" d.Flight.d_reason;
-  check Alcotest.bool "footer intact" true (d.Flight.d_damaged = None);
-  check Alcotest.int "footer counts every event" 3 d.Flight.d_total;
+  Blackbox.dump_to ~path ~reason:"unit-test";
+  let d = Blackbox.load_dump path in
+  check Alcotest.int "version" 2 d.Blackbox.d_version;
+  check Alcotest.int "pid" (Unix.getpid ()) d.Blackbox.d_pid;
+  check Alcotest.string "reason" "unit-test" d.Blackbox.d_reason;
+  check Alcotest.bool "footer intact" true (d.Blackbox.d_damaged = None);
+  check Alcotest.int "footer counts every event" 3 d.Blackbox.d_total;
   let live = Flight.snapshot () in
-  let dumped = Flight.merge_events d.Flight.d_domains in
+  let dumped = Flight.merge_events d.Blackbox.d_domains in
   check Alcotest.int "all events round-trip" (List.length live) (List.length dumped);
   List.iter2
     (fun (l : Flight.event) (r : Flight.event) ->
@@ -208,18 +211,18 @@ let test_dump_damage () =
   done;
   let path = temp_dump () in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  Flight.dump_to ~path ~reason:"to-be-damaged";
+  Blackbox.dump_to ~path ~reason:"to-be-damaged";
   let raw = read_file path in
   (* flip one byte near the end: inside the domain frame or the footer *)
   let damaged = Bytes.of_string raw in
   let pos = Bytes.length damaged - 6 in
   Bytes.set damaged pos (Char.chr (Char.code (Bytes.get damaged pos) lxor 0xff));
   write_file path (Bytes.to_string damaged);
-  let d = Flight.load_dump path in
-  check Alcotest.bool "damage detected" true (d.Flight.d_damaged <> None);
-  check Alcotest.string "header survives" "to-be-damaged" d.Flight.d_reason;
+  let d = Blackbox.load_dump path in
+  check Alcotest.bool "damage detected" true (d.Blackbox.d_damaged <> None);
+  check Alcotest.string "header survives" "to-be-damaged" d.Blackbox.d_reason;
   (* truncation to garbage headers refuses to parse *)
-  (match Flight.parse_dump "XY not a dump" with
+  (match Blackbox.parse_dump "XY not a dump" with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "headerless blob accepted");
   (* an empty reason for concern: CRC catches a single flipped payload
@@ -228,8 +231,8 @@ let test_dump_damage () =
   let mpos = (Bytes.length mid / 2) + 7 in
   Bytes.set mid mpos (Char.chr (Char.code (Bytes.get mid mpos) lxor 0x01));
   write_file path (Bytes.to_string mid);
-  match Flight.load_dump path with
-  | d -> check Alcotest.bool "mid-file flip flagged" true (d.Flight.d_damaged <> None)
+  match Blackbox.load_dump path with
+  | d -> check Alcotest.bool "mid-file flip flagged" true (d.Blackbox.d_damaged <> None)
   | exception Failure _ -> () (* flipped inside the header frame: also caught *)
 
 (* Writers keep emitting on their own domains while the main domain
@@ -255,15 +258,15 @@ let test_concurrent_dump_consistency () =
   let dumps =
     List.init 10 (fun i ->
         ignore (Flight.snapshot ());
-        Flight.dump_to ~path ~reason:(Printf.sprintf "storm-%d" i);
-        Flight.load_dump path)
+        Blackbox.dump_to ~path ~reason:(Printf.sprintf "storm-%d" i);
+        Blackbox.load_dump path)
   in
   Atomic.set stop true;
   let written = List.fold_left ( + ) 0 (List.map Domain.join writers) in
   check Alcotest.bool "writers made progress" true (written > 0);
   List.iter
     (fun d ->
-      check Alcotest.bool "no damage under concurrency" true (d.Flight.d_damaged = None);
+      check Alcotest.bool "no damage under concurrency" true (d.Blackbox.d_damaged = None);
       List.iter
         (fun (_dom, events) ->
           ignore
@@ -277,7 +280,7 @@ let test_concurrent_dump_consistency () =
                      (pts <= e.Flight.e_ts_ns));
                  Some (e.Flight.e_seq, e.Flight.e_ts_ns))
                None events))
-        d.Flight.d_domains)
+        d.Blackbox.d_domains)
     dumps
 
 let test_automatic_dump_trigger () =
@@ -290,25 +293,25 @@ let test_automatic_dump_trigger () =
   @@ fun () ->
   (* disabled, or no path: the trigger stays quiet *)
   Flight.set_dump_path None;
-  check Alcotest.bool "no path -> no dump" true (Flight.dump ~reason:"x" = None);
+  check Alcotest.bool "no path -> no dump" true (Blackbox.dump ~reason:"x" = None);
   Flight.with_enabled true @@ fun () ->
   Flight.set_dump_path (Some path);
   Flight.emit Flight.Poisoned 0 0 "wal: short write";
-  (match Flight.dump ~reason:"durable-poison" with
+  (match Blackbox.dump ~reason:"durable-poison" with
   | None -> Alcotest.fail "expected a dump path"
   | Some p -> check Alcotest.string "dumped to the configured path" path p);
-  let d = Flight.load_dump path in
-  check Alcotest.string "reason recorded" "durable-poison" d.Flight.d_reason;
+  let d = Blackbox.load_dump path in
+  check Alcotest.string "reason recorded" "durable-poison" d.Blackbox.d_reason;
   let kinds =
-    List.map (fun e -> e.Flight.e_kind) (Flight.merge_events d.Flight.d_domains)
+    List.map (fun e -> e.Flight.e_kind) (Flight.merge_events d.Blackbox.d_domains)
   in
   check Alcotest.bool "the trigger logs itself as a Dump event" true
     (List.mem Flight.Dump kinds);
-  match Flight.last_dump () with
+  match Blackbox.last_dump () with
   | None -> Alcotest.fail "last_dump metadata missing"
   | Some ld ->
-    check Alcotest.string "last_dump path" path ld.Flight.ld_path;
-    check Alcotest.string "last_dump reason" "durable-poison" ld.Flight.ld_reason
+    check Alcotest.string "last_dump path" path ld.Blackbox.ld_path;
+    check Alcotest.string "last_dump reason" "durable-poison" ld.Blackbox.ld_reason
 
 (* ------------------------------------------------------------------ *)
 (* Exports                                                             *)

@@ -423,7 +423,7 @@ let test_debug_last_dump_endpoint () =
       Flight.clear ();
       Flight.emit Flight.Wal_fsync 0 0 "";
       Flight.set_dump_path (Some path);
-      match Flight.dump ~reason:"test-trigger" with
+      match Tm_wal.Blackbox.dump ~reason:"test-trigger" with
       | None -> Alcotest.fail "configured dump path should produce a dump"
       | Some p -> check Alcotest.string "dump landed on the configured path" path p);
   let r = Server.handle db ~meth:"GET" ~target:"/debug/last-dump" in

@@ -1,11 +1,22 @@
 (* Tests for the storage substrate: codecs, pager, buffer pool, B+-tree,
    heap file. The B+-tree is checked against a reference model (sorted
-   association list) with qcheck-generated workloads. *)
+   association list) with qcheck-generated workloads, and its pages
+   with fsck's tree walk. *)
 
 open Tm_storage
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
+
+(* fsck's structural walk of a B+-tree (key order against separators,
+   leaf chain, uniform depth, front-coding round trip, recorded entry
+   count); fails on any violation, else returns the entry count. *)
+let check_tree t =
+  match Tm_check.Check.check_tree t with
+  | [] -> Bptree.entry_count t
+  | vs ->
+    Alcotest.failf "tree violations: %s"
+      (String.concat "; " (List.map (fun v -> v.Tm_check.Check.detail) vs))
 
 (* ------------------------------------------------------------------ *)
 (* Codec                                                               *)
@@ -440,7 +451,7 @@ let test_bptree_empty () =
   let t = Bptree.create ~name:"t" (make_pool ()) in
   check Alcotest.(list string) "lookup on empty" [] (Bptree.lookup_all t "x");
   check Alcotest.int "count" 0 (Bptree.entry_count t);
-  check Alcotest.int "invariants" 0 (Bptree.check_invariants t)
+  check Alcotest.int "invariants" 0 (check_tree t)
 
 let test_bptree_basic () =
   let t = Bptree.create ~name:"t" (make_pool ()) in
@@ -470,7 +481,7 @@ let test_bptree_many_inserts_with_splits () =
     let j = 7 * i mod n in
     Bptree.insert t (Printf.sprintf "key%06d" j) (string_of_int j)
   done;
-  check Alcotest.int "entries" n (Bptree.check_invariants t);
+  check Alcotest.int "entries" n (check_tree t);
   if Bptree.height t < 3 then Alcotest.failf "expected splits, height=%d" (Bptree.height t);
   for i = 0 to n - 1 do
     let got = Bptree.lookup_all t (Printf.sprintf "key%06d" i) in
@@ -501,7 +512,7 @@ let test_bptree_bulk_load () =
   let n = 5000 in
   let entries = List.init n (fun i -> (Printf.sprintf "key%06d" i, string_of_int i)) in
   let t = Bptree.bulk_load ~name:"bulk" (make_pool ~page_size:512 ()) entries in
-  check Alcotest.int "entries" n (Bptree.check_invariants t);
+  check Alcotest.int "entries" n (check_tree t);
   check Alcotest.(list string) "lookup mid" [ "2500" ] (Bptree.lookup_all t "key002500");
   check Alcotest.(list string) "lookup first" [ "0" ] (Bptree.lookup_all t "key000000");
   check Alcotest.(list string) "lookup last" [ "4999" ] (Bptree.lookup_all t "key004999");
@@ -545,7 +556,7 @@ let test_bptree_delete_basic () =
   check Alcotest.bool "delete missing payload" false (Bptree.delete t "b" "2");
   check Alcotest.bool "delete missing key" false (Bptree.delete t "zz" "x");
   check Alcotest.int "count" 2 (Bptree.entry_count t);
-  check Alcotest.int "invariants" 2 (Bptree.check_invariants t)
+  check Alcotest.int "invariants" 2 (check_tree t)
 
 let test_bptree_delete_across_leaves () =
   (* duplicates spanning leaf boundaries must all be reachable *)
@@ -558,7 +569,7 @@ let test_bptree_delete_across_leaves () =
       Alcotest.failf "failed to delete dup %04d" i
   done;
   check Alcotest.(list string) "all gone" [] (Bptree.lookup_all t "dup");
-  check Alcotest.int "empty" 0 (Bptree.check_invariants t)
+  check Alcotest.int "empty" 0 (check_tree t)
 
 let test_bptree_delete_then_insert () =
   let t = Bptree.create ~name:"t" (make_pool ~page_size:256 ()) in
@@ -571,7 +582,7 @@ let test_bptree_delete_then_insert () =
   for i = 0 to 500 do
     if i mod 4 = 0 then Bptree.insert t (Printf.sprintf "k%04d" i) "w"
   done;
-  ignore (Bptree.check_invariants t);
+  ignore (check_tree t);
   check Alcotest.(list string) "odd kept" [ "v" ] (Bptree.lookup_all t "k0001");
   check Alcotest.(list string) "reinserted" [ "w" ] (Bptree.lookup_all t "k0004");
   check Alcotest.(list string) "deleted" [] (Bptree.lookup_all t "k0002")
@@ -597,7 +608,7 @@ let test_bptree_abort_evicts_decode_cache () =
   check Alcotest.(list string) "rolled-back key not served after abort" []
     (Bptree.lookup_all t "c");
   check Alcotest.(list string) "pre-transaction keys intact" [ "1" ] (Bptree.lookup_all t "a");
-  ignore (Bptree.check_invariants t)
+  ignore (check_tree t)
 
 let decodes = Tm_obs.Obs.counter "bptree.node_decodes"
 
@@ -678,7 +689,7 @@ let test_bptree_txn_shares_cache () =
   in
   check Alcotest.(list string) "a new reader sees the commit" [ "new" ] seen;
   check Alcotest.int "a new reader decodes nothing" 0 n;
-  ignore (Bptree.check_invariants t)
+  ignore (check_tree t)
 
 (* Writes outside a transaction reach the pager at once, so nothing has
    to be flushed before one begins: a reader pinned before the
@@ -819,7 +830,7 @@ let prop_bptree_delete_model =
             model := (k, v) :: !model
           end)
         ops;
-      ignore (Bptree.check_invariants t);
+      ignore (check_tree t);
       List.sort compare (Bptree.to_list t) = List.sort compare !model)
 
 (* Model-based qcheck test: B+-tree vs sorted association list. *)
@@ -835,7 +846,7 @@ let prop_bptree_model =
   QCheck.Test.make ~name:"bptree agrees with model" ~count:60 gen (fun ops ->
       let t = Bptree.create ~name:"model" (make_pool ~page_size:256 ()) in
       List.iter (fun (k, v) -> Bptree.insert t k v) ops;
-      ignore (Bptree.check_invariants t);
+      ignore (check_tree t);
       let model = List.sort compare ops in
       (* duplicate payload order across leaves is unspecified: compare
          as sorted multisets *)
@@ -877,7 +888,7 @@ let prop_bulk_load_equals_inserts =
       let bulk = Bptree.bulk_load ~name:"b" (make_pool ~page_size:256 ()) sorted in
       let ins = Bptree.create ~name:"i" (make_pool ~page_size:256 ()) in
       List.iter (fun (k, v) -> Bptree.insert ins k v) ops;
-      ignore (Bptree.check_invariants bulk);
+      ignore (check_tree bulk);
       List.sort compare (Bptree.to_list bulk) = List.sort compare (Bptree.to_list ins))
 
 (* ------------------------------------------------------------------ *)
@@ -888,12 +899,16 @@ let test_heap_file_roundtrip () =
   let hf = Heap_file.create ~name:"h" (make_pool ~page_size:128 ()) in
   let records = List.init 50 (fun i -> Printf.sprintf "record-%d" i) in
   let rids = List.map (Heap_file.append hf) records in
+  let page_records page =
+    match Heap_file.records_of_page hf page with Ok rs -> rs | Error m -> Alcotest.fail m
+  in
   List.iter2
-    (fun r rid -> check Alcotest.string "get" r (Heap_file.get hf rid))
+    (fun r (rid : Heap_file.rid) ->
+      check Alcotest.string "record at its rid" r (page_records rid.page).(rid.slot))
     records rids;
   check Alcotest.int "count" 50 (Heap_file.record_count hf);
-  check Alcotest.(list string) "fold order" records
-    (List.rev (Heap_file.fold hf (fun acc r -> r :: acc) []));
+  check Alcotest.(list string) "pages in insertion order" records
+    (List.concat_map (fun p -> Array.to_list (page_records p)) (Heap_file.pages hf));
   if Heap_file.page_count hf < 2 then Alcotest.fail "expected multiple pages"
 
 let test_heap_file_large_record_rejected () =

@@ -1,7 +1,8 @@
-(* Tests for the durable write path: WAL frame codec, damaged-log
-   scanning, logged transactions with crash recovery (a kill matrix at
-   every frame boundary and mid-frame), group commit, checkpointing,
-   and failpoint-driven commit poisoning. *)
+(* Tests for the durable write path: the WAL frame codec (its writer
+   and reader are shared with flight dumps), damaged-log scanning,
+   logged transactions with crash recovery (a kill matrix at every
+   frame boundary and mid-frame), group commit, checkpointing, and
+   failpoint-driven commit poisoning. *)
 
 open Twigmatch
 module T = Tm_xml.Xml_tree
@@ -89,6 +90,68 @@ let assert_fsck_clean label db =
   let report = Check.check_database db in
   if not (Check.is_clean report) then
     Alcotest.failf "%s: fsck found violations:\n%s" label (Check.report_to_string report)
+
+(* ---------- the shared frame codec (WAL and flight dumps) ---------- *)
+
+(* A magic, 1-12 (kind, payload) frames, and a number that picks a cut
+   offset or a bit to flip. *)
+let arb_framed =
+  let frame = QCheck.Gen.(pair char (string_size ~gen:char (int_bound 40))) in
+  QCheck.make
+    ~print:(fun (magic, frames, n) ->
+      Printf.sprintf "%s %d: %s" magic n
+        (String.concat "; " (List.map (fun (k, p) -> Printf.sprintf "%C %S" k p) frames)))
+    QCheck.Gen.(
+      triple (oneofl [ "WF"; "FB" ]) (list_size (int_range 1 12) frame) (int_bound 1_000_000))
+
+(* The frames written under [magic], each paired with the offset just
+   past it. *)
+let write_framed magic frames =
+  let buf = Buffer.create 256 in
+  let ends =
+    List.map
+      (fun (kind, payload) ->
+        Wal.add_frame buf ~magic kind payload;
+        Buffer.length buf)
+      frames
+  in
+  (Buffer.contents buf, List.combine frames ends)
+
+let read_back (w : Wal.walk) = List.map (fun (k, p, _) -> (k, p)) w.Wal.intact
+let ending_by k framed = List.filter_map (fun (f, e) -> if e <= k then Some f else None) framed
+
+let prop_frames_roundtrip =
+  QCheck.Test.make ~name:"frames read back in order" ~count:300 arb_framed
+    (fun (magic, frames, _) ->
+      let s, framed = write_framed magic frames in
+      let w = Wal.read_frames ~magic s in
+      read_back w = frames
+      && List.map (fun (_, _, fin) -> fin) w.Wal.intact = List.map snd framed
+      && w.Wal.stop = String.length s
+      && Option.is_none w.Wal.damage)
+
+(* Cut at any offset: the frames that end by the cut come back, and the
+   walk reports damage unless the cut falls on a frame boundary. *)
+let prop_frames_truncated =
+  QCheck.Test.make ~name:"a cut stops the walk at the cut frame" ~count:300 arb_framed
+    (fun (magic, frames, n) ->
+      let s, framed = write_framed magic frames in
+      let k = n mod String.length s in
+      let w = Wal.read_frames ~magic (String.sub s 0 k) in
+      read_back w = ending_by k framed
+      && Option.is_none w.Wal.damage = (k = 0 || List.exists (fun (_, e) -> e = k) framed))
+
+(* Flip any one bit: the frames before the damaged one come back, then
+   the walk stops with an error. *)
+let prop_frames_bitflip =
+  QCheck.Test.make ~name:"a flipped bit stops the walk at its frame" ~count:300 arb_framed
+    (fun (magic, frames, n) ->
+      let s, framed = write_framed magic frames in
+      let bit = n mod (8 * String.length s) in
+      let b = Bytes.of_string s in
+      Bytes.set b (bit / 8) (Char.chr (Char.code s.[bit / 8] lxor (1 lsl (bit mod 8))));
+      let w = Wal.read_frames ~magic (Bytes.to_string b) in
+      read_back w = ending_by (bit / 8) framed && Option.is_some w.Wal.damage)
 
 (* ---------- WAL frame codec and scanning ---------- *)
 
@@ -749,6 +812,9 @@ let () =
             test_torn_tail_scan_and_truncate;
           Alcotest.test_case "bitflip stops the scan" `Quick test_bitflip_stops_scan;
           Alcotest.test_case "op codec roundtrip" `Quick test_op_codec_roundtrip;
+          QCheck_alcotest.to_alcotest prop_frames_roundtrip;
+          QCheck_alcotest.to_alcotest prop_frames_truncated;
+          QCheck_alcotest.to_alcotest prop_frames_bitflip;
         ] );
       ( "durability",
         [

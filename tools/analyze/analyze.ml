@@ -1,6 +1,7 @@
-(** Typedtree static analysis: nine passes over the [.cmt] files dune
+(** Typedtree static analysis: ten passes over the [.cmt] files dune
     produces for [lib/] (the [@check] alias) — the repo's one static
-    checker.
+    checker. The [.cmt] files of the other roots it is given are read
+    only for the uses unused-export counts.
 
     The passes read the typed tree, so they can resolve identifiers
     through module aliases, see the type a comparison is used at,
@@ -52,6 +53,10 @@
     - [catch-all]: no [try ... with _ ->], including wildcard binders
       spelled [_exn]; handlers name the exceptions they swallow.
     - [mli-coverage]: every module has an interface file.
+    - [unused-export]: every [val] in an interface is named by another
+      compilation unit under any root (module aliases resolved; a
+      module used whole — a functor argument, an [include] — uses all
+      its values).
 
     Output: [path:line:col: \[pass\] message] on stdout, exit 1 on any
     finding; [--json FILE] additionally writes a SARIF-shaped report. *)
@@ -106,9 +111,9 @@ let report ~pass ~(loc : Location.t) msg =
 (* ------------------------------------------------------------------ *)
 
 (* Substring-based so they hold for "lib/...", "./lib/..." and absolute
-   paths. [--all-scopes] widens the scoped passes
-   to every analyzed file (used by the fixture tests, which live under
-   test/). *)
+   paths. [--all-scopes] widens the scoped passes, and the set of
+   analyzed modules, to every file under the roots (used by the fixture
+   tests, which live under test/). *)
 let in_dir dir file =
   let dn = String.length dir and fn = String.length file in
   let rec go i = i + dn <= fn && (String.equal (String.sub file i dn) dir || go (i + 1)) in
@@ -119,6 +124,7 @@ let all_scopes = ref false
 let typed_error_scope file =
   !all_scopes || List.exists (fun d -> in_dir d file) [ "lib/core/"; "lib/exec/"; "lib/serve/" ]
 
+let analyzed_scope file = !all_scopes || in_dir "lib/" file
 let failpoint_scope file = !all_scopes || in_dir "lib/storage/" file
 let no_failwith_scope file = !all_scopes || in_dir "lib/core/" file
 
@@ -126,15 +132,19 @@ let no_failwith_scope file = !all_scopes || in_dir "lib/core/" file
 (* Paths, keys, attributes                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* "Tm_storage__Pager" -> "Pager" (strip dune's unit-name mangling). *)
-let short_unit s =
-  let n = String.length s in
-  let rec last i found =
-    if i + 1 >= n then found
-    else if s.[i] = '_' && s.[i + 1] = '_' then last (i + 2) (Some (i + 2))
-    else last (i + 1) found
+(* "Tm_obs__Context" -> ["Tm_obs"; "Context"]: dune's unit name split
+   into its library wrapper and module. *)
+let unit_comps u =
+  let n = String.length u in
+  let rec go start i acc =
+    if i + 1 >= n then List.rev (String.sub u start (n - start) :: acc)
+    else if u.[i] = '_' && u.[i + 1] = '_' then go (i + 2) (i + 2) (String.sub u start (i - start) :: acc)
+    else go start (i + 1) acc
   in
-  match last 0 None with None -> s | Some i -> String.sub s i (n - i)
+  List.filter (fun c -> not (String.equal c "")) (go 0 0 [])
+
+(* "Tm_storage__Pager" -> "Pager" (strip dune's unit-name mangling). *)
+let short_unit s = match List.rev (unit_comps s) with c :: _ -> c | [] -> s
 
 (* Normalize a path to its last two components with unit mangling and a
    leading Stdlib stripped: "Stdlib__Mutex.lock" -> "Mutex.lock",
@@ -926,34 +936,119 @@ let rec find_cmts dir acc =
       else acc)
     acc (Sys.readdir dir)
 
+type cmt_module = {
+  m_cmt : string;  (** the [.cmt] path *)
+  m_unit : string;  (** dune's unit name, e.g. "Tm_obs__Context" *)
+  m_name : string;  (** the source module, e.g. "Context" *)
+  m_file : string;  (** the source file, as reported *)
+  m_str : Typedtree.structure;
+}
+
 let load_cmt path =
   match Cmt_format.read_cmt path with
-  | { Cmt_format.cmt_annots = Cmt_format.Implementation str; cmt_sourcefile; _ } ->
-    let modname = short_unit (Filename.remove_extension (Filename.basename path)) in
+  | { Cmt_format.cmt_annots = Cmt_format.Implementation str; cmt_sourcefile; cmt_modname; _ } ->
     let file = match cmt_sourcefile with Some f -> strip_dots f | None -> path in
-    Some (modname, file, str, Sys.file_exists (Filename.remove_extension path ^ ".cmti"))
+    Some { m_cmt = path; m_unit = cmt_modname; m_name = short_unit cmt_modname; m_file = file; m_str = str }
   | _ -> None
   | exception _ ->
     prerr_endline ("analyze: warning: cannot read " ^ path);
     None
+
+let cmti_of m = Filename.remove_extension m.m_cmt ^ ".cmti"
 
 (* dune compiles an interface next to every implementation that has
    one; its generated library alias modules ([.ml-gen]) have no source
    to cover. *)
 let pass_mli_coverage modules =
   List.iter
-    (fun (_, file, _, has_mli) ->
-      if (not has_mli) && Filename.check_suffix file ".ml" then
+    (fun m ->
+      if (not (Sys.file_exists (cmti_of m))) && Filename.check_suffix m.m_file ".ml" then
         findings :=
           {
             pass = "mli-coverage";
-            file;
+            file = m.m_file;
             line = 1;
             col = 0;
-            message = Printf.sprintf "module has no interface file (%si expected)" file;
+            message = Printf.sprintf "module has no interface file (%si expected)" m.m_file;
           }
           :: !findings)
     modules
+
+(* unused-export: a [val] in an analyzed interface that no other
+   compilation unit names. Modules are keyed by library through dune's
+   unit names ("Tm_obs__Context" and the path "Tm_obs.Context" are both
+   "Tm_obs.Context"), so two libraries' [Context]s stay apart. A unit's
+   own references are local identifiers and never count. *)
+
+(* The uses one unit makes: named values ("Tm_obs.Context.get") and
+   modules used whole — a functor argument, an [include], a packed
+   first-class module — whose every value counts as named. Module
+   aliases ([module X = …], [let module X = …]) resolve to their
+   target, so [X.f] names the target's [f]. *)
+let collect_uses ~values ~whole (str : Typedtree.structure) =
+  let aliases : (string, string list) Hashtbl.t = Hashtbl.create 8 in
+  let rec comps = function
+    | Path.Pident id -> (
+      match Hashtbl.find_opt aliases (Ident.unique_name id) with
+      | Some c -> c
+      | None -> unit_comps (Ident.name id))
+    | Path.Pdot (p, s) -> comps p @ [ s ]
+    | _ -> []
+  in
+  let rec alias_target (me : Typedtree.module_expr) =
+    match me.mod_desc with
+    | Tmod_ident (p, _) -> Some p
+    | Tmod_constraint (me, _, _, _) -> alias_target me
+    | _ -> None
+  in
+  let super = Tast_iterator.default_iterator in
+  let bind it id_opt me =
+    match (id_opt, alias_target me) with
+    | Some id, Some p -> Hashtbl.replace aliases (Ident.unique_name id) (comps p)
+    | _ -> it.Tast_iterator.module_expr it me
+  in
+  let module_binding it (mb : Typedtree.module_binding) = bind it mb.mb_id mb.mb_expr in
+  let expr it (e : Typedtree.expression) =
+    match e.exp_desc with
+    | Texp_ident (Path.Pdot _ as p, _, _) -> Hashtbl.replace values (String.concat "." (comps p)) ()
+    | Texp_letmodule (id, _, _, me, body) ->
+      bind it id me;
+      it.expr it body
+    | _ -> super.expr it e
+  in
+  let module_expr it (me : Typedtree.module_expr) =
+    (match me.mod_desc with
+    | Tmod_ident (p, _) -> Hashtbl.replace whole (String.concat "." (comps p)) ()
+    | _ -> ());
+    super.module_expr it me
+  in
+  (* [open M] brings names into scope without using any. *)
+  let open_declaration _ _ = () in
+  let it = { super with expr; module_expr; module_binding; open_declaration } in
+  it.structure it str
+
+let pass_unused_export ~analyzed ~users =
+  let values = Hashtbl.create 4096 and whole = Hashtbl.create 64 in
+  List.iter (fun m -> collect_uses ~values ~whole m.m_str) users;
+  List.iter
+    (fun m ->
+      let key = String.concat "." (unit_comps m.m_unit) in
+      match Cmt_format.read_cmt (cmti_of m) with
+      | { Cmt_format.cmt_annots = Cmt_format.Interface sg; _ } when not (Hashtbl.mem whole key) ->
+        List.iter
+          (fun (si : Typedtree.signature_item) ->
+            match si.sig_desc with
+            | Tsig_value vd when not (Hashtbl.mem values (key ^ "." ^ vd.val_name.txt)) ->
+              report ~pass:"unused-export" ~loc:vd.val_loc
+                (Printf.sprintf
+                   "`%s.%s` is exported but no other compilation unit names it; delete it \
+                    (or drop it from the interface)"
+                   m.m_name vd.val_name.txt)
+            | _ -> ())
+          sg.sig_items
+      | _ -> ()
+      | exception Sys_error _ -> () (* no interface: mli-coverage reports it *))
+    analyzed
 
 let run ?(scope_all = false) roots =
   all_scopes := scope_all;
@@ -971,11 +1066,14 @@ let run ?(scope_all = false) roots =
   Hashtbl.reset fn_direct;
   Hashtbl.reset fn_calls;
   Hashtbl.reset type_decls;
-  let cmts = List.concat_map (fun r -> find_cmts r []) roots |> List.sort String.compare in
-  let modules = List.filter_map load_cmt cmts in
+  let cmts = List.concat_map (fun r -> find_cmts r []) roots |> List.sort_uniq String.compare in
+  (* Modules outside lib/ are read for the uses unused-export counts
+     alone. *)
+  let users = List.filter_map load_cmt cmts in
+  let modules = List.filter (fun m -> analyzed_scope m.m_file) users in
   (* Phase A: two sweeps, so wrappers can resolve cross-module lock
      classes collected in the first. *)
-  List.iter (fun (modname, file, str, _) -> collect_module ~curmod:modname ~file str) modules;
+  List.iter (fun m -> collect_module ~curmod:m.m_name ~file:m.m_file m.m_str) modules;
   detect_wrappers ();
   (* Phase B: walk every toplevel binding. *)
   Hashtbl.iter
@@ -1007,8 +1105,9 @@ let run ?(scope_all = false) roots =
   pass_resource_safety ();
   pass_typed_error ();
   pass_failpoint ();
-  List.iter (fun (_, file, str, _) -> pass_source ~file str) modules;
+  List.iter (fun m -> pass_source ~file:m.m_file m.m_str) modules;
   pass_mli_coverage modules;
+  pass_unused_export ~analyzed:modules ~users;
   (List.sort_uniq finding_compare !findings, List.length modules)
 
 (* ------------------------------------------------------------------ *)
@@ -1031,7 +1130,7 @@ let json_escape s =
 
 let pass_ids =
   [ "lock-order"; "domain-safety"; "resource-safety"; "typed-error"; "failpoint"; "poly-compare";
-    "no-failwith"; "catch-all"; "mli-coverage" ]
+    "no-failwith"; "catch-all"; "mli-coverage"; "unused-export" ]
 
 let write_sarif path fs =
   let oc = open_out path in
