@@ -28,7 +28,6 @@ type code =
   | Extra_row
   | Edge_link
   | Catalog
-  | Heap_corrupt
 
 let code_name = function
   | Checksum -> "checksum"
@@ -48,7 +47,6 @@ let code_name = function
   | Extra_row -> "extra_row"
   | Edge_link -> "edge_link"
   | Catalog -> "catalog"
-  | Heap_corrupt -> "heap_corrupt"
 
 type location = { structure : string; page : int option; entry : int option; key : string option }
 type violation = { code : code; loc : location; detail : string }
@@ -223,30 +221,6 @@ let check_tree tree =
   List.rev acc.vs
 
 (* ------------------------------------------------------------------ *)
-(* Heap-file checks                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let walk_heap acc heap =
-  let structure = Heap_file.name heap in
-  let total = ref 0 in
-  let pages = Heap_file.pages heap in
-  List.iter
-    (fun page ->
-      Tm_obs.Obs.incr c_pages;
-      match Heap_file.records_of_page heap page with
-      | exception Pager.Corrupt_page { detail; _ } -> add acc Checksum ~structure ~page detail
-      | Error m -> add acc Heap_corrupt ~structure ~page m
-      | Ok records ->
-        Tm_obs.Obs.add c_entries (Array.length records);
-        total := !total + Array.length records)
-    pages;
-  Tm_obs.Obs.incr c_structures;
-  if !total <> Heap_file.record_count heap then
-    add acc Heap_corrupt ~structure
-      (Printf.sprintf "recorded %d records, pages hold %d" (Heap_file.record_count heap) !total);
-  List.length pages
-
-(* ------------------------------------------------------------------ *)
 (* Checksum pass                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -267,6 +241,47 @@ let check_pager pager =
   let acc = { vs = [] } in
   ignore (walk_pager acc pager);
   List.rev acc.vs
+
+(* ------------------------------------------------------------------ *)
+(* Semantic checks against the document                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Diff a structure's walked (page, slot, key, payload) entries against
+   the sorted (key, payload) multiset the document gives it: each row
+   only the ground truth holds is [Missing_row], each row only the walk
+   found is [Extra_row]. [describe] renders a key for the detail. *)
+let diff_rows acc ~structure ~describe expected walked =
+  let actual =
+    List.sort (fun (_, _, k1, p1) (_, _, k2, p2) -> Codec.compare_kv (k1, p1) (k2, p2)) walked
+  in
+  let missing k =
+    add acc Missing_row ~structure ~key:(printable_key k)
+      (Printf.sprintf "expected row absent (%s)" (describe k))
+  in
+  let extra page slot k =
+    add acc Extra_row ~structure ~page ~entry:slot ~key:(printable_key k)
+      (Printf.sprintf "stored row never produced by the document (%s)" (describe k))
+  in
+  let rec diff exp act =
+    match (exp, act) with
+    | [], [] -> ()
+    | (k, _) :: exp', [] ->
+      missing k;
+      diff exp' []
+    | [], (page, slot, k, _) :: act' ->
+      extra page slot k;
+      diff [] act'
+    | ((ek, ep) :: exp' as exp), ((page, slot, ak, ap) :: act' as act) -> (
+      match Codec.compare_kv (ek, ep) (ak, ap) with
+      | 0 -> diff exp' act'
+      | c when c < 0 ->
+        missing ek;
+        diff exp' act
+      | _ ->
+        extra page slot ak;
+        diff exp act')
+  in
+  diff expected actual
 
 (* ------------------------------------------------------------------ *)
 (* Index-family semantic checks                                        *)
@@ -389,10 +404,6 @@ let check_family acc fam ~dict ~catalog ~edge ~region doc =
      payload) multiset the document's 4-ary relation produces under its
      layout (ROOTPATHS = root-to-leaf prefixes, DATAPATHS = subpath
      closure, paper Section 3.2) *)
-  let expected = Family.expected_entries fam ~dict doc in
-  let actual =
-    List.sort (fun (_, _, k1, p1) (_, _, k2, p2) -> Codec.compare_kv (k1, p1) (k2, p2)) entries
-  in
   let describe key =
     match Family.decode_entry_key fam key with
     | exception Invalid_argument _ | exception Failure _ -> "undecodable key"
@@ -401,31 +412,7 @@ let check_family acc fam ~dict ~catalog ~edge ~region doc =
         (Schema_path.to_string dict schema)
         (match value with None -> "null" | Some v -> Printf.sprintf "%S" v)
   in
-  let rec diff exp act =
-    match (exp, act) with
-    | [], [] -> ()
-    | (k, p) :: exp', [] ->
-      add acc Missing_row ~structure ~key:(printable_key k)
-        (Printf.sprintf "expected row absent (%s)" (describe k));
-      ignore p;
-      diff exp' []
-    | [], (page, slot, k, _) :: act' ->
-      add acc Extra_row ~structure ~page ~entry:slot ~key:(printable_key k)
-        (Printf.sprintf "stored row never produced by the document (%s)" (describe k));
-      diff [] act'
-    | ((ek, ep) :: exp' as exp), ((page, slot, ak, ap) :: act' as act) -> (
-      match Codec.compare_kv (ek, ep) (ak, ap) with
-      | 0 -> diff exp' act'
-      | c when c < 0 ->
-        add acc Missing_row ~structure ~key:(printable_key ek)
-          (Printf.sprintf "expected row absent (%s)" (describe ek));
-        diff exp' act
-      | _ ->
-        add acc Extra_row ~structure ~page ~entry:slot ~key:(printable_key ak)
-          (Printf.sprintf "stored row never produced by the document (%s)" (describe ak));
-        diff exp act')
-  in
-  diff expected actual;
+  diff_rows acc ~structure ~describe (Family.expected_entries fam ~dict doc) entries;
   pages
 
 (* ------------------------------------------------------------------ *)
@@ -442,7 +429,8 @@ let check_database (db : Twigmatch.Database.t) =
         incr structures;
         let es, ps = walk_tree acc tree in
         pages := !pages + ps;
-        entries := !entries + List.length es
+        entries := !entries + List.length es;
+        es
       in
       (* checksum pass first: it points at damaged pages even when the
          structural walks above them cannot proceed *)
@@ -452,11 +440,13 @@ let check_database (db : Twigmatch.Database.t) =
       let dict = db.Twigmatch.Database.dict in
       let catalog = db.Twigmatch.Database.catalog in
       let doc = db.Twigmatch.Database.doc in
-      (* edge table: three link/value indices + the base heap *)
-      List.iter count_tree (Edge_table.indices edge);
-      incr structures;
-      pages := !pages + walk_heap acc (Edge_table.heap edge);
-      entries := !entries + Heap_file.record_count (Edge_table.heap edge);
+      (* the Edge relation: each of its three indices must hold exactly
+         the entries the document's Edge tuples give it *)
+      List.iter
+        (fun (tree, expected) ->
+          diff_rows acc ~structure:(Bptree.name tree) ~describe:(Fun.const "Edge tuple") expected
+            (count_tree tree))
+        (Edge_table.expected_entries edge dict doc);
       (* family members: full structural + codec + semantic checks *)
       let check_fam fam =
         incr structures;
@@ -468,8 +458,9 @@ let check_database (db : Twigmatch.Database.t) =
       Option.iter check_fam db.Twigmatch.Database.dataguide;
       Option.iter check_fam db.Twigmatch.Database.index_fabric;
       (* ASR / Join Index baselines: per-relation structural checks *)
-      Option.iter (fun a -> List.iter count_tree (Asr.trees a)) db.Twigmatch.Database.asr_rels;
-      Option.iter (fun j -> List.iter count_tree (Join_index.trees j)) db.Twigmatch.Database.ji;
+      let count_trees trees = List.iter (fun tree -> ignore (count_tree tree)) trees in
+      Option.iter (fun a -> count_trees (Asr.trees a)) db.Twigmatch.Database.asr_rels;
+      Option.iter (fun j -> count_trees (Join_index.trees j)) db.Twigmatch.Database.ji;
       {
         violations = List.rev acc.vs;
         summary = { structures = !structures; pages = !pages; entries = !entries };

@@ -15,8 +15,9 @@
       root-to-leaf prefixes, DATAPATHS the subpath closure,
       |IdList| = |SchemaPath| (paper Section 3.1), and stored id chains
       agree with parent/child edges and region containment;
-    - {e heap-file pages}: header/record decodability and record
-      counts.
+    - {e the Edge relation}: its value, forward-link and backward-link
+      indices hold exactly the entries the document's Edge tuples give
+      them ({!Tm_xmldb.Edge_table.expected_entries}).
 
     Check counters ([check.structures], [check.pages_checked],
     [check.entries_checked], [check.violations]) are recorded through
@@ -42,17 +43,16 @@ type code =
   | Idlist_codec  (** IdList payload fails decode or re-encode *)
   | Idlist_order  (** decoded ids not strictly increasing *)
   | Idlist_length  (** |IdList| inconsistent with |SchemaPath| *)
-  | Missing_row  (** an expected 4-ary row is absent from the member *)
-  | Extra_row  (** the member holds a row the document never produced *)
+  | Missing_row  (** an expected row is absent from the member or Edge index *)
+  | Extra_row  (** the member or Edge index holds a row the document never produced *)
   | Edge_link  (** id chain contradicts parent/child edges or regions *)
   | Catalog  (** a rooted schema path missing from the schema catalog *)
-  | Heap_corrupt  (** heap page undecodable or record count wrong *)
 
 val code_name : code -> string
 (** Stable snake_case name (used in text and JSON reports). *)
 
 type location = {
-  structure : string;  (** B+-tree or heap-file name *)
+  structure : string;  (** B+-tree name, or ["pager"] for the checksum pass *)
   page : int option;
   entry : int option;  (** slot within the page *)
   key : string option;  (** raw stored key, when one is implicated *)

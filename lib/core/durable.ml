@@ -1,6 +1,6 @@
 (** The durable write path: a write-ahead-logged database directory.
 
-    A durable handle owns a directory holding a Persist v2 snapshot
+    A durable handle owns a directory holding a Persist v3 snapshot
     ([snapshot.twig]) and a {!Tm_wal.Wal} redo log ([wal.log]). Every
     {!insert_subtree} / {!delete_subtree} is one logged transaction:
 
@@ -23,8 +23,8 @@
     prefix (torn and bad-CRC tails are discarded), and {e re-executes}
     the logical operations of every committed transaction newer than
     the snapshot's [last_txn], in commit order. The update path is
-    deterministic (id assignment, dictionary interning, heap append and
-    B+-tree insertion depend only on database state), so replay
+    deterministic (id assignment, dictionary interning and B+-tree
+    insertion depend only on database state), so replay
     reproduces the original pages exactly. After each transaction the
     [(page, crc)] list the replay wrote must equal the logged one — the
     transaction's whole physical record — so a page written with other

@@ -1,7 +1,7 @@
 (** Durable write path: a write-ahead-logged database directory
     (snapshot + redo log) with crash recovery.
 
-    Layout: [<dir>/snapshot.twig] (Persist v2 snapshot) and
+    Layout: [<dir>/snapshot.twig] (Persist v3 snapshot) and
     [<dir>/wal.log] ({!Tm_wal.Wal} frames). Each {!insert_subtree} /
     {!delete_subtree} is one logged transaction — logical [Op] frame,
     one [Page] frame per dirty page (page id and the CRC32 of its
@@ -112,9 +112,11 @@ val batch : t -> (unit -> 'a) -> 'a
     the log itself is what failed — reopen to learn what survived). *)
 
 val checkpoint : t -> unit
-(** Fold the log into a fresh snapshot: flush the buffer pool, write
-    the snapshot (atomic rename), truncate the log, stamp it with a
-    [Checkpoint] frame. The log stays small; recovery stays fast.
+(** Fold the log into a fresh snapshot: drop the pager's old page
+    versions, write the snapshot from the pager (atomic rename; the
+    buffer pool holds no page bytes, so nothing is flushed and it stays
+    warm), truncate the log, stamp it with a [Checkpoint] frame. The
+    log stays small; recovery stays fast.
     @raise Invalid_argument inside a {!batch} or an active pager
     transaction. *)
 

@@ -2,12 +2,12 @@
     catalog, every index's pages and metadata) to a file and reload it
     without re-shredding or re-bulk-loading.
 
-    Format v2 is framed so a damaged file is {e detected}, never fed to
+    Format v3 is framed so a damaged file is {e detected}, never fed to
     [Marshal] (which aborts the process on garbage):
 
     {v
       magic   "TWIGMATCH-SNAPSHOT"
-      version u32 = 2
+      version u32 = 3
       count   u32                          number of sections
       section (repeated)
         name-len  u32
@@ -41,6 +41,13 @@
     renames it over the target, so a crash mid-save leaves the previous
     snapshot intact — the torn-write crash model at file granularity.
 
+    The version names the layout of the marshalled image as well as the
+    frame's: [Marshal] rebuilds whatever the file holds as a
+    {!Database.t} without checking any type, so an image of a different
+    layout crashes the reader instead of failing. The version therefore
+    changes with any change to a type reachable from {!Database.t}, and
+    [load] refuses another version before unmarshalling anything.
+
     This is a {e snapshot}, not a write-ahead-logged store: it is only
     readable by the same library version that wrote it, and a crash
     between [save] calls loses the delta — the appropriate scope for a
@@ -53,7 +60,7 @@ open Tm_storage
 
 let magic = "TWIGMATCH-SNAPSHOT"
 let end_magic = "TWIGEND!"
-let version = 2
+let version = 3
 
 exception Bad_snapshot of string
 

@@ -2,20 +2,22 @@
     dictionary, catalog, and every index) without re-shredding or
     re-bulk-loading.
 
-    Format v2 frames the file — magic, version, per-section length +
+    Format v3 frames the file — magic, version, per-section length +
     CRC32, and a checksummed footer — and [save] writes via a temp file
     plus atomic rename. A truncated, torn or bit-flipped snapshot
     raises {!Bad_snapshot} naming the damaged section; the [Marshal]
     payload is only unmarshalled after its checksum verifies, so a bad
     file can never abort the process or yield a garbage database.
 
-    Snapshots are same-library-version only; databases built with
-    pruning closures ([head_filter] / [id_keep]) are rejected. *)
+    Snapshots are same-library-version only: the format version changes
+    with any change to a type reachable from {!Database.t}, and a file
+    of another version is refused before unmarshalling. Databases built
+    with pruning closures ([head_filter] / [id_keep]) are rejected. *)
 
 exception Bad_snapshot of string
 
 val version : int
-(** Current snapshot format version (2). *)
+(** Current snapshot format version (3). *)
 
 val save : Database.t -> string -> unit
 (** Write atomically and durably: temp file, fsync, rename, fsync of

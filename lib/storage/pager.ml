@@ -56,7 +56,7 @@ let site_alloc = "pager.alloc"
    pre-image of every page first touched in the transaction is pushed
    onto that page's version chain, so epoch-pinned readers keep seeing
    the last committed image until {!commit_txn} publishes the epoch.
-   Structures above the pager (B+-trees, heap files) stage their
+   Structures above the pager (the B+-trees) stage their
    metadata and register a participant callback to publish or drop it
    when the transaction ends. *)
 type txn = {

@@ -3,13 +3,14 @@
     the Lore value index, the forward link index, and the backward link
     index.
 
-    Base relation: one record per element/attribute node —
-    [(node_id, parent_id, tag, leaf_value?)] in a heap file.
+    The Edge relation — one tuple [(node_id, parent_id, tag,
+    leaf_value?)] per element/attribute node — is stored once: the
+    backward-link B+-tree holds every tuple, clustered on node id.
 
     Indices (all B+-trees):
     - value index:    [tag · value]      -> node_id
     - forward link:   [parent_id · tag]  -> node_id
-    - backward link:  [node_id]          -> (parent_id, parent_tag, tag)
+    - backward link:  [node_id]          -> (parent_id, parent_tag, tag, value)
 
     The backward-link payload carries both the parent's id and both tags
     so that bottom-up climbs can check structural predicates without
@@ -19,16 +20,14 @@
 open Tm_storage
 
 type t = {
-  heap : Heap_file.t;
   value_index : Bptree.t;
   forward : Bptree.t;
   backward : Bptree.t;
-  mutable n_nodes : int;
   stats_lock : Lock.t;
-      (** guards [n_nodes] and [value_stats]: incremental maintenance
-          during a durable ingest replaces entries while epoch-pinned
-          readers fold over the table for selectivity estimates
-          (ticketed {!Lock} so the table stays marshal-safe) *)
+      (** guards [value_stats]: incremental maintenance during a durable
+          ingest replaces entries while epoch-pinned readers fold over
+          the table for selectivity estimates (ticketed {!Lock} so the
+          table stays marshal-safe) *)
   value_stats : (string, int) Hashtbl.t;
       (** (tag, value) -> cardinality; the pre-collected statistics of
           paper Section 5.1.1 ("we collected detailed statistics on all
@@ -36,24 +35,16 @@ type t = {
           the planner's selectivity estimates without touching pages *)
 }
 
-let encode_record info =
-  let buf = Buffer.create 32 in
-  Codec.add_varint buf info.Shred.id;
-  Codec.add_varint buf info.Shred.parent_id;
-  Codec.add_varint buf info.Shred.tag;
-  Codec.add_lstring buf (match info.Shred.value with None -> "" | Some v -> "\x01" ^ v);
-  Buffer.contents buf
-
 let value_key tag value = Dictionary.designator tag ^ Codec.encode_value (Some value)
 let forward_key parent_id tag = Codec.u32_to_string parent_id ^ Dictionary.designator tag
 let backward_key node_id = Codec.u32_to_string node_id
 
-let backward_payload ~parent_id ~parent_tag ~tag ~value =
+let backward_payload (info : Shred.node_info) =
   let buf = Buffer.create 8 in
-  Codec.add_varint buf parent_id;
-  Codec.add_signed_varint buf parent_tag;
-  Codec.add_varint buf tag;
-  Codec.add_lstring buf (match value with None -> "" | Some v -> "\x01" ^ v);
+  Codec.add_varint buf info.parent_id;
+  Codec.add_signed_varint buf info.parent_tag;
+  Codec.add_varint buf info.tag;
+  Codec.add_lstring buf (match info.value with None -> "" | Some v -> "\x01" ^ v);
   Buffer.contents buf
 
 let decode_backward s =
@@ -64,51 +55,52 @@ let decode_backward s =
   let value = if v = "" then None else Some (String.sub v 1 (String.length v - 1)) in
   (parent_id, parent_tag, tag, value)
 
+(* A node's (key, payload) entry in each index; valued nodes only have
+   a value-index entry. *)
+let value_entry (info : Shred.node_info) =
+  Option.map (fun v -> (value_key info.tag v, Codec.u32_to_string info.id)) info.value
+
+let forward_entry (info : Shred.node_info) =
+  (forward_key info.parent_id info.tag, Codec.u32_to_string info.id)
+
+let backward_entry (info : Shred.node_info) = (backward_key info.id, backward_payload info)
+
+(* The sorted entries of the value, forward-link and backward-link
+   indices for the Edge tuples of [doc]: [build]'s bulk-load input, and
+   fsck's ground truth. *)
+let entries_of dict doc =
+  let rows = Shred.fold_nodes doc dict (fun acc info -> info :: acc) [] in
+  let sorted = List.sort Codec.compare_kv in
+  ( sorted (List.filter_map value_entry rows),
+    sorted (List.map forward_entry rows),
+    sorted (List.map backward_entry rows) )
+
+let bump_stats t key delta =
+  Lock.with_lock t.stats_lock (fun () ->
+      match Option.value ~default:0 (Hashtbl.find_opt t.value_stats key) + delta with
+      | n when n > 0 -> Hashtbl.replace t.value_stats key n
+      | _ -> Hashtbl.remove t.value_stats key)
+
 (** Shred [doc] into an Edge table, bulk-loading all three indices. *)
 let build pool dict doc =
-  let rows = Shred.fold_nodes doc dict (fun acc info -> info :: acc) [] in
-  let heap = Heap_file.build ~name:"edge_heap" pool (List.rev_map encode_record rows) in
-  let n_nodes = List.length rows in
-  let node_payload id = Codec.u32_to_string id in
-  let value_entries =
-    List.filter_map
-      (fun info ->
-        match info.Shred.value with
-        | None -> None
-        | Some v -> Some (value_key info.Shred.tag v, node_payload info.Shred.id))
-      rows
+  let value_entries, forward_entries, backward_entries = entries_of dict doc in
+  let t =
+    {
+      value_index = Bptree.bulk_load ~name:"edge_value" pool value_entries;
+      forward = Bptree.bulk_load ~name:"edge_forward" pool forward_entries;
+      backward = Bptree.bulk_load ~name:"edge_backward" pool backward_entries;
+      stats_lock = Lock.create Lock.Inner;
+      value_stats = Hashtbl.create 4096;
+    }
   in
-  let forward_entries =
-    List.map
-      (fun info -> (forward_key info.Shred.parent_id info.Shred.tag, node_payload info.Shred.id))
-      rows
-  in
-  let backward_entries =
-    List.map
-      (fun info ->
-        ( backward_key info.Shred.id,
-          backward_payload ~parent_id:info.Shred.parent_id ~parent_tag:info.Shred.parent_tag
-            ~tag:info.Shred.tag ~value:info.Shred.value ))
-      rows
-  in
-  let value_stats = Hashtbl.create 4096 in
-  List.iter
-    (fun (key, _) ->
-      Hashtbl.replace value_stats key
-        (1 + Option.value ~default:0 (Hashtbl.find_opt value_stats key)))
-    value_entries;
-  let sorted = List.sort Codec.compare_kv in
-  {
-    heap;
-    value_index = Bptree.bulk_load ~name:"edge_value" pool (sorted value_entries);
-    forward = Bptree.bulk_load ~name:"edge_forward" pool (sorted forward_entries);
-    backward = Bptree.bulk_load ~name:"edge_backward" pool (sorted backward_entries);
-    n_nodes;
-    stats_lock = Lock.create Lock.Inner;
-    value_stats;
-  }
+  List.iter (fun (key, _) -> bump_stats t key 1) value_entries;
+  t
 
-let node_count t = Lock.with_lock t.stats_lock (fun () -> t.n_nodes)
+(** The three indices paired with the sorted entries the Edge tuples of
+    [doc] give each (fsck support). *)
+let expected_entries t dict doc =
+  let value_entries, forward_entries, backward_entries = entries_of dict doc in
+  [ (t.value_index, value_entries); (t.forward, forward_entries); (t.backward, backward_entries) ]
 
 (** Ids of nodes with tag [tag] and leaf value [value] (value index lookup). *)
 let lookup_value t ~tag ~value =
@@ -122,6 +114,19 @@ let value_cardinality t ~tag ~value =
   let key = value_key tag value in
   Lock.with_lock t.stats_lock (fun () ->
       Option.value ~default:0 (Hashtbl.find_opt t.value_stats key))
+
+(* Whether the value-index key [key] (designator, encoded value) holds
+   a value within the bounds ((value, inclusive); [None] is open). *)
+let in_range ~lo ~hi key =
+  let within ~is_lo v = function
+    | None -> true
+    | Some (bv, inc) ->
+      let c = String.compare v bv in
+      if is_lo then if inc then c >= 0 else c > 0 else if inc then c <= 0 else c < 0
+  in
+  match Codec.decode_value (String.sub key 2 (String.length key - 2)) with
+  | Some v -> within ~is_lo:true v lo && within ~is_lo:false v hi
+  | None -> false
 
 (** Ids of nodes with tag [tag] whose leaf value lies in the given
     lexicographic range (bounds are (value, inclusive); [None] is
@@ -139,44 +144,26 @@ let lookup_value_range t ~tag ~lo ~hi =
     | Some (v, _) -> Codec.prefix_successor (prefix ^ Codec.encode_value (Some v))
     | None -> Codec.prefix_successor prefix
   in
-  let in_bound ~is_lo b v =
-    match b with
-    | None -> true
-    | Some (bv, inc) ->
-      let c = String.compare v bv in
-      if is_lo then if inc then c >= 0 else c > 0 else if inc then c <= 0 else c < 0
-  in
   List.rev
     (Bptree.fold_range t.value_index ~lo:lo_key ~hi:hi_key
        (fun acc key payload ->
-         match Codec.decode_value (String.sub key 2 (String.length key - 2)) with
-         | Some v when in_bound ~is_lo:true lo v && in_bound ~is_lo:false hi v ->
-           fst (Codec.read_u32 payload 0) :: acc
-         | Some _ | None -> acc)
+         if in_range ~lo ~hi key then fst (Codec.read_u32 payload 0) :: acc else acc)
        [])
 
 (** Cardinality of a value range for tag [tag], from the pre-collected
     statistics (no page access). *)
 let range_cardinality t ~tag ~lo ~hi =
   let prefix = Dictionary.designator tag in
-  let in_bound ~is_lo b v =
-    match b with
-    | None -> true
-    | Some (bv, inc) ->
-      let c = String.compare v bv in
-      if is_lo then if inc then c >= 0 else c > 0 else if inc then c <= 0 else c < 0
-  in
   Lock.with_lock t.stats_lock (fun () ->
       Hashtbl.fold
         (fun key n acc ->
-          if String.length key >= 2 && String.sub key 0 2 = prefix then
-            match Codec.decode_value (String.sub key 2 (String.length key - 2)) with
-            | Some v when in_bound ~is_lo:true lo v && in_bound ~is_lo:false hi v -> acc + n
-            | Some _ | None -> acc
+          if String.length key >= 2 && String.sub key 0 2 = prefix && in_range ~lo ~hi key then
+            acc + n
           else acc)
         t.value_stats 0)
 
-(** Number of nodes with tag [tag] (any value) under any parent. *)
+(** Ids of the children of [parent] with tag [tag] (forward-link
+    lookup). *)
 let children_of t ~parent ~tag =
   Bptree.lookup_all t.forward (forward_key parent tag)
   |> List.map (fun p -> fst (Codec.read_u32 p 0))
@@ -208,52 +195,31 @@ let node_value t node =
   match node_record t node with Some (_, _, _, v) -> v | None -> None
 
 (** Incremental maintenance: index one new node. *)
-let insert_node t (info : Shred.node_info) =
-  ignore (Heap_file.append t.heap (encode_record info));
-  let id_payload = Codec.u32_to_string info.Shred.id in
-  (match info.Shred.value with
-  | Some v ->
-    let key = value_key info.Shred.tag v in
-    Bptree.insert t.value_index key id_payload;
-    Lock.with_lock t.stats_lock (fun () ->
-        Hashtbl.replace t.value_stats key
-          (1 + Option.value ~default:0 (Hashtbl.find_opt t.value_stats key)))
-  | None -> ());
-  Bptree.insert t.forward (forward_key info.Shred.parent_id info.Shred.tag) id_payload;
-  Bptree.insert t.backward (backward_key info.Shred.id)
-    (backward_payload ~parent_id:info.Shred.parent_id ~parent_tag:info.Shred.parent_tag
-       ~tag:info.Shred.tag ~value:info.Shred.value);
-  Lock.with_lock t.stats_lock (fun () -> t.n_nodes <- t.n_nodes + 1)
+let insert_node t info =
+  Option.iter
+    (fun (key, payload) ->
+      Bptree.insert t.value_index key payload;
+      bump_stats t key 1)
+    (value_entry info);
+  List.iter
+    (fun (tree, (key, payload)) -> Bptree.insert tree key payload)
+    [ (t.forward, forward_entry info); (t.backward, backward_entry info) ]
 
-(** Incremental maintenance: un-index a node. The heap record remains
-    as a tombstone (heap space is reclaimed on rebuild); all three
-    indices and the statistics are updated. *)
-let remove_node t (info : Shred.node_info) =
-  let id_payload = Codec.u32_to_string info.Shred.id in
-  (match info.Shred.value with
-  | Some v ->
-    let key = value_key info.Shred.tag v in
-    ignore (Bptree.delete t.value_index key id_payload);
-    Lock.with_lock t.stats_lock (fun () ->
-        match Hashtbl.find_opt t.value_stats key with
-        | Some n when n > 1 -> Hashtbl.replace t.value_stats key (n - 1)
-        | Some _ -> Hashtbl.remove t.value_stats key
-        | None -> ())
-  | None -> ());
-  ignore (Bptree.delete t.forward (forward_key info.Shred.parent_id info.Shred.tag) id_payload);
-  ignore
-    (Bptree.delete t.backward (backward_key info.Shred.id)
-       (backward_payload ~parent_id:info.Shred.parent_id ~parent_tag:info.Shred.parent_tag
-          ~tag:info.Shred.tag ~value:info.Shred.value));
-  Lock.with_lock t.stats_lock (fun () -> t.n_nodes <- t.n_nodes - 1)
+(** Incremental maintenance: un-index a node from all three indices and
+    the statistics. *)
+let remove_node t info =
+  Option.iter
+    (fun (key, payload) ->
+      ignore (Bptree.delete t.value_index key payload);
+      bump_stats t key (-1))
+    (value_entry info);
+  List.iter
+    (fun (tree, (key, payload)) -> ignore (Bptree.delete tree key payload))
+    [ (t.forward, forward_entry info); (t.backward, backward_entry info) ]
 
-(** The three link/value B+-trees (fsck support). *)
+(** The three link/value B+-trees. *)
 let indices t = [ t.value_index; t.forward; t.backward ]
 
-(** The base heap file (fsck support). *)
-let heap t = t.heap
-
-(** Total space of the Edge strategy: heap + the three indices. *)
-let size_bytes t =
-  Heap_file.size_bytes t.heap + Bptree.size_bytes t.value_index + Bptree.size_bytes t.forward
-  + Bptree.size_bytes t.backward
+(** Total space of the Edge strategy: the three indices, the backward
+    link holding the Edge tuples. *)
+let size_bytes t = List.fold_left (fun acc tree -> acc + Bptree.size_bytes tree) 0 (indices t)

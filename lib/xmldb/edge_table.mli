@@ -1,12 +1,12 @@
 (** The Edge table storage format with the paper's three "Edge"
     baseline indices (Section 5.1.2): Lore value index, forward link,
     backward link — the degenerate (length-one-path) members of the
-    index family. *)
+    index family. The backward link holds every Edge tuple, keyed by
+    node id: it is the Edge relation. *)
 
 type t
 
 val build : Tm_storage.Buffer_pool.t -> Dictionary.t -> Tm_xml.Xml_tree.document -> t
-val node_count : t -> int
 
 val lookup_value : t -> tag:int -> value:string -> int list
 (** Ids of nodes with this tag and leaf value (value-index lookup). *)
@@ -44,15 +44,18 @@ val insert_node : t -> Shred.node_info -> unit
 (** Incremental maintenance: index one new node. *)
 
 val remove_node : t -> Shred.node_info -> unit
-(** Un-index a node; its heap record remains as a tombstone. *)
+(** Un-index a node from the three indices and the statistics. *)
 
 val size_bytes : t -> int
-(** Heap + the three indices (the Figure 9 "Edge" column). *)
+(** The three indices (the Figure 9 "Edge" column). *)
 
 (** {1 Raw structure access (fsck support)} *)
 
 val indices : t -> Tm_storage.Bptree.t list
 (** The value, forward-link and backward-link B+-trees. *)
 
-val heap : t -> Tm_storage.Heap_file.t
-(** The base-relation heap file. *)
+val expected_entries :
+  t -> Dictionary.t -> Tm_xml.Xml_tree.document -> (Tm_storage.Bptree.t * (string * string) list) list
+(** Each of {!indices} paired with the sorted (key, payload) multiset
+    the Edge tuples of a document give it — exactly [build]'s bulk-load
+    input, recomputed. *)

@@ -40,6 +40,10 @@ let rewrite_leaf tree page entries next =
   Buffer_pool.write (Bptree.pool tree) page
     (Bytes.of_string (Bptree.encode_view tree (Bptree.Leaf_view { entries; next })))
 
+(* One of the Edge table's three B+-trees, by name. *)
+let edge_index db name =
+  List.find (fun t -> String.equal (Bptree.name t) name) (Tm_xmldb.Edge_table.indices db.Db.edge)
+
 let has report code ?structure ?page () =
   List.exists
     (fun (v : Check.violation) ->
@@ -271,11 +275,7 @@ let test_bitflip_checksum_detected () =
    must list it as a violation rather than raise. *)
 let test_bitflip_edge_link_detected () =
   let db = Db.create ~strategies:[ Db.RP ] (xmark ()) in
-  let backward =
-    List.find
-      (fun t -> String.equal (Bptree.name t) "edge_backward")
-      (Tm_xmldb.Edge_table.indices db.Db.edge)
-  in
+  let backward = edge_index db "edge_backward" in
   let page =
     match find_leaves backward with
     | (page, _, _) :: _ -> page
@@ -312,16 +312,30 @@ let test_check_pager_direct () =
     check (Alcotest.option Alcotest.int) "page" (Some page) v.Check.loc.Check.page
   | vs -> Alcotest.failf "expected exactly one violation, got %d" (List.length vs)
 
-(* Clobber an Edge heap page header. *)
-let test_heap_corruption_detected () =
+(* The Edge relation against the document. The damage goes through
+   the trees' own delete and insert, so every structural invariant still
+   holds: only the semantic diff can see it, and it is the one
+   violation. *)
+let assert_only report code ~structure =
+  match report.Check.violations with
+  | [ v ] when v.Check.code = code && String.equal v.Check.loc.Check.structure structure -> ()
+  | _ ->
+    Alcotest.failf "expected exactly one %s violation in %s, report was:\n%s"
+      (Check.code_name code) structure (Check.report_to_string report)
+
+let test_missing_edge_entry_detected () =
   let db = Db.create ~strategies:[ Db.Edge ] (xmark ()) in
-  let heap = Tm_xmldb.Edge_table.heap db.Db.edge in
-  let page =
-    match Heap_file.pages heap with p :: _ -> p | [] -> Alcotest.fail "empty heap"
-  in
-  Buffer_pool.write db.Db.pool page (Bytes.of_string "Xclobbered");
-  let report = Check.check_database db in
-  assert_detected report Check.Heap_corrupt ~structure:"edge_heap" ~page ()
+  let backward = edge_index db "edge_backward" in
+  let key, payload = List.nth (Bptree.to_list backward) 17 in
+  check Alcotest.bool "entry deleted" true (Bptree.delete backward key payload);
+  assert_only (Check.check_database db) Check.Missing_row ~structure:"edge_backward"
+
+let test_stray_edge_entry_detected () =
+  let db = Db.create ~strategies:[ Db.Edge ] (xmark ()) in
+  let forward = edge_index db "edge_forward" in
+  let key, _ = List.nth (Bptree.to_list forward) 17 in
+  Bptree.insert forward key (Codec.u32_to_string 999_999);
+  assert_only (Check.check_database db) Check.Extra_row ~structure:"edge_forward"
 
 (* ------------------------------------------------------------------ *)
 
@@ -345,7 +359,8 @@ let suite =
         Alcotest.test_case "bit-flipped edge index page" `Quick test_bitflip_edge_link_detected;
         Alcotest.test_case "bit-flipped stored crc" `Quick test_crc_bitflip_detected;
         Alcotest.test_case "check_pager direct" `Quick test_check_pager_direct;
-        Alcotest.test_case "clobbered heap page" `Quick test_heap_corruption_detected;
+        Alcotest.test_case "missing edge entry" `Quick test_missing_edge_entry_detected;
+        Alcotest.test_case "stray edge entry" `Quick test_stray_edge_entry_detected;
       ] );
   ]
 

@@ -1,4 +1,4 @@
-(* Tests for the framed v2 snapshot format: round-trips, atomicity of
+(* Tests for the framed v3 snapshot format: round-trips, atomicity of
    the save path (no stray temp files), frame verification, and
    rejection of truncated or bit-flipped files with a typed
    Bad_snapshot naming the damage — never a crash, hang, or a database
@@ -39,6 +39,11 @@ let expect_bad_snapshot what f =
   match f () with
   | _ -> Alcotest.failf "%s: expected Bad_snapshot" what
   | exception Persist.Bad_snapshot _ -> ()
+
+let contains msg sub =
+  let ls = String.length sub and lm = String.length msg in
+  let rec find i = i + ls <= lm && (String.equal (String.sub msg i ls) sub || find (i + 1)) in
+  find 0
 
 let leftover_tmp_files dir =
   List.filter (fun e -> Filename.check_suffix e ".tmp") (Array.to_list (Sys.readdir dir))
@@ -162,11 +167,30 @@ let test_bad_snapshot_names_section () =
   | exception Persist.Bad_snapshot msg ->
     check Alcotest.bool
       (Printf.sprintf "message %S names the database section" msg)
-      true
-      (let re = "database" in
-       let lr = String.length re and lm = String.length msg in
-       let rec find i = i + lr <= lm && (String.equal (String.sub msg i lr) re || find (i + 1)) in
-       find 0)
+      true (contains msg "database")
+
+(* A snapshot another build wrote under an older version may marshal a
+   different [Database.t] layout, which [Marshal] would rebuild without
+   a check and crash on. The version u32 follows the 18-byte magic;
+   rewritten to 2, the file is refused naming that version, by the
+   header check that precedes every section. *)
+let test_other_version_rejected () =
+  with_tmp_dir @@ fun dir ->
+  let path = Filename.concat dir "db.snap" in
+  Persist.save (Db.create ~strategies:[ Db.RP ] (xmark ())) path;
+  let b = Bytes.of_string (file_bytes path) in
+  check Alcotest.int "stored version" Persist.version (Int32.to_int (Bytes.get_int32_be b 18));
+  Bytes.set_int32_be b 18 2l;
+  write_bytes path (Bytes.to_string b);
+  let names_version what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Bad_snapshot" what
+    | exception Persist.Bad_snapshot msg ->
+      check Alcotest.bool (Printf.sprintf "%s: message %S names version 2" what msg) true
+        (contains msg "version 2")
+  in
+  names_version "verify" (fun () -> ignore (Persist.verify path));
+  names_version "load" (fun () -> ignore (Persist.load path))
 
 let test_not_a_snapshot_rejected () =
   with_tmp_dir @@ fun dir ->
@@ -208,6 +232,7 @@ let () =
           Alcotest.test_case "bad snapshot names the section" `Quick
             test_bad_snapshot_names_section;
           Alcotest.test_case "non-snapshot files rejected" `Quick test_not_a_snapshot_rejected;
+          Alcotest.test_case "another version rejected" `Quick test_other_version_rejected;
           Alcotest.test_case "failed save leaves no temp file" `Quick
             test_failed_save_leaves_no_tmp;
         ] );

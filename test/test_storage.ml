@@ -1,5 +1,5 @@
-(* Tests for the storage substrate: codecs, pager, buffer pool, B+-tree,
-   heap file. The B+-tree is checked against a reference model (sorted
+(* Tests for the storage substrate: codecs, pager, buffer pool and
+   B+-tree. The B+-tree is checked against a reference model (sorted
    association list) with qcheck-generated workloads, and its pages
    with fsck's tree walk. *)
 
@@ -891,78 +891,6 @@ let prop_bulk_load_equals_inserts =
       ignore (check_tree bulk);
       List.sort compare (Bptree.to_list bulk) = List.sort compare (Bptree.to_list ins))
 
-(* ------------------------------------------------------------------ *)
-(* Heap file                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_heap_file_roundtrip () =
-  let hf = Heap_file.create ~name:"h" (make_pool ~page_size:128 ()) in
-  let records = List.init 50 (fun i -> Printf.sprintf "record-%d" i) in
-  let rids = List.map (Heap_file.append hf) records in
-  let page_records page =
-    match Heap_file.records_of_page hf page with Ok rs -> rs | Error m -> Alcotest.fail m
-  in
-  List.iter2
-    (fun r (rid : Heap_file.rid) ->
-      check Alcotest.string "record at its rid" r (page_records rid.page).(rid.slot))
-    records rids;
-  check Alcotest.int "count" 50 (Heap_file.record_count hf);
-  check Alcotest.(list string) "pages in insertion order" records
-    (List.concat_map (fun p -> Array.to_list (page_records p)) (Heap_file.pages hf));
-  if Heap_file.page_count hf < 2 then Alcotest.fail "expected multiple pages"
-
-let test_heap_file_large_record_rejected () =
-  let hf = Heap_file.create ~name:"h" (make_pool ~page_size:128 ()) in
-  match Heap_file.append hf (String.make 200 'x') with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument"
-
-(* A built heap file and one appended record by record have the same
-   page ids and the same page bytes, and appends after the build
-   continue it alike. Record sizes cluster where a record, or two,
-   exactly fill a 128-byte page (3 header bytes, 5 + length each). *)
-let prop_heap_build_equals_appends =
-  let page_size = 128 in
-  let gen =
-    QCheck.Gen.(
-      list_size (int_range 0 80)
-        (map
-           (fun n -> String.make n 'r')
-           (frequency
-              [
-                (4, int_range 0 40);
-                (1, int_range 100 120);
-                (1, return 120);
-                (1, return 57);
-                (1, return 58);
-              ])))
-  in
-  let print rs = String.concat "," (List.map (fun r -> string_of_int (String.length r)) rs) in
-  QCheck.Test.make ~name:"heap build equals appends" ~count:300 (QCheck.make ~print gen)
-    (fun records ->
-      let pager_a = Pager.create ~page_size () and pager_b = Pager.create ~page_size () in
-      let appended = Heap_file.create ~name:"h" (Buffer_pool.create ~capacity:4 pager_a) in
-      List.iter (fun r -> ignore (Heap_file.append appended r)) records;
-      let built = Heap_file.build ~name:"h" (Buffer_pool.create ~capacity:4 pager_b) records in
-      let image pager p = Pager.image pager ~epoch:max_int p in
-      let same_pages () =
-        List.equal Int.equal (Heap_file.pages appended) (Heap_file.pages built)
-        && Pager.page_count pager_a = Pager.page_count pager_b
-        && List.for_all
-             (fun p -> Bytes.equal (image pager_a p) (image pager_b p))
-             (Heap_file.pages built)
-      in
-      same_pages ()
-      && Heap_file.record_count built = List.length records
-      && Heap_file.append appended "next" = Heap_file.append built "next"
-      && same_pages ())
-
-let test_heap_build_rejects_oversized () =
-  let pager = Pager.create ~page_size:128 () in
-  match Heap_file.build ~name:"h" (Buffer_pool.create pager) [ "ok"; String.make 121 'x' ] with
-  | exception Invalid_argument _ -> check Alcotest.int "no page allocated" 0 (Pager.page_count pager)
-  | _ -> Alcotest.fail "expected Invalid_argument"
-
 let suite =
   [
     ( "codec",
@@ -1022,14 +950,6 @@ let suite =
         qtest prop_bptree_model;
         qtest prop_bptree_range_model;
         qtest prop_bulk_load_equals_inserts;
-      ] );
-    ( "heap_file",
-      [
-        Alcotest.test_case "roundtrip" `Quick test_heap_file_roundtrip;
-        Alcotest.test_case "large record rejected" `Quick test_heap_file_large_record_rejected;
-        Alcotest.test_case "build rejects an oversized record" `Quick
-          test_heap_build_rejects_oversized;
-        qtest prop_heap_build_equals_appends;
       ] );
   ]
 

@@ -227,7 +227,8 @@ let test_edge_table_lookups () =
   let dict = Dictionary.create () in
   let edge = Edge_table.build (make_pool ()) dict doc in
   let tag name = Option.get (Dictionary.find dict name) in
-  check Alcotest.int "node count" 13 (Edge_table.node_count edge);
+  check Alcotest.int "edge tuples" 13
+    (Tm_storage.Bptree.entry_count (List.nth (Edge_table.indices edge) 2));
   (* value index: paper Section 3.1 value index semantics *)
   check Alcotest.(list int) "fn=jane" [ 5; 11 ] (Edge_table.lookup_value edge ~tag:(tag "fn") ~value:"jane");
   check Alcotest.int "cardinality" 2 (Edge_table.value_cardinality edge ~tag:(tag "fn") ~value:"jane");
@@ -250,6 +251,65 @@ let test_edge_table_lookups () =
     check Alcotest.int "root parent is virtual" 0 p;
     check Alcotest.int "virtual tag" (-1) ptag
   | None -> Alcotest.fail "no parent for root")
+
+(* The Edge tuple (parent id, parent tag, own tag, value), as pairs of
+   pairs so Alcotest can print it. *)
+let edge_record =
+  let tuple = Alcotest.(option (pair (pair int int) (pair int (option string)))) in
+  fun name expected actual ->
+    let pairs = Option.map (fun (p, pt, t, v) -> ((p, pt), (t, v))) in
+    check tuple name (pairs expected) (pairs actual)
+
+let test_edge_table_node_record () =
+  let doc = figure1_doc () in
+  let dict = Dictionary.create () in
+  let edge = Edge_table.build (make_pool ()) dict doc in
+  let tag name = Option.get (Dictionary.find dict name) in
+  edge_record "valued leaf fn(5)"
+    (Some (4, tag "author", tag "fn", Some "jane"))
+    (Edge_table.node_record edge 5);
+  edge_record "inner node author(4)"
+    (Some (3, tag "allauthors", tag "author", None))
+    (Edge_table.node_record edge 4);
+  edge_record "root book(1)" (Some (0, -1, tag "book", None)) (Edge_table.node_record edge 1);
+  edge_record "no such node" None (Edge_table.node_record edge 99)
+
+(* Indexing a fresh node and un-indexing it again leaves every lookup
+   and statistic as it was. *)
+let test_edge_table_insert_remove () =
+  let doc = figure1_doc () in
+  let dict = Dictionary.create () in
+  let edge = Edge_table.build (make_pool ()) dict doc in
+  let tag name = Option.get (Dictionary.find dict name) in
+  let fresh : Shred.node_info =
+    {
+      id = 14;
+      tag = tag "fn";
+      parent_id = 4;
+      parent_tag = tag "author";
+      path = Schema_path.of_list [ tag "book"; tag "allauthors"; tag "author"; tag "fn" ];
+      ids = [| 1; 3; 4; 14 |];
+      value = Some "jane";
+    }
+  in
+  let jane () = List.sort compare (Edge_table.lookup_value edge ~tag:(tag "fn") ~value:"jane") in
+  let fns () = List.sort compare (Edge_table.children_of edge ~parent:4 ~tag:(tag "fn")) in
+  let card () = Edge_table.value_cardinality edge ~tag:(tag "fn") ~value:"jane" in
+  let parent () = Edge_table.parent_of edge 14 in
+  let parent_t = Alcotest.(option (triple int int int)) in
+  let ints = Alcotest.(list int) in
+  let jane0, fns0, card0, parent0 = (jane (), fns (), card (), parent ()) in
+  Edge_table.insert_node edge fresh;
+  check ints "inserted: value index" [ 5; 11; 14 ] (jane ());
+  check ints "inserted: forward link" [ 5; 14 ] (fns ());
+  check Alcotest.int "inserted: cardinality" 3 (card ());
+  check parent_t "inserted: backward link" (Some (4, tag "author", tag "fn")) (parent ());
+  Edge_table.remove_node edge fresh;
+  check ints "value index as before" jane0 (jane ());
+  check ints "forward link as before" fns0 (fns ());
+  check Alcotest.int "cardinality as before" card0 (card ());
+  check parent_t "backward link as before" parent0 (parent ());
+  edge_record "no tuple for the removed node" None (Edge_table.node_record edge 14)
 
 (* ------------------------------------------------------------------ *)
 (* Schema catalog                                                      *)
@@ -298,7 +358,12 @@ let suite =
         Alcotest.test_case "figure 5 subpath rows" `Quick test_figure5_subpath_rows;
         Alcotest.test_case "row counts" `Quick test_row_counts;
       ] );
-    ("edge_table", [ Alcotest.test_case "lookups" `Quick test_edge_table_lookups ]);
+    ( "edge_table",
+      [
+        Alcotest.test_case "lookups" `Quick test_edge_table_lookups;
+        Alcotest.test_case "node record" `Quick test_edge_table_node_record;
+        Alcotest.test_case "insert then remove" `Quick test_edge_table_insert_remove;
+      ] );
     ("catalog", [ Alcotest.test_case "catalog" `Quick test_catalog ]);
   ]
 
