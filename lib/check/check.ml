@@ -86,7 +86,9 @@ let printable_key k =
 
 (* Walk [tree] from the root, checking structural invariants; returns
    the collected (page, slot, key, payload) entries (the raw multiset a
-   semantic pass compares against ground truth) and the pages seen. *)
+   semantic pass compares against ground truth), the pages seen, and
+   whether the walk reached every page: [false] once it had to skip a
+   page it could not read or follow, whose entries it then lacks. *)
 let walk_tree acc tree =
   let structure = Bptree.name tree in
   let page_limit = Pager.page_count (Buffer_pool.pager (Bptree.pool tree)) in
@@ -97,12 +99,15 @@ let walk_tree acc tree =
   let pages_walked = ref 0 in
   let entry_total = ref 0 in
   let leaf_depth = ref (-1) in
+  let complete = ref true in
+  let skip code ~page detail =
+    complete := false;
+    add acc code ~structure ~page detail
+  in
   let rec go page lo hi depth =
     if page < 0 || page >= page_limit then
-      add acc Page_bounds ~structure ~page
-        (Printf.sprintf "page id outside pager range [0, %d)" page_limit)
-    else if Hashtbl.mem visited page then
-      add acc Page_cycle ~structure ~page "page reachable twice in one walk"
+      skip Page_bounds ~page (Printf.sprintf "page id outside pager range [0, %d)" page_limit)
+    else if Hashtbl.mem visited page then skip Page_cycle ~page "page reachable twice in one walk"
     else begin
       Hashtbl.add visited page ();
       incr pages_walked;
@@ -112,8 +117,8 @@ let walk_tree acc tree =
         (* The page failed its CRC on the fault-in read. Report it and
            prune the walk here: its bytes are untrustworthy, and the
            checksum pass already covers the rest of the pager. *)
-        add acc Checksum ~structure ~page detail
-      | Error m -> add acc Page_decode ~structure ~page m
+        skip Checksum ~page detail
+      | Error m -> skip Page_decode ~page m
       | Ok view ->
         (* front-coding round-trip: the canonical re-encoding must equal
            the stored image (up to the pager's zero padding) *)
@@ -213,7 +218,7 @@ let walk_tree acc tree =
   if !entry_total <> Bptree.entry_count tree then
     add acc Entry_count ~structure
       (Printf.sprintf "recorded %d entries, walk found %d" (Bptree.entry_count tree) !entry_total);
-  (List.rev !collected, !pages_walked)
+  (List.rev !collected, !pages_walked, !complete)
 
 let check_tree tree =
   let acc = { vs = [] } in
@@ -249,14 +254,18 @@ let check_pager pager =
 (* Diff a structure's walked (page, slot, key, payload) entries against
    the sorted (key, payload) multiset the document gives it: each row
    only the ground truth holds is [Missing_row], each row only the walk
-   found is [Extra_row]. [describe] renders a key for the detail. *)
-let diff_rows acc ~structure ~describe expected walked =
+   found is [Extra_row]. After an incomplete walk ([complete] false) the
+   rows of the skipped pages would all read as missing, so none is
+   reported; extra rows still are. [describe] renders a key for the
+   detail. *)
+let diff_rows acc ~structure ~describe ~complete expected walked =
   let actual =
     List.sort (fun (_, _, k1, p1) (_, _, k2, p2) -> Codec.compare_kv (k1, p1) (k2, p2)) walked
   in
   let missing k =
-    add acc Missing_row ~structure ~key:(printable_key k)
-      (Printf.sprintf "expected row absent (%s)" (describe k))
+    if complete then
+      add acc Missing_row ~structure ~key:(printable_key k)
+        (Printf.sprintf "expected row absent (%s)" (describe k))
   in
   let extra page slot k =
     add acc Extra_row ~structure ~page ~entry:slot ~key:(printable_key k)
@@ -350,7 +359,7 @@ let check_links acc ~corrupt ~structure ~page ~entry ~key ~edge ~region ~head sc
 let check_family acc fam ~dict ~catalog ~edge ~region doc =
   let tree = Family.tree fam in
   let structure = Bptree.name tree in
-  let entries, pages = walk_tree acc tree in
+  let entries, pages, complete = walk_tree acc tree in
   let config = Family.config fam in
   let full = match config.Family.ids with Family.Full_idlist -> true | _ -> false in
   let corrupt = Hashtbl.create 4 in
@@ -412,7 +421,7 @@ let check_family acc fam ~dict ~catalog ~edge ~region doc =
         (Schema_path.to_string dict schema)
         (match value with None -> "null" | Some v -> Printf.sprintf "%S" v)
   in
-  diff_rows acc ~structure ~describe (Family.expected_entries fam ~dict doc) entries;
+  diff_rows acc ~structure ~describe ~complete (Family.expected_entries fam ~dict doc) entries;
   pages
 
 (* ------------------------------------------------------------------ *)
@@ -427,10 +436,10 @@ let check_database (db : Twigmatch.Database.t) =
       let entries = ref 0 in
       let count_tree tree =
         incr structures;
-        let es, ps = walk_tree acc tree in
+        let es, ps, complete = walk_tree acc tree in
         pages := !pages + ps;
         entries := !entries + List.length es;
-        es
+        (es, complete)
       in
       (* checksum pass first: it points at damaged pages even when the
          structural walks above them cannot proceed *)
@@ -444,8 +453,9 @@ let check_database (db : Twigmatch.Database.t) =
          the entries the document's Edge tuples give it *)
       List.iter
         (fun (tree, expected) ->
-          diff_rows acc ~structure:(Bptree.name tree) ~describe:(Fun.const "Edge tuple") expected
-            (count_tree tree))
+          let walked, complete = count_tree tree in
+          diff_rows acc ~structure:(Bptree.name tree) ~describe:(Fun.const "Edge tuple") ~complete
+            expected walked)
         (Edge_table.expected_entries edge dict doc);
       (* family members: full structural + codec + semantic checks *)
       let check_fam fam =

@@ -36,8 +36,9 @@ type t = {
   ji : Join_index.t option;
   mutable next_id : int;  (** next fresh node id (see {!Updates}) *)
   mutable generation : int;
-      (** process-unique index generation: minted at {!create}, bumped
-          by {!note_index_change} — the plan cache's invalidation key *)
+      (** process-unique index generation: minted at {!create} and by
+          {!Persist.load}, bumped by {!note_index_change} — the plan
+          cache's invalidation key *)
   mutable last_txn : int;
       (** highest durably committed transaction id folded into this
           image (0 = never durably updated); maintained by
@@ -108,6 +109,10 @@ val drop_caches : t -> unit
 
 val generation : t -> int
 (** The database's current index generation (see {!note_index_change}). *)
+
+val fresh_generation : unit -> int
+(** A generation no database of this process has had; {!Persist.load}
+    gives one to every database it loads. *)
 
 val note_index_change : t -> unit
 (** Record that the physical indexes changed (incremental update,

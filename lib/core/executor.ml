@@ -47,9 +47,6 @@ let () =
       let pin = Tm_storage.Epoch.capture () in
       { Tm_par.Pool.wrap = (fun f -> Tm_storage.Epoch.restore pin f) })
 
-exception Unknown_tag
-(** A query tag absent from the data; the query answer is empty. *)
-
 exception Timeout of { ms : float; stats : Stats.t }
 (** The query's deadline expired; [stats] is the work done so far. *)
 
@@ -57,13 +54,6 @@ let () =
   Printexc.register_printer (function
     | Timeout { ms; _ } -> Some (Printf.sprintf "Executor.Timeout(deadline %.0f ms)" ms)
     | _ -> None)
-
-exception Replan_abandoned
-(** Internal: a path's actual cardinality blew its estimate past the
-    {!Tm_plan.Planner.should_replan} threshold; the coordinator
-    abandons the attempt (cancelling in-flight pool tasks through the
-    attempt's cancellation token) and re-plans with the observed
-    numbers. Never escapes {!run}. *)
 
 type result = {
   ids : int list;
@@ -107,40 +97,62 @@ type cpath = {
 (* The relation columns of the steps [needed] (ascending indices). *)
 let columns_at cp needed = Array.of_list (List.map (fun i -> cp.uids.(i)) needed)
 
+(* The needed steps of [cp] from step [first] on. *)
+let needed_from cp first = List.filter (fun i -> i >= first) cp.needed_idx
+
+(* The twig's linear paths against the dictionary; [None] when a query
+   tag is absent from the data, so that any plan answers empty. *)
 let compile (db : Database.t) twig =
+  let exception Unknown_tag in
   let branch_uids = List.map (fun n -> n.Twig.uid) (Twig.branch_nodes twig) in
   let out_uid = (Twig.output_node twig).Twig.uid in
   let keep = out_uid :: branch_uids in
-  Decompose.linear_paths twig
-  |> List.map (fun (l : Decompose.linear) ->
-         let arr = Array.of_list l.Decompose.steps in
-         let pattern =
-           Array.map
-             (fun (s : Decompose.step) ->
-               if String.equal s.Decompose.name "*" then (s.Decompose.axis, Decompose.wildcard)
-               else
-                 match Dictionary.find db.Database.dict s.Decompose.name with
-                 | Some t -> (s.Decompose.axis, t)
-                 | None -> raise Unknown_tag)
-             arr
-         in
-         let uids = Array.map (fun (s : Decompose.step) -> s.Decompose.uid) arr in
-         let needed_idx =
-           match
-             List.filter (fun i -> List.mem uids.(i) keep) (List.init (Array.length arr) Fun.id)
-           with
-           | [] -> [ Array.length arr - 1 ]
-           | needed -> needed
-         in
-         { pattern; uids; value = l.Decompose.value; range = l.Decompose.range; needed_idx })
-
-(* Rows from index hits: [positions] maps pattern step -> schema
-   position; [id_at] maps schema position -> data node id. *)
-let rows_of_match cp ~id_at positions =
-  Array.of_list (List.map (fun i -> id_at positions.(i)) cp.needed_idx)
+  match
+    Decompose.linear_paths twig
+    |> List.map (fun (l : Decompose.linear) ->
+           let arr = Array.of_list l.Decompose.steps in
+           let pattern =
+             Array.map
+               (fun (s : Decompose.step) ->
+                 if String.equal s.Decompose.name "*" then (s.Decompose.axis, Decompose.wildcard)
+                 else
+                   match Dictionary.find db.Database.dict s.Decompose.name with
+                   | Some t -> (s.Decompose.axis, t)
+                   | None -> raise Unknown_tag)
+               arr
+           in
+           let uids = Array.map (fun (s : Decompose.step) -> s.Decompose.uid) arr in
+           let needed_idx =
+             match
+               List.filter (fun i -> List.mem uids.(i) keep) (List.init (Array.length arr) Fun.id)
+             with
+             | [] -> [ Array.length arr - 1 ]
+             | needed -> needed
+           in
+           { pattern; uids; value = l.Decompose.value; range = l.Decompose.range; needed_idx })
+  with
+  | cpaths -> Some cpaths
+  | exception Unknown_tag -> None
 
 let relation_of_rows cp rows =
   Relation.distinct (Relation.create (columns_at cp cp.needed_idx) rows)
+
+(* The row of the ids [resolve] gives the [needed] steps, if it
+   resolves every one (the Edge and JI plans). *)
+let resolved_row resolve needed =
+  let ids = List.map resolve needed in
+  if List.for_all Option.is_some ids then Some (Array.of_list (List.map Option.get ids)) else None
+
+(* A path evaluated per concrete rooted schema path it matches (the
+   DataGuide, Index Fabric, ASR and JI plans): the rows [rows path
+   positions_list] gives each catalog path and the matches of the
+   pattern in it. *)
+let per_catalog_path (db : Database.t) cp rows =
+  relation_of_rows cp
+    (List.concat_map
+       (fun ((entry : Schema_catalog.entry), positions_list) ->
+         rows entry.Schema_catalog.path positions_list)
+       (Estimate.catalog_matches db.Database.catalog cp.pattern))
 
 (* Schema probe for a root-anchored pattern. *)
 let schema_probe_of pattern =
@@ -190,10 +202,6 @@ let join_all ~kind relations =
   | [] -> invalid_arg "join_all: no relations"
   | r :: rest -> List.fold_left (fun acc r -> join_pair ~kind acc r) r rest
 
-let finish ~out_uid relations =
-  let joined = join_all ~kind:`Hash relations in
-  Relation.column_values joined out_uid
-
 (* The rendered form of a compiled path, e.g. [//a/b = "v"] — used by
    per-path spans and by {!explain}. *)
 let path_label (db : Database.t) cp =
@@ -206,35 +214,46 @@ let path_label (db : Database.t) cp =
   in
   tags ^ match cp.value with Some v -> Printf.sprintf " = %S" v | None -> ""
 
-(* Evaluate path [i] of the plan under a "path:N" span annotated with
-   the path's pattern and output cardinality. *)
+(* Path [i]'s span, "path:N" annotated with the path's pattern, and
+   the output cardinality its relation adds to the innermost span. *)
+let path_span (db : Database.t) i cp =
+  (Printf.sprintf "path:%d" (i + 1), [ ("path", path_label db cp) ])
+
+let with_rows rel =
+  if Tm_obs.Obs.in_trace () then
+    Tm_obs.Obs.annotate "rows" (string_of_int (Relation.cardinality rel));
+  rel
+
+(* Evaluate path [i] of the plan under its span. *)
 let eval_spanned (db : Database.t) i cp f =
   if not (Tm_obs.Obs.enabled ()) then f ()
   else
-    Tm_obs.Obs.with_span
-      ~meta:[ ("path", path_label db cp) ]
-      (Printf.sprintf "path:%d" (i + 1))
-      (fun () ->
-        let rel = f () in
-        if Tm_obs.Obs.in_trace () then
-          Tm_obs.Obs.annotate "rows" (string_of_int (Relation.cardinality rel));
-        rel)
+    let name, meta = path_span db i cp in
+    Tm_obs.Obs.with_span ~meta name (fun () -> with_rows (f ()))
 
-(* A pool task's body: [work] under a cost record of its own, traced as
-   a root span on the executing domain (named and annotated by [span])
-   when the sink is on. [gather] grafts the spans and merges the records
-   into the submitting query's, in task order. *)
-let in_task span work =
-  let stats = Stats.create () in
-  Stats.with_record stats (fun () ->
-      if not (Tm_obs.Obs.enabled ()) then (work (), None, stats)
-      else
-        let name, meta = span () in
-        let domain = ("domain", string_of_int (Domain.self () :> int)) in
-        let v, trace = Tm_obs.Obs.trace ~meta:(domain :: meta) name work in
-        (v, trace, stats))
-
-let gather results =
+(* The query's fan-out: [map] ([Tm_par.Pool.map] or [map_chunked])
+   runs one pool task per item of [xs]. A task checks the deadline at
+   its start — one that begins after it does no work, and Pool.await
+   carries the Cancelled exception back to the coordinator — then runs
+   [work] under a cost record of its own, traced as a root span on the
+   executing domain (named and annotated by [span]) when the sink is
+   on. The coordinator grafts the spans and merges the records into the
+   query's, in task order. *)
+let in_tasks ~cancel map span work xs =
+  let results =
+    map
+      (fun x ->
+        Cancel.check cancel;
+        let stats = Stats.create () in
+        Stats.with_record stats (fun () ->
+            if not (Tm_obs.Obs.enabled ()) then (work x, None, stats)
+            else
+              let name, meta = span x in
+              let domain = ("domain", string_of_int (Domain.self () :> int)) in
+              let v, trace = Tm_obs.Obs.trace ~meta:(domain :: meta) name (fun () -> work x) in
+              (v, trace, stats)))
+      xs
+  in
   let into = Stats.current () in
   List.map
     (fun (v, span, stats) ->
@@ -257,37 +276,22 @@ let gather results =
    relation — the mid-query adaptivity probe. It may raise (abandoning
    the attempt); in pool mode the raise propagates out of the task and
    back through [Pool.map]. *)
-let eval_paths ?par ?(cancel = Cancel.never) ?watch (db : Database.t) eval cpaths =
-  let observe i rel = match watch with Some w -> w i rel | None -> () in
-  let fan_out pool =
-    Tm_par.Pool.map pool
-      (fun (i, cp) ->
-        (* Deadline check at task start: a task that begins after the
-           deadline does no work; Pool.await carries the Cancelled
-           exception back to the coordinator. *)
-        Cancel.check cancel;
-        let ((rel, _, _) as outcome) =
-          in_task
-            (fun () -> (Printf.sprintf "path:%d" (i + 1), [ ("path", path_label db cp) ]))
-            (fun () ->
-              let rel = eval cp in
-              if Tm_obs.Obs.in_trace () then
-                Tm_obs.Obs.annotate "rows" (string_of_int (Relation.cardinality rel));
-              rel)
-        in
-        observe i rel;
-        outcome)
-      (List.mapi (fun i cp -> (i, cp)) cpaths)
-    |> gather
-  in
+let eval_paths ?par ~cancel ~watch (db : Database.t) eval cpaths =
   match par with
-  | Some pool when Tm_par.Pool.jobs pool > 1 && List.length cpaths > 1 -> fan_out pool
+  | Some pool when Tm_par.Pool.jobs pool > 1 && List.length cpaths > 1 ->
+    in_tasks ~cancel (Tm_par.Pool.map pool)
+      (fun (i, cp) -> path_span db i cp)
+      (fun (i, cp) ->
+        let rel = with_rows (eval cp) in
+        watch i rel;
+        rel)
+      (List.mapi (fun i cp -> (i, cp)) cpaths)
   | _ ->
     List.mapi
       (fun i cp ->
         Cancel.check cancel;
         let rel = eval_spanned db i cp (fun () -> eval cp) in
-        observe i rel;
+        watch i rel;
         rel)
       cpaths
 
@@ -348,116 +352,89 @@ let wildcard_leaf_ok (db : Database.t) cp leaf =
     | Some _, None, None | None, _, _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* ROOTPATHS / DATAPATHS free evaluation of a rooted linear path       *)
+(* ROOTPATHS and DATAPATHS: family lookups to binding relations        *)
 (* ------------------------------------------------------------------ *)
 
-(* [head_offset]: 0 for rooted rows (idlist = [i1..ik]); used with
-   DATAPATHS head rows where idlist excludes the head. *)
-let eval_family_rooted fam ~head cp =
-  let schema = schema_probe_of cp.pattern in
-  let on_hit acc (hit : Family.hit) =
-    let schema_tags = Array.of_list (Schema_path.to_list hit.Family.h_schema) in
-    let ids = Array.of_list hit.Family.h_ids in
-    let id_at p = ids.(p) in
-    List.fold_left
-      (fun acc positions -> rows_of_match cp ~id_at positions :: acc)
-      acc
-      (Decompose.match_all cp.pattern schema_tags)
-  in
-  let rows =
-    match cp.range with
-    | Some r ->
-      let lo, hi = Estimate.vbounds r in
-      Family.scan_value_range fam ?head ~lo ~hi ~schema on_hit []
-    | None -> Family.scan fam ?head ~value:cp.value ~schema on_hit []
-  in
-  relation_of_rows cp rows
+(* The one family scan-to-relation boundary, staged per path: the
+   lookup under a head — ROOTPATHS ([None]), the DATAPATHS FreeIndex
+   ([Some 0]) or, [anchored], the BoundIndex probe from binding [Some h].
+   Each hit matching [pattern] (step [j] is step [first + j] of [cp])
+   binds [cp]'s needed steps from [first] on. An anchored hit's schema
+   position 0 is its head, which its stored ids exclude (Figure 5). *)
+let family_scan fam cp ~anchored ~first pattern =
+  let needed_list = needed_from cp first in
+  let needed = Array.of_list needed_list in
+  let columns = columns_at cp needed_list in
+  let schema = schema_probe_of pattern in
+  let bounds = Option.map Estimate.vbounds cp.range in
+  fun head ->
+    let h = Option.value head ~default:0 in
+    let on_hit acc (hit : Family.hit) =
+      let schema_tags = Array.of_list (Schema_path.to_list hit.Family.h_schema) in
+      let ids = Array.of_list hit.Family.h_ids in
+      List.fold_left
+        (fun acc positions ->
+          Array.map
+            (fun i ->
+              let p = positions.(i - first) in
+              if not anchored then ids.(p) else if p = 0 then h else ids.(p - 1))
+            needed
+          :: acc)
+        acc
+        (Decompose.match_all pattern schema_tags)
+    in
+    let rows =
+      match bounds with
+      | Some (lo, hi) -> Family.scan_value_range fam ?head ~lo ~hi ~schema on_hit []
+      | None -> Family.scan fam ?head ~value:cp.value ~schema on_hit []
+    in
+    Relation.distinct (Relation.create columns rows)
 
-let eval_rp fam cp = eval_family_rooted fam ~head:None cp
-let eval_dp_free fam cp = eval_family_rooted fam ~head:(Some 0) cp
-
-(* ------------------------------------------------------------------ *)
-(* RP plan: one lookup per path, merge joins on branch points          *)
-(* ------------------------------------------------------------------ *)
-
-let run_rp ?par ?cancel ?watch (db : Database.t) fam ~out_uid cpaths =
-  let relations = eval_paths ?par ?cancel ?watch db (eval_rp fam) cpaths in
-  let joined = join_all ~kind:`Merge relations in
-  Relation.column_values joined out_uid
-
-(* ------------------------------------------------------------------ *)
-(* DP plan: FreeIndex for the most selective path, then INLJ probes    *)
-(* ------------------------------------------------------------------ *)
+(* A path evaluated free: ROOTPATHS ([head] [None]) or the DATAPATHS
+   FreeIndex ([Some 0]). *)
+let free_scan fam ~head cp = family_scan fam cp ~anchored:false ~first:0 cp.pattern head
 
 (* The part of [cp] at or below step [idx_b], re-anchored at that
-   step's tag, and the needed steps there: what an INLJ probe from a
-   binding of step [idx_b] evaluates. *)
+   step's tag: what an INLJ probe from a binding of step [idx_b]
+   matches. *)
 let below cp ~idx_b =
-  ( Array.init
-      (Array.length cp.pattern - idx_b)
-      (fun i -> if i = 0 then (Twig.Child, snd cp.pattern.(idx_b)) else cp.pattern.(idx_b + i)),
-    List.filter (fun i -> i >= idx_b) cp.needed_idx )
+  Array.init
+    (Array.length cp.pattern - idx_b)
+    (fun i -> if i = 0 then (Twig.Child, snd cp.pattern.(idx_b)) else cp.pattern.(idx_b + i))
 
-(* Probe DATAPATHS for the part of [cp] at or below step [idx_b],
-   rooted at head id [h]. Returns rows over the needed columns at
-   steps >= idx_b. *)
-let dp_probe fam cp ~idx_b ~h =
-  let probe_pattern, needed_below = below cp ~idx_b in
-  let stats = Stats.current () in
-  stats.Stats.inlj_probes <- stats.Stats.inlj_probes + 1;
-  let schema = schema_probe_of probe_pattern in
-  let on_hit acc (hit : Family.hit) =
-    let schema_tags = Array.of_list (Schema_path.to_list hit.Family.h_schema) in
-    let ids = Array.of_list hit.Family.h_ids in
-    (* schema position 0 is the head itself; ids exclude the head *)
-    let id_at p = if p = 0 then h else ids.(p - 1) in
-    List.fold_left
-      (fun acc positions ->
-        Array.of_list (List.map (fun i -> id_at positions.(i - idx_b)) needed_below) :: acc)
-      acc
-      (Decompose.match_all probe_pattern schema_tags)
-  in
-  (match cp.range with
-  | Some r ->
-    let lo, hi = Estimate.vbounds r in
-    Family.scan_value_range fam ~head:h ~lo ~hi ~schema on_hit []
-  | None -> Family.scan fam ~head:h ~value:cp.value ~schema on_hit [])
-  |> fun rows -> Relation.distinct (Relation.create (columns_at cp needed_below) rows)
-
-(* Run the INLJ probes of one path, one per branch binding, into one
-   relation. With a pool, the bindings are fanned out in contiguous
+(* DP's INLJ probes of one path, one BoundIndex probe per branch
+   binding, into one relation over the needed steps at or below
+   [idx_b]. With a pool, the bindings are fanned out in contiguous
    chunks: each chunk probes under its own Stats record (merged back)
    and records its probe spans under a "probes" trace the coordinator
    adopts beneath the open "path:N" span — so analyze output still
    attributes every probe, now labelled with the domain that ran it. *)
-let dp_probe_all ?par ?(cancel = Cancel.never) fam cp ~idx_b b_values =
-  let sequential () =
-    List.rev_map
-      (fun h ->
-        Cancel.check cancel;
-        dp_probe fam cp ~idx_b ~h)
-      b_values
-  in
-  let fan_out pool =
-    Tm_par.Pool.map_chunked pool
-      (fun hs ->
-        (* One deadline check per probe chunk: cancellation latency is
-           bounded by a chunk of probes, not the whole binding list. *)
-        Cancel.check cancel;
-        in_task
-          (fun () -> ("probes", [ ("probes", string_of_int (List.length hs)) ]))
-          (fun () -> List.rev_map (fun h -> dp_probe fam cp ~idx_b ~h) hs))
-      b_values
-    |> gather |> List.concat
+let dp_probe_all ?par ~cancel fam cp ~idx_b b_values =
+  let scan = family_scan fam cp ~anchored:true ~first:idx_b (below cp ~idx_b) in
+  let probe h =
+    let stats = Stats.current () in
+    stats.Stats.inlj_probes <- stats.Stats.inlj_probes + 1;
+    scan (Some h)
   in
   let probes =
     match par with
-    | Some pool when Tm_par.Pool.jobs pool > 1 && List.length b_values > 1 -> fan_out pool
-    | _ -> sequential ()
+    | Some pool when Tm_par.Pool.jobs pool > 1 && List.length b_values > 1 ->
+      (* One deadline check per probe chunk: cancellation latency is
+         bounded by a chunk of probes, not the whole binding list. *)
+      in_tasks ~cancel (Tm_par.Pool.map_chunked pool)
+        (fun hs -> ("probes", [ ("probes", string_of_int (List.length hs)) ]))
+        (List.rev_map probe) b_values
+      |> List.concat
+    | _ ->
+      List.rev_map
+        (fun h ->
+          Cancel.check cancel;
+          probe h)
+        b_values
   in
   List.fold_left
     (fun rel r -> Relation.create (Relation.columns r) (r.Relation.rows @ rel.Relation.rows))
-    (Relation.empty (columns_at cp (snd (below cp ~idx_b))))
+    (Relation.empty (columns_at cp (needed_from cp idx_b)))
     probes
 
 (* ------------------------------------------------------------------ *)
@@ -517,16 +494,6 @@ let edge_climb (db : Database.t) cp leaf =
    a document root; edge_climb's Child anchor handles roots via parent=0.
    For Descendant, any position is fine. *)
 
-let edge_rows_of_bindings cp bindings =
-  List.filter_map
-    (fun binding ->
-      let find i = List.assoc_opt i binding in
-      let cols = List.map find cp.needed_idx in
-      if List.for_all Option.is_some cols then
-        Some (Array.of_list (List.map Option.get cols))
-      else None)
-    bindings
-
 (* Top-down evaluation for structure-only paths. *)
 let edge_topdown (db : Database.t) cp =
   let stats = Stats.current () in
@@ -585,10 +552,10 @@ let eval_edge_path (db : Database.t) cp =
           | None -> false)
         (edge_topdown db cp)
   in
-  relation_of_rows cp (edge_rows_of_bindings cp bindings)
-
-let run_edge ?par ?cancel ?watch db ~out_uid cpaths =
-  finish ~out_uid (eval_paths ?par ?cancel ?watch db (eval_edge_path db) cpaths)
+  relation_of_rows cp
+    (List.filter_map
+       (fun binding -> resolved_row (fun i -> List.assoc_opt i binding) cp.needed_idx)
+       bindings)
 
 (* ------------------------------------------------------------------ *)
 (* DG+Edge and IF+Edge plans                                           *)
@@ -624,7 +591,6 @@ let climb_known_path (db : Database.t) ~path_len ~needed_schema_pos leaf =
    filtered by the leaf predicate, climbed to the needed positions. *)
 let eval_guide_path (db : Database.t) ~guide ~fabric cp =
   let stats = Stats.current () in
-  let matches = Estimate.catalog_matches db.Database.catalog cp.pattern in
   let leaf_tag = leaf_tag cp in
   let value_set ?tag () = Option.map id_set (value_index_ids ?tag db cp) in
   let leaf_set =
@@ -632,183 +598,154 @@ let eval_guide_path (db : Database.t) ~guide ~fabric cp =
     | Some _ -> None (* Index Fabric's own scan resolves path + value or range *)
     | None -> value_set () (* a wildcard leaf's: per catalog path below *)
   in
-  let rows =
-    List.concat_map
-      (fun ((entry : Schema_catalog.entry), positions_list) ->
-        let path = entry.Schema_catalog.path in
-        let single_ids acc (hit : Family.hit) =
-          match hit.Family.h_ids with [ id ] -> id :: acc | _ -> acc
-        in
-        let schema = Family.Exact path in
-        let leaf_ids =
-          match (fabric, cp.value, cp.range) with
-          | Some fabric, Some _, _ -> Family.scan fabric ~value:cp.value ~schema single_ids []
-          | Some fabric, None, Some r ->
-            (* Index Fabric key order is (path, value): the range scan
-               stays contiguous within this concrete path *)
-            let lo, hi = Estimate.vbounds r in
-            Family.scan_value_range fabric ~lo ~hi ~schema single_ids []
-          | _ -> (
-            let structural = Family.scan guide ~value:None ~schema single_ids [] in
-            (* a wildcard leaf's concrete tag comes from this catalog path *)
-            let set =
-              match (leaf_set, List.rev (Schema_path.to_list path)) with
-              | None, tag :: _ when leaf_tag = Decompose.wildcard -> value_set ~tag ()
-              | set, _ -> set
-            in
-            match set with
-            | Some set ->
-              (* the DG (struct) |><| value-index join of Section 5.2.1 *)
-              stats.Stats.join_steps <- stats.Stats.join_steps + 1;
-              List.filter (Hashtbl.mem set) structural
-            | None -> structural)
-        in
-        (* climb to the needed positions along the known concrete path *)
-        let path_len = Schema_path.length path in
-        List.concat_map
-          (fun positions ->
-            let needed_schema_pos = List.map (fun i -> positions.(i)) cp.needed_idx in
-            List.filter_map
-              (fun leaf ->
-                climb_known_path db ~path_len ~needed_schema_pos leaf
-                |> Option.map Array.of_list)
-              leaf_ids)
-          positions_list)
-      matches
-  in
-  relation_of_rows cp rows
-
-let run_guide ?par ?cancel ?watch db ~out_uid ~guide ~fabric cpaths =
-  finish ~out_uid (eval_paths ?par ?cancel ?watch db (eval_guide_path db ~guide ~fabric) cpaths)
+  per_catalog_path db cp (fun path positions_list ->
+      let single_ids acc (hit : Family.hit) =
+        match hit.Family.h_ids with [ id ] -> id :: acc | _ -> acc
+      in
+      let schema = Family.Exact path in
+      let leaf_ids =
+        match (fabric, cp.value, cp.range) with
+        | Some fabric, Some _, _ -> Family.scan fabric ~value:cp.value ~schema single_ids []
+        | Some fabric, None, Some r ->
+          (* Index Fabric key order is (path, value): the range scan
+             stays contiguous within this concrete path *)
+          let lo, hi = Estimate.vbounds r in
+          Family.scan_value_range fabric ~lo ~hi ~schema single_ids []
+        | _ -> (
+          let structural = Family.scan guide ~value:None ~schema single_ids [] in
+          (* a wildcard leaf's concrete tag comes from this catalog path *)
+          let set =
+            match (leaf_set, List.rev (Schema_path.to_list path)) with
+            | None, tag :: _ when leaf_tag = Decompose.wildcard -> value_set ~tag ()
+            | set, _ -> set
+          in
+          match set with
+          | Some set ->
+            (* the DG (struct) |><| value-index join of Section 5.2.1 *)
+            stats.Stats.join_steps <- stats.Stats.join_steps + 1;
+            List.filter (Hashtbl.mem set) structural
+          | None -> structural)
+      in
+      (* climb to the needed positions along the known concrete path *)
+      let path_len = Schema_path.length path in
+      List.concat_map
+        (fun positions ->
+          let needed_schema_pos = List.map (fun i -> positions.(i)) cp.needed_idx in
+          List.filter_map
+            (fun leaf ->
+              climb_known_path db ~path_len ~needed_schema_pos leaf
+              |> Option.map Array.of_list)
+            leaf_ids)
+        positions_list)
 
 (* ------------------------------------------------------------------ *)
 (* ASR plan                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let eval_asr_path (db : Database.t) asrs cp =
-  let matches = Estimate.catalog_matches db.Database.catalog cp.pattern in
-  let rows =
-    List.concat_map
-      (fun ((entry : Schema_catalog.entry), positions_list) ->
-        let tuple acc ids = Array.of_list ids :: acc in
-        let tuples =
-          match cp.range with
-          | Some r ->
-            let lo, hi = Estimate.vbounds r in
-            Asr.scan_relation_range asrs ~path:entry.Schema_catalog.path ~lo ~hi tuple []
-          | None ->
-            Asr.scan_relation asrs ~path:entry.Schema_catalog.path
-              ?value:(match cp.value with Some v -> Some (Some v) | None -> Some None)
-              tuple []
-        in
-        List.concat_map
-          (fun positions ->
-            List.map (fun ids -> rows_of_match cp ~id_at:(fun p -> ids.(p)) positions) tuples)
-          positions_list)
-      matches
-  in
-  relation_of_rows cp rows
-
-let run_asr ?par ?cancel ?watch db asrs ~out_uid cpaths =
-  finish ~out_uid (eval_paths ?par ?cancel ?watch db (eval_asr_path db asrs) cpaths)
+  per_catalog_path db cp (fun path positions_list ->
+      let tuple acc ids = Array.of_list ids :: acc in
+      let tuples =
+        match cp.range with
+        | Some r ->
+          let lo, hi = Estimate.vbounds r in
+          Asr.scan_relation_range asrs ~path ~lo ~hi tuple []
+        | None ->
+          Asr.scan_relation asrs ~path
+            ?value:(match cp.value with Some v -> Some (Some v) | None -> Some None)
+            tuple []
+      in
+      List.concat_map
+        (fun positions ->
+          List.map
+            (fun ids -> Array.of_list (List.map (fun i -> ids.(positions.(i))) cp.needed_idx))
+            tuples)
+        positions_list)
 
 (* ------------------------------------------------------------------ *)
 (* JI plan                                                             *)
 (* ------------------------------------------------------------------ *)
+
+(* The id at schema position [pos] of the instance of materialized
+   path [path] ([len] tags) that ends at [leaf]: the leaf itself, or
+   the head of one backward join-index lookup over the path's suffix
+   from [pos] — JI's one way to reach an interior position. *)
+let ji_backward ji ~path ~len ~leaf pos =
+  if pos = len - 1 then Some leaf
+  else begin
+    let stats = Stats.current () in
+    stats.Stats.structures_accessed <- stats.Stats.structures_accessed + 1;
+    stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
+    match Join_index.backward_lookup ji ~path:(Schema_path.suffix path (len - pos)) ~end_:leaf with
+    | h :: _ -> Some h
+    | [] -> None
+  end
 
 (* First (driver) path: candidate leaves from the value index (or all
    pairs of the matching rooted subpaths), then one backward lookup per
    needed position per matching rooted path. *)
 let eval_ji_driver (db : Database.t) ji cp =
   let stats = Stats.current () in
-  let matches = Estimate.catalog_matches db.Database.catalog cp.pattern in
   let leaf_candidates = value_index_ids db cp in
-  let rows =
-    List.concat_map
-      (fun ((entry : Schema_catalog.entry), positions_list) ->
-        let path = entry.Schema_catalog.path in
-        let plen = Schema_path.length path in
-        (* Join-index relations hold every occurrence of a tag sequence,
-           not just root-anchored ones, so a rooted-path instance is a
-           pair whose head is a document root of the path's first tag. *)
-        let doc_roots =
-          lazy
-            (match Schema_path.to_list path with
-            | tag :: _ ->
-              stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
-              id_set (Edge_table.children_of db.Database.edge ~parent:0 ~tag)
-            | [] -> Hashtbl.create 0)
-        in
-        let instances () =
-          (* length-1 rooted paths have no join-index pair; their
-             instances are the document roots of that tag *)
-          if plen = 1 then
-            Hashtbl.fold (fun id () acc -> id :: acc) (Lazy.force doc_roots) []
-          else begin
-            stats.Stats.structures_accessed <- stats.Stats.structures_accessed + 1;
+  per_catalog_path db cp (fun path positions_list ->
+      let plen = Schema_path.length path in
+      (* Join-index relations hold every occurrence of a tag sequence,
+         not just root-anchored ones, so a rooted-path instance is a
+         pair whose head is a document root of the path's first tag. *)
+      let doc_roots =
+        lazy
+          (match Schema_path.to_list path with
+          | tag :: _ ->
             stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
-            Join_index.all_pairs ji ~path
-            |> List.filter_map (fun (h, leaf) ->
-                   if Hashtbl.mem (Lazy.force doc_roots) h then Some leaf else None)
-          end
-        in
-        let leaves =
-          match leaf_candidates with
-          | Some ids when plen > 1 ->
-            (* keep leaves whose rooted path is this concrete path: the
-               unique ancestor at the path's root position must be a
-               document root *)
-            stats.Stats.structures_accessed <- stats.Stats.structures_accessed + 1;
-            List.filter
-              (fun leaf ->
-                stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
-                List.exists
-                  (fun h -> Hashtbl.mem (Lazy.force doc_roots) h)
-                  (Join_index.backward_lookup ji ~path ~end_:leaf))
-              ids
-          | Some ids ->
-            let roots = Lazy.force doc_roots in
-            List.filter (Hashtbl.mem roots) ids
-          | None -> List.filter (wildcard_leaf_ok db cp) (instances ())
-        in
-        let plen = Schema_path.length path in
-        List.concat_map
-          (fun positions ->
-            let needed_schema_pos = List.map (fun i -> positions.(i)) cp.needed_idx in
-            List.filter_map
-              (fun leaf ->
-                (* one backward lookup per needed interior position *)
-                let resolve pos =
-                  if pos = plen - 1 then Some leaf
-                  else begin
-                    stats.Stats.structures_accessed <- stats.Stats.structures_accessed + 1;
-                    stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
-                    match
-                      Join_index.backward_lookup ji
-                        ~path:(Schema_path.suffix path (plen - pos))
-                        ~end_:leaf
-                    with
-                    | [ h ] -> Some h
-                    | h :: _ -> Some h
-                    | [] -> None
-                  end
-                in
-                let ids = List.map resolve needed_schema_pos in
-                if List.for_all Option.is_some ids then
-                  Some (Array.of_list (List.map Option.get ids))
-                else None)
-              leaves)
-          positions_list)
-      matches
-  in
-  relation_of_rows cp rows
+            id_set (Edge_table.children_of db.Database.edge ~parent:0 ~tag)
+          | [] -> Hashtbl.create 0)
+      in
+      let instances () =
+        (* length-1 rooted paths have no join-index pair; their
+           instances are the document roots of that tag *)
+        if plen = 1 then
+          Hashtbl.fold (fun id () acc -> id :: acc) (Lazy.force doc_roots) []
+        else begin
+          stats.Stats.structures_accessed <- stats.Stats.structures_accessed + 1;
+          stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
+          Join_index.all_pairs ji ~path
+          |> List.filter_map (fun (h, leaf) ->
+                 if Hashtbl.mem (Lazy.force doc_roots) h then Some leaf else None)
+        end
+      in
+      let leaves =
+        match leaf_candidates with
+        | Some ids when plen > 1 ->
+          (* keep leaves whose rooted path is this concrete path: the
+             unique ancestor at the path's root position must be a
+             document root *)
+          stats.Stats.structures_accessed <- stats.Stats.structures_accessed + 1;
+          List.filter
+            (fun leaf ->
+              stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
+              List.exists
+                (fun h -> Hashtbl.mem (Lazy.force doc_roots) h)
+                (Join_index.backward_lookup ji ~path ~end_:leaf))
+            ids
+        | Some ids ->
+          let roots = Lazy.force doc_roots in
+          List.filter (Hashtbl.mem roots) ids
+        | None -> List.filter (wildcard_leaf_ok db cp) (instances ())
+      in
+      List.concat_map
+        (fun positions ->
+          let needed_schema_pos = List.map (fun i -> positions.(i)) cp.needed_idx in
+          List.filter_map
+            (fun leaf -> resolved_row (ji_backward ji ~path ~len:plen ~leaf) needed_schema_pos)
+            leaves)
+        positions_list)
 
 (* Subsequent path probed from branch ids: forward lookups along the
    matching materialized subpaths below the branch. *)
 let eval_ji_probe (db : Database.t) ji cp ~idx_b b_values =
   let stats = Stats.current () in
   let tag_b = snd cp.pattern.(idx_b) in
-  let probe_pattern, needed_below = below cp ~idx_b in
+  let probe_pattern = below cp ~idx_b and needed_below = needed_from cp idx_b in
   (* materialized subpath schemas matching the below-branch pattern *)
   let sub_matches p = Decompose.matches probe_pattern (Array.of_list (Schema_path.to_list p)) in
   let sub_schemas =
@@ -845,25 +782,9 @@ let eval_ji_probe (db : Database.t) ji cp ~idx_b b_values =
                   (fun leaf ->
                     let resolve i =
                       let pos = positions.(i - idx_b) in
-                      if pos = 0 then Some b
-                      else if pos = slen - 1 then Some leaf
-                      else begin
-                        stats.Stats.structures_accessed <-
-                          stats.Stats.structures_accessed + 1;
-                        stats.Stats.index_lookups <- stats.Stats.index_lookups + 1;
-                        match
-                          Join_index.backward_lookup ji
-                            ~path:(Schema_path.suffix sub (slen - pos))
-                            ~end_:leaf
-                        with
-                        | h :: _ -> Some h
-                        | [] -> None
-                      end
+                      if pos = 0 then Some b else ji_backward ji ~path:sub ~len:slen ~leaf pos
                     in
-                    let ids = List.map resolve needed_below in
-                    if List.for_all Option.is_some ids then
-                      Some (Array.of_list (List.map Option.get ids))
-                    else None)
+                    resolved_row resolve needed_below)
                   leaves)
               positions_list)
           sub_schemas)
@@ -888,12 +809,11 @@ let deepest_shared_idx cp bound_cols =
    estimate sort the executor always used. Elements are (original path
    index, cpath) so adaptivity watches can name the path the plan talks
    about. *)
-let indexed_order (db : Database.t) ?order cpaths =
+let indexed_order (db : Database.t) ~order cpaths =
   let arr = Array.of_list cpaths in
-  match order with
-  | Some o when Array.length o = Array.length arr ->
-    Array.to_list (Array.map (fun i -> (i, arr.(i))) o)
-  | _ ->
+  if Array.length order = Array.length arr then
+    Array.to_list (Array.map (fun i -> (i, arr.(i))) order)
+  else
     List.stable_sort
       (fun (_, a) (_, b) -> Int.compare (estimate db a) (estimate db b))
       (List.mapi (fun i cp -> (i, cp)) cpaths)
@@ -902,33 +822,29 @@ let indexed_order (db : Database.t) ?order cpaths =
    [probe]d from the bindings of its deepest column shared with the
    relation so far (evaluated free when it shares none) and hash-joined
    in. *)
-let run_inlj ?(cancel = Cancel.never) ?watch ?order (db : Database.t) ~free ~probe ~out_uid
-    cpaths =
-  let observe i rel = match watch with Some w -> w i rel | None -> () in
+let run_inlj ~cancel ~watch ~order (db : Database.t) ~free ~probe cpaths =
   let eval_free i (oi, cp) =
     let rel = eval_spanned db i cp (fun () -> free cp) in
-    observe oi rel;
+    watch oi rel;
     rel
   in
-  match indexed_order db ?order cpaths with
+  match indexed_order db ~order cpaths with
   | [] -> invalid_arg "run_inlj: no paths"
   | first :: rest ->
     Cancel.check cancel;
-    let joined, _ =
-      List.fold_left
-        (fun (acc, i) ((_, cp) as path) ->
-          Cancel.check cancel;
-          let rel =
-            match deepest_shared_idx cp (Relation.columns acc) with
-            | None -> eval_free i path
-            | Some idx_b ->
-              let b_values = Relation.column_values acc cp.uids.(idx_b) in
-              eval_spanned db i cp (fun () -> probe cp ~idx_b b_values)
-          in
-          (join_pair ~kind:`Hash acc rel, i + 1))
-        (eval_free 0 first, 1) rest
-    in
-    Relation.column_values joined out_uid
+    fst
+      (List.fold_left
+         (fun (acc, i) ((_, cp) as path) ->
+           Cancel.check cancel;
+           let rel =
+             match deepest_shared_idx cp (Relation.columns acc) with
+             | None -> eval_free i path
+             | Some idx_b ->
+               let b_values = Relation.column_values acc cp.uids.(idx_b) in
+               eval_spanned db i cp (fun () -> probe cp ~idx_b b_values)
+           in
+           (join_pair ~kind:`Hash acc rel, i + 1))
+         (eval_free 0 first, 1) rest)
 
 (* ------------------------------------------------------------------ *)
 (* Cost-based strategy choice (a Lore-style optimizer, paper Section 6) *)
@@ -969,8 +885,17 @@ let classify_unusable = function
     Some (Printf.sprintf "I/O error at %s after retries (%s)" site detail)
   | _ -> None
 
-let compile_opt db twig =
-  match compile db twig with cpaths -> Some cpaths | exception Unknown_tag -> None
+(* The one degradation decision, shared by planning, the fallback chain
+   and replanning: [f ()], or [degrade why] when it raises a classified
+   index failure and [strict] is off. Every other exception, and every
+   failure under [strict], propagates. *)
+let degrade_on ~strict f degrade =
+  match f () with
+  | v -> v
+  | exception e -> (
+    match classify_unusable e with
+    | Some why when not strict -> degrade why
+    | Some _ | None -> raise e)
 
 (* The plan [hint] asks for, over a compiled twig ([None]: a query tag
    absent from the data, so any plan answers empty). Unusable statistics
@@ -978,335 +903,345 @@ let compile_opt db twig =
    can run without its estimates, and Auto falls back to RP (the
    fallback chain still covers execution). *)
 let plan_compiled ~hint ~strict (db : Database.t) ~shape compiled =
-  let or_trivial strategy reason f =
-    match f () with
-    | p -> p
-    | exception e -> (
-      match classify_unusable e with
-      | Some why when not strict -> Tm_plan.Plan.trivial ~shape ~strategy (reason why)
-      | Some _ | None -> raise e)
-  in
   match (hint, compiled) with
   | Tm_plan.Hint.Pin p, _ -> p
   | Tm_plan.Hint.Force s, None -> Tm_plan.Plan.trivial ~shape ~strategy:s "as requested"
   | Tm_plan.Hint.Force s, Some cpaths ->
-    or_trivial s
-      (fun _ -> "as requested")
+    degrade_on ~strict
       (fun () -> Tm_plan.Planner.forced ~shape ~paths:(planner_paths db cpaths) s)
+      (fun _ -> Tm_plan.Plan.trivial ~shape ~strategy:s "as requested")
   | Tm_plan.Hint.Auto, None ->
     Tm_plan.Plan.trivial ~shape ~strategy:Database.RP "unknown tag: empty result either way"
   | Tm_plan.Hint.Auto, Some cpaths ->
-    or_trivial Database.RP
-      (fun why -> "planner statistics unusable: " ^ why)
+    degrade_on ~strict
       (fun () -> plan_twig db ~shape cpaths)
+      (fun why ->
+        Tm_plan.Plan.trivial ~shape ~strategy:Database.RP ("planner statistics unusable: " ^ why))
 
 let plan ?(hint = Tm_plan.Hint.Auto) (db : Database.t) twig =
-  plan_compiled ~hint ~strict:true db ~shape:(Twig.shape twig) (compile_opt db twig)
+  plan_compiled ~hint ~strict:true db ~shape:(Twig.shape twig) (compile db twig)
 
 (* ------------------------------------------------------------------ *)
-(* Entry point                                                         *)
+(* Query lifecycle: plan, attempt, record                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The entry point; the interface documents hints, mid-query
-   adaptivity, graceful degradation, deadlines and pools. *)
-let run ?(dp_use_inlj = true) ?(hint = Tm_plan.Hint.Auto) ?(strict = false) ?cancel:parent
-    ?deadline_ms ?pool ?jobs (db : Database.t) twig =
-  let trace_id = Tm_obs.Journal.next_id () in
-  let t_start = Monotonic_clock.now () in
-  let latency_ms () =
-    Int64.to_float (Int64.sub (Monotonic_clock.now ()) t_start) /. 1e6
-  in
-  (* The query's one cost record, installed for its whole extent below:
-     every layer that works for the query charges it, and spans, the
-     journal, the flight recorder and the /metrics totals read it. *)
-  let stats = Stats.create () in
-  let jobs_used =
-    match pool with
-    | Some p -> Tm_par.Pool.jobs p
-    | None -> ( match jobs with Some j when j > 1 -> j | Some _ | None -> 1)
-  in
-  Tm_obs.Flight.emit_traced trace_id Tm_obs.Flight.Query_begin jobs_used 0 "";
-  let shape = Twig.shape twig in
-  (* Compile once; planning and every (re)plan attempt share the paths. *)
-  let compiled = compile_opt db twig in
-  (* Planning reads statistics pages: charged to the query's record. *)
-  let initial_plan =
-    Stats.with_record stats (fun () -> plan_compiled ~hint ~strict db ~shape compiled)
-  in
-  let fallbacks = ref [] in
-  let note_fallback strategy why =
-    fallbacks := (strategy, why) :: !fallbacks;
-    Tm_obs.Obs.incr c_fallbacks;
-    if Tm_obs.Obs.in_trace () then
-      Tm_obs.Obs.annotate
-        (Printf.sprintf "fallback:%s" (Database.strategy_name strategy))
-        why
-  in
-  (* --- Mid-query adaptivity state (Auto hints only) --------------- *)
-  let adaptive = match hint with Tm_plan.Hint.Auto -> true | _ -> false in
-  let replan_notes = ref [] in
-  (* Observed (path index, actual rows) pairs accumulated across
-     replans; each replanning round feeds them back as overrides. *)
-  let observed = ref [] in
-  (* The blow-up that tripped the current attempt. Watches run inside
-     pool tasks on other domains, and the abandonment may surface at
-     the coordinator as [Cancelled] from a sibling task rather than
-     [Replan_abandoned] itself — so this atomic, not the exception
-     identity, is what distinguishes a replan from a deadline. *)
-  let blown = Atomic.make None in
-  let watch_for (plan : Tm_plan.Plan.t) cancel i rel =
-    let cover = plan.Tm_plan.Plan.cover in
-    if i < Array.length cover then begin
-      let est = cover.(i).Tm_plan.Plan.p_est in
-      let actual = Relation.cardinality rel in
-      if Tm_plan.Planner.should_replan ~est ~actual then begin
-        ignore (Atomic.compare_and_set blown None (Some (i, est, actual)));
-        Cancel.cancel cancel;
-        raise Replan_abandoned
-      end
-    end
-  in
-  (* The fallback chain: the planned strategy, then the paper's two
-     primary plans and JI (complete indices with independent physical
-     structures), then the index-free oracle. Every chain member that
-     fails for a classified reason is recorded and skipped; anything
-     else — including Timeout/Cancelled/Replan_abandoned — propagates
-     immediately. *)
-  let run_strategy par ~cancel ~watch ~order strategy ~out_uid cpaths =
+(* One query across its three phases: the run's options, its one cost
+   record [q_stats] (charged by every layer that works for the query,
+   read by spans, the journal, the flight recorder and /metrics), and
+   the fallbacks and replan notes the attempts add, newest first. *)
+type query = {
+  q_id : int;  (** the trace id *)
+  q_start : int64;
+  q_stats : Stats.t;
+  q_twig : Twig.t;
+  q_shape : string;
+  q_hint : Tm_plan.Hint.t;
+  q_strict : bool;
+  q_dp_use_inlj : bool;
+  q_deadline_ms : float option;
+  q_cancel : Cancel.t option;  (** the caller's ambient token *)
+  q_pool : Tm_par.Pool.t option;
+  mutable q_fallbacks : (Database.strategy * string) list;
+  mutable q_notes : string list;
+  mutable q_observed : (int * int) list;
+      (** (path index, actual rows) pairs, fed back to every replan *)
+  q_blown : (int * int * int) option Atomic.t;
+      (** the blow-up (path, estimate, actual) that tripped the current
+          attempt. The abandonment reaches the coordinator as
+          [Cancelled], like a deadline, and possibly from a sibling pool
+          task on another domain — so this atomic, not the exception,
+          tells a replan from a deadline. *)
+}
+
+let elapsed_ms q = Int64.to_float (Int64.sub (Monotonic_clock.now ()) q.q_start) /. 1e6
+let jobs q = match q.q_pool with Some p -> Tm_par.Pool.jobs p | None -> 1
+
+(* Plan phase: compile the twig once — every attempt and replan shares
+   the compiled paths; [None] is a tag absent from the data — and plan
+   it under the hint. Planning reads statistics pages, so it is charged
+   to the query's record. *)
+let plan_query (db : Database.t) q =
+  let compiled = compile db q.q_twig in
+  ( compiled,
+    Stats.with_record q.q_stats (fun () ->
+        plan_compiled ~hint:q.q_hint ~strict:q.q_strict db ~shape:q.q_shape compiled) )
+
+(* Answer [cpaths] under one strategy through the one path-evaluation
+   pipeline: each path evaluated through the strategy's access path and
+   the binding relations joined — sort-merge for ROOTPATHS, hash joins
+   otherwise — except under DP and JI, which drive index-nested-loop
+   joins from the most selective path. *)
+let run_strategy (db : Database.t) q ~cancel ~watch ~order strategy ~out_uid cpaths =
+  let joined kind eval = join_all ~kind (eval_paths ?par:q.q_pool ~cancel ~watch db eval cpaths) in
+  let inlj free probe = run_inlj ~cancel ~watch ~order db ~free ~probe cpaths in
+  let relation =
     match Database.require db strategy with
-    | Database.Built_rootpaths fam -> run_rp ?par ~cancel ?watch db fam ~out_uid cpaths
-    | Database.Built_datapaths fam when dp_use_inlj ->
-      run_inlj ~cancel ?watch ~order db ~free:(eval_dp_free fam)
-        ~probe:(dp_probe_all ?par ~cancel fam) ~out_uid cpaths
+    | Database.Built_rootpaths fam -> joined `Merge (free_scan fam ~head:None)
+    | Database.Built_datapaths fam when q.q_dp_use_inlj ->
+      inlj (free_scan fam ~head:(Some 0)) (dp_probe_all ?par:q.q_pool ~cancel fam)
     | Database.Built_datapaths fam ->
       (* The ablation (not a paper strategy): every path a FreeIndex
          lookup stitched with hash joins — DATAPATHS reduced to
          ROOTPATHS-style planning, isolating the contribution of
          index-nested-loop joins to Figure 12(d). *)
-      finish ~out_uid (eval_paths ?par ~cancel ?watch db (eval_dp_free fam) cpaths)
-    | Database.Built_edge -> run_edge ?par ~cancel ?watch db ~out_uid cpaths
-    | Database.Built_dataguide guide ->
-      run_guide ?par ~cancel ?watch db ~out_uid ~guide ~fabric:None cpaths
+      joined `Hash (free_scan fam ~head:(Some 0))
+    | Database.Built_edge -> joined `Hash (eval_edge_path db)
+    | Database.Built_dataguide guide -> joined `Hash (eval_guide_path db ~guide ~fabric:None)
     | Database.Built_index_fabric { fabric; dataguide } ->
-      run_guide ?par ~cancel ?watch db ~out_uid ~guide:dataguide ~fabric:(Some fabric) cpaths
-    | Database.Built_asr asrs -> run_asr ?par ~cancel ?watch db asrs ~out_uid cpaths
-    | Database.Built_ji ji ->
-      run_inlj ~cancel ?watch ~order db ~free:(eval_ji_driver db ji)
-        ~probe:(eval_ji_probe db ji) ~out_uid cpaths
+      joined `Hash (eval_guide_path db ~guide:dataguide ~fabric:(Some fabric))
+    | Database.Built_asr asrs -> joined `Hash (eval_asr_path db asrs)
+    | Database.Built_ji ji -> inlj (eval_ji_driver db ji) (eval_ji_probe db ji)
   in
-  let attempt_chain par ~cancel ~watch (plan : Tm_plan.Plan.t) ~out_uid cpaths =
-    let requested = plan.Tm_plan.Plan.strategy in
-    let order = plan.Tm_plan.Plan.join_order in
-    let chain =
-      requested
-      :: List.filter
-           (fun s -> not (Tm_plan.Strategy.equal s requested))
-           [ Database.DP; Database.RP; Database.Ji ]
-    in
-    let rec go = function
-      | [] ->
-        (* Every indexed strategy was unusable: answer from the naive
-           in-memory matcher, which touches no index pages at all. *)
-        Cancel.check cancel;
-        (Tm_query.Naive.query db.Database.doc twig, requested, true)
-      | strategy :: rest -> (
-        match run_strategy par ~cancel ~watch ~order strategy ~out_uid cpaths with
-        | ids -> (ids, strategy, false)
-        | exception e -> (
-          match classify_unusable e with
-          | Some why when not strict ->
-            note_fallback strategy why;
-            go rest
-          | Some _ | None -> raise e))
-    in
-    go chain
+  Relation.column_values relation out_uid
+
+(* A tripped watch: count and narrate the replan, then plan again with
+   every cardinality observed so far as an override — keeping [plan]
+   when the statistics are unusable and degrading is allowed (its
+   watch expires once the replans run out). *)
+let replan (db : Database.t) q plan cpaths (i, est, actual) =
+  let stats = q.q_stats in
+  stats.Stats.replans <- stats.Stats.replans + 1;
+  q.q_observed <- (i, actual) :: List.remove_assoc i q.q_observed;
+  let note =
+    Printf.sprintf "path %d returned %d rows against an estimate of %d" (i + 1) actual est
   in
-  (* One attempt = one cancellation token scoped to the remaining
-     deadline budget, plus (while replans remain) a watch that trips it
-     on a blown estimate. *)
-  let run_attempt par (plan : Tm_plan.Plan.t) ~out_uid cpaths =
-    let remaining =
-      match deadline_ms with None -> None | Some ms -> Some (ms -. latency_ms ())
-    in
-    (match remaining with Some r when r <= 0.0 -> raise Cancel.Cancelled | _ -> ());
-    (match parent with Some p -> Cancel.check p | None -> ());
-    let watching =
-      adaptive
-      && stats.Stats.replans < Tm_plan.Planner.max_replans
-      && Array.length plan.Tm_plan.Plan.cover > 1
-    in
-    (* Attempt tokens chain to the caller's [cancel] as parent: the
-       request tripping cancels the attempt, but a replan cancelling
-       this attempt token leaves the request token untouched. *)
-    let cancel =
-      match remaining with
-      | Some r -> Cancel.with_deadline_ms ?parent r
-      | None -> (
-        if watching then Cancel.token ?parent ()
-        else match parent with Some p -> p | None -> Cancel.never)
-    in
-    let watch = if watching then Some (watch_for plan cancel) else None in
-    attempt_chain par ~cancel ~watch plan ~out_uid cpaths
+  q.q_notes <- note :: q.q_notes;
+  Tm_obs.Flight.emit Tm_obs.Flight.Replan stats.Stats.replans 0 note;
+  if Tm_obs.Obs.in_trace () then
+    Tm_obs.Obs.annotate (Printf.sprintf "replan:%d" stats.Stats.replans) note;
+  degrade_on ~strict:q.q_strict
+    (fun () -> plan_twig ~overrides:q.q_observed db ~shape:q.q_shape cpaths)
+    (fun _ -> plan)
+
+(* Attempt phase, one attempt per plan, under a token scoped to the
+   remaining deadline and parented by the caller's (a replan cancelling
+   the attempt leaves the caller's token untouched). The fallback chain
+   runs the planned strategy, then DP, RP and JI (complete indices with
+   independent structures), skipping each that fails for a classified
+   reason, then the naive matcher, which reads no index page. While
+   replans remain (Auto only), a path whose relation blows its estimate
+   trips the token, and the next attempt runs the replanned plan.
+   Timeouts never degrade. *)
+let rec attempt (db : Database.t) q (plan : Tm_plan.Plan.t) ~out_uid cpaths =
+  let remaining =
+    match q.q_deadline_ms with None -> None | Some ms -> Some (ms -. elapsed_ms q)
   in
-  let rec execute par (plan : Tm_plan.Plan.t) ~out_uid cpaths =
-    match run_attempt par plan ~out_uid cpaths with
-    | ids, strategy, via_naive -> (plan, ids, strategy, via_naive)
-    | exception (Replan_abandoned | Cancel.Cancelled)
-      when (match Atomic.get blown with Some _ -> true | None -> false) ->
-      let i, est, actual =
-        match Atomic.exchange blown None with Some b -> b | None -> assert false
+  (match remaining with Some r when r <= 0.0 -> raise Cancel.Cancelled | _ -> ());
+  (match q.q_cancel with Some p -> Cancel.check p | None -> ());
+  let cover = plan.Tm_plan.Plan.cover in
+  let watching =
+    (match q.q_hint with Tm_plan.Hint.Auto -> true | _ -> false)
+    && q.q_stats.Stats.replans < Tm_plan.Planner.max_replans
+    && Array.length cover > 1
+  in
+  let parent = q.q_cancel in
+  let cancel =
+    match remaining with
+    | Some r -> Cancel.with_deadline_ms ?parent r
+    | None -> (
+      if watching then Cancel.token ?parent ()
+      else match parent with Some p -> p | None -> Cancel.never)
+  in
+  let watch i rel =
+    if watching && i < Array.length cover then begin
+      let est = cover.(i).Tm_plan.Plan.p_est in
+      let actual = Relation.cardinality rel in
+      if Tm_plan.Planner.should_replan ~est ~actual then begin
+        ignore (Atomic.compare_and_set q.q_blown None (Some (i, est, actual)));
+        Cancel.cancel cancel;
+        raise Cancel.Cancelled
+      end
+    end
+  in
+  let requested = plan.Tm_plan.Plan.strategy in
+  let rec fallback = function
+    | [] ->
+      Cancel.check cancel;
+      (plan, Tm_query.Naive.query db.Database.doc q.q_twig, requested, true)
+    | strategy :: rest ->
+      degrade_on ~strict:q.q_strict
+        (fun () ->
+          let order = plan.Tm_plan.Plan.join_order in
+          (plan, run_strategy db q ~cancel ~watch ~order strategy ~out_uid cpaths, strategy, false))
+        (fun why ->
+          q.q_fallbacks <- (strategy, why) :: q.q_fallbacks;
+          Tm_obs.Obs.incr c_fallbacks;
+          if Tm_obs.Obs.in_trace () then
+            Tm_obs.Obs.annotate
+              (Printf.sprintf "fallback:%s" (Database.strategy_name strategy))
+              why;
+          fallback rest)
+  in
+  let others =
+    List.filter (fun s -> not (Tm_plan.Strategy.equal s requested)) Database.[ DP; RP; Ji ]
+  in
+  match fallback (requested :: others) with
+  | answered -> answered
+  | exception Cancel.Cancelled -> (
+    match Atomic.exchange q.q_blown None with
+    | Some blown -> attempt db q (replan db q plan cpaths blown) ~out_uid cpaths
+    | None -> raise Cancel.Cancelled)
+
+(* The attempts' answer as the query's result, under its root span when
+   the sink is on (the span's meta built only then). A tag absent from
+   the data answers empty under the plan as made. The reason narrates
+   the replans and fallbacks on top of the final plan's. *)
+let answer (db : Database.t) q (plan : Tm_plan.Plan.t) compiled =
+  let body () =
+    match compiled with
+    | None -> (plan, [], plan.Tm_plan.Plan.strategy, false)
+    | Some cpaths ->
+      let out_uid = (Twig.output_node q.q_twig).Twig.uid in
+      let plan, ids, strategy, via_naive = attempt db q plan ~out_uid cpaths in
+      (plan, List.sort_uniq Int.compare ids, strategy, via_naive)
+  in
+  let (final, ids, strategy, via_naive), trace =
+    if not (Tm_obs.Obs.enabled ()) then (body (), None)
+    else
+      let name = Database.strategy_name plan.Tm_plan.Plan.strategy in
+      Tm_obs.Obs.trace
+        ~meta:
+          [
+            ("query", Twig.to_string q.q_twig);
+            ("shape", q.q_shape);
+            ("strategy", name);
+            ("reason", plan.Tm_plan.Plan.reason);
+            ("trace", string_of_int q.q_id);
+            ("jobs", string_of_int (jobs q));
+          ]
+        ("query:" ^ name) body
+  in
+  let fallbacks = List.rev q.q_fallbacks in
+  let reason =
+    match List.rev q.q_notes with
+    | [] -> final.Tm_plan.Plan.reason
+    | notes -> Printf.sprintf "%s [%s]" final.Tm_plan.Plan.reason (String.concat "; " notes)
+  in
+  let reason =
+    match fallbacks with
+    | [] -> reason
+    | fs ->
+      let steps =
+        List.map
+          (fun (s, why) -> Printf.sprintf "%s unusable (%s)" (Database.strategy_name s) why)
+          fs
       in
-      stats.Stats.replans <- stats.Stats.replans + 1;
-      observed := (i, actual) :: List.remove_assoc i !observed;
-      let note =
-        Printf.sprintf "path %d returned %d rows against an estimate of %d" (i + 1)
-          actual est
-      in
-      replan_notes := note :: !replan_notes;
-      Tm_obs.Flight.emit Tm_obs.Flight.Replan stats.Stats.replans 0 note;
-      if Tm_obs.Obs.in_trace () then
-        Tm_obs.Obs.annotate (Printf.sprintf "replan:%d" stats.Stats.replans) note;
-      let plan' =
-        match plan_twig ~overrides:!observed db ~shape cpaths with
-        | p -> p
-        | exception e -> (
-          match classify_unusable e with
-          | Some _ when not strict -> plan (* keep the plan, watch expires below *)
-          | Some _ | None -> raise e)
-      in
-      execute par plan' ~out_uid cpaths
+      Printf.sprintf "%s; fell back to %s after: %s" reason
+        (if via_naive then "naive matcher" else Database.strategy_name strategy)
+        (String.concat "; " steps)
   in
-  let run_with par =
-    let body () =
-      match compiled with
-      | None -> (initial_plan, [], initial_plan.Tm_plan.Plan.strategy, false)
-      | Some cpaths ->
-        let out_uid = (Twig.output_node twig).Twig.uid in
-        let plan, ids, strategy, via_naive = execute par initial_plan ~out_uid cpaths in
-        (plan, List.sort_uniq Int.compare ids, strategy, via_naive)
+  let stats = q.q_stats and trace_id = q.q_id in
+  let replans = stats.Stats.replans in
+  { ids; stats; strategy; reason; fallbacks; via_naive; plan = final; replans; trace; trace_id }
+
+(* How a query ended: its result, the budget that ran out (ms), or the
+   exception that escaped. *)
+type outcome = Answered of result | Expired of float | Raised of exn
+
+(* Record phase: the one place a finished query — answered, timed out
+   or failed — reaches the sinks. Its cost record is final once
+   uninstalled, and feeds the [query.*] totals, the flight recorder,
+   the journal and, for an answer, the [query.ms] histogram. A query
+   that did not answer is journaled under its [initial] plan. *)
+let record (db : Database.t) q (initial : Tm_plan.Plan.t) outcome =
+  let stats = q.q_stats in
+  Tm_obs.Obs.add_query stats;
+  let ms = elapsed_ms q in
+  (match outcome with
+  | Answered r ->
+    Tm_obs.Obs.observe h_query_ms ms;
+    Tm_obs.Flight.emit_traced q.q_id Tm_obs.Flight.Query_end (List.length r.ids)
+      stats.Stats.replans ""
+  | Expired budget ->
+    Tm_obs.Flight.emit_traced q.q_id Tm_obs.Flight.Cancel_deadline (int_of_float budget) 0 ""
+  | Raised _ -> ());
+  if Tm_obs.Journal.enabled () then begin
+    let unanswered j =
+      (initial, initial.Tm_plan.Plan.strategy, initial.Tm_plan.Plan.reason, false, 0, j)
     in
-    Tm_obs.Obs.trace
-      ~meta:
-        [
-          ("query", Twig.to_string twig);
-          ("shape", shape);
-          ("strategy", Database.strategy_name initial_plan.Tm_plan.Plan.strategy);
-          ("reason", initial_plan.Tm_plan.Plan.reason);
-          ("trace", string_of_int trace_id);
-          ( "jobs",
-            string_of_int (match par with Some p -> Tm_par.Pool.jobs p | None -> 1) );
-        ]
-      ("query:" ^ Database.strategy_name initial_plan.Tm_plan.Plan.strategy)
-      body
+    let (plan : Tm_plan.Plan.t), strategy, reason, via_naive, rows, j_outcome =
+      match outcome with
+      | Answered r ->
+        (r.plan, r.strategy, r.reason, r.via_naive, List.length r.ids, Tm_obs.Journal.Completed)
+      | Expired budget -> unanswered (Tm_obs.Journal.Timed_out budget)
+      | Raised e -> unanswered (Tm_obs.Journal.Failed (Printexc.to_string e))
+    in
+    Tm_obs.Journal.record
+      {
+        Tm_obs.Journal.j_id = q.q_id;
+        j_time = Unix.gettimeofday ();
+        j_query = Twig.to_string q.q_twig;
+        j_shape = q.q_shape;
+        j_requested = Database.strategy_name initial.Tm_plan.Plan.strategy;
+        j_strategy = Database.strategy_name strategy;
+        j_reason = reason;
+        j_fallbacks =
+          List.rev_map (fun (s, why) -> (Database.strategy_name s, why)) q.q_fallbacks;
+        j_via_naive = via_naive;
+        j_rows = rows;
+        j_est_rows =
+          (if Array.length plan.Tm_plan.Plan.cover = 0 then None
+           else Some plan.Tm_plan.Plan.est_rows);
+        j_latency_ms = ms;
+        j_stats = stats;
+        j_jobs = jobs q;
+        j_txn = db.Database.last_txn;
+        j_outcome;
+      }
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Entry point                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The entry point, a driver over the three phases; the interface
+   documents hints, mid-query adaptivity, graceful degradation,
+   deadlines and pools. *)
+let run ?(dp_use_inlj = true) ?(hint = Tm_plan.Hint.Auto) ?(strict = false) ?cancel
+    ?deadline_ms ?pool (db : Database.t) twig =
+  let q =
+    {
+      q_id = Tm_obs.Journal.next_id ();
+      q_start = Monotonic_clock.now ();
+      q_stats = Stats.create ();
+      q_twig = twig;
+      q_shape = Twig.shape twig;
+      q_hint = hint;
+      q_strict = strict;
+      q_dp_use_inlj = dp_use_inlj;
+      q_deadline_ms = deadline_ms;
+      q_cancel = cancel;
+      q_pool = pool;
+      q_fallbacks = [];
+      q_notes = [];
+      q_observed = [];
+      q_blown = Atomic.make None;
+    }
   in
-  let record_journal ~(plan : Tm_plan.Plan.t) ~strategy ~reason ~fallbacks ~via_naive ~rows ~ms
-      outcome =
-    if Tm_obs.Journal.enabled () then
-      Tm_obs.Journal.record
-        {
-          Tm_obs.Journal.j_id = trace_id;
-          j_time = Unix.gettimeofday ();
-          j_query = Twig.to_string twig;
-          j_shape = shape;
-          j_requested = Database.strategy_name initial_plan.Tm_plan.Plan.strategy;
-          j_strategy = Database.strategy_name strategy;
-          j_reason = reason;
-          j_fallbacks =
-            List.map (fun (s, why) -> (Database.strategy_name s, why)) fallbacks;
-          j_via_naive = via_naive;
-          j_rows = rows;
-          j_est_rows =
-            (if Array.length plan.Tm_plan.Plan.cover = 0 then None
-             else Some plan.Tm_plan.Plan.est_rows);
-          j_latency_ms = ms;
-          j_stats = stats;
-          j_jobs = jobs_used;
-          j_txn = db.Database.last_txn;
-          j_outcome = outcome;
-        }
-  in
+  Tm_obs.Flight.emit_traced q.q_id Tm_obs.Flight.Query_begin (jobs q) 0 "";
+  let compiled, plan = plan_query db q in
   match
     (* Pin the pager epoch for the whole evaluation: a durable ingest
        committing mid-query publishes a new epoch, but every page this
        query (and its pool workers, via the registered propagator) reads
        is served at the pinned one — the result is consistently pre- or
        post-commit, never torn. *)
-    Stats.with_record stats (fun () ->
+    Stats.with_record q.q_stats (fun () ->
         Tm_storage.Epoch.with_pin db.Database.pager (fun () ->
-            Tm_obs.Context.with_context trace_id (fun () ->
-                match pool with
-                | Some p -> run_with (Some p)
-                | None -> (
-                  match jobs with
-                  | Some j when j > 1 -> Tm_par.Pool.with_pool ~jobs:j (fun p -> run_with (Some p))
-                  | Some _ | None -> run_with None))))
+            Tm_obs.Context.with_context q.q_id (fun () -> answer db q plan compiled)))
   with
-  | (final_plan, ids, strategy, via_naive), trace ->
-    (* The record is final once uninstalled: every consumer reads it now. *)
-    Tm_obs.Obs.add_query stats;
-    let fallbacks = List.rev !fallbacks in
-    let reason = final_plan.Tm_plan.Plan.reason in
-    let reason =
-      match List.rev !replan_notes with
-      | [] -> reason
-      | notes -> Printf.sprintf "%s [%s]" reason (String.concat "; " notes)
-    in
-    let reason =
-      match fallbacks with
-      | [] -> reason
-      | fs ->
-        let steps =
-          List.map
-            (fun (s, why) -> Printf.sprintf "%s unusable (%s)" (Database.strategy_name s) why)
-            fs
-        in
-        Printf.sprintf "%s; fell back to %s after: %s" reason
-          (if via_naive then "naive matcher" else Database.strategy_name strategy)
-          (String.concat "; " steps)
-    in
-    let ms = latency_ms () in
-    let rows = List.length ids in
-    Tm_obs.Obs.observe h_query_ms ms;
-    Tm_obs.Flight.emit_traced trace_id Tm_obs.Flight.Query_end rows stats.Stats.replans "";
-    record_journal ~plan:final_plan ~strategy ~reason ~fallbacks ~via_naive ~rows
-      ~ms Tm_obs.Journal.Completed;
-    {
-      ids;
-      stats;
-      strategy;
-      reason;
-      fallbacks;
-      via_naive;
-      plan = final_plan;
-      replans = stats.Stats.replans;
-      trace;
-      trace_id;
-    }
+  | r ->
+    record db q plan (Answered r);
+    r
   | exception Cancel.Cancelled ->
-    Tm_obs.Obs.add_query stats;
-    let deadline =
-      match deadline_ms with
-      | Some ms -> ms
-      | None -> (
-        (* Cancelled through the ambient token: report its budget. *)
-        match parent with
-        | Some p -> Option.value (Cancel.deadline_ms p) ~default:0.0
-        | None -> 0.0)
-    in
-    Tm_obs.Flight.emit_traced trace_id Tm_obs.Flight.Cancel_deadline
-      (int_of_float deadline) 0 "";
-    record_journal ~plan:initial_plan ~strategy:initial_plan.Tm_plan.Plan.strategy
-      ~reason:initial_plan.Tm_plan.Plan.reason ~fallbacks:(List.rev !fallbacks)
-      ~via_naive:false ~rows:0 ~ms:(latency_ms ())
-      (Tm_obs.Journal.Timed_out deadline);
-    raise (Timeout { ms = deadline; stats })
+    (* Cancelled through the ambient token: report its budget. *)
+    let ambient = Option.value (Option.bind cancel Cancel.deadline_ms) ~default:0.0 in
+    let ms = Option.value deadline_ms ~default:ambient in
+    record db q plan (Expired ms);
+    raise (Timeout { ms; stats = q.q_stats })
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
-    Tm_obs.Obs.add_query stats;
-    record_journal ~plan:initial_plan ~strategy:initial_plan.Tm_plan.Plan.strategy
-      ~reason:initial_plan.Tm_plan.Plan.reason ~fallbacks:(List.rev !fallbacks)
-      ~via_naive:false ~rows:0 ~ms:(latency_ms ())
-      (Tm_obs.Journal.Failed (Printexc.to_string e));
+    record db q plan (Raised e);
     Printexc.raise_with_backtrace e bt
 
 (* The physical shape of a strategy's plan, one or two lines. *)
@@ -1357,12 +1292,12 @@ let branch_cardinality (db : Database.t) cp =
      branch-point projection the executor would keep *)
   let cp = { cp with needed_idx = [ Array.length cp.pattern - 1 ] } in
   match Database.find_rootpaths db with
-  | Some fam -> Relation.cardinality (eval_family_rooted fam ~head:None cp)
+  | Some fam -> Relation.cardinality (free_scan fam ~head:None cp)
   | None -> estimate db cp
 
 (** The per-branch result sizes of a twig (one entry per linear path),
     reproducing the "Result Size Per Branch" column of Figures 7-8. *)
 let path_cardinalities (db : Database.t) twig =
   match compile db twig with
-  | exception Unknown_tag -> []
-  | cpaths -> List.map (branch_cardinality db) cpaths
+  | None -> []
+  | Some cpaths -> List.map (branch_cardinality db) cpaths

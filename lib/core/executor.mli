@@ -58,7 +58,6 @@ val run :
   ?cancel:Tm_par.Cancel.t ->
   ?deadline_ms:float ->
   ?pool:Tm_par.Pool.t ->
-  ?jobs:int ->
   Database.t ->
   Tm_query.Twig.t ->
   result
@@ -111,9 +110,7 @@ val run :
     [pool] fans the independent per-path index lookups (and DP's INLJ
     probe batches) out across a domain pool, joining the binding
     relations as they complete; results are identical to a sequential
-    run. [jobs] (only consulted when [pool] is absent) creates an
-    ephemeral pool for this one query — for repeated queries, create a
-    {!Tm_par.Pool.t} once and pass [pool]. JI plans run sequentially.
+    run. JI plans run sequentially.
     @raise Timeout when [deadline_ms] expires.
     @raise Tm_index.Family.Unsupported ([strict] only) when the
     strategy's index cannot answer the query shape.

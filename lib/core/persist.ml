@@ -249,8 +249,13 @@ let load path : Database.t =
         in
         let db : Database.t = unmarshal_mapped (Bigarray.array1_of_genarray mapped) in
         (* The residency recorded at save time says nothing about this
-           process: the loaded database starts cold. *)
+           process: the loaded database starts cold. Neither does the
+           generation: generations restart in every process, so the
+           saved one may be a live database's here, and the plan cache
+           would serve its plans. Mint a fresh one; the saved one is
+           not invalidated, as it may be that live database's. *)
         Database.drop_caches db;
+        db.Database.generation <- Database.fresh_generation ();
         db)
 
 type section = { name : string; length : int; crc : int }

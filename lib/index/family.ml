@@ -395,8 +395,10 @@ let bound_ok ~is_lo (b : vbound option) v =
    validated, so a lossy member refusing it still counts), and each hit
    handed to the caller is one entry scanned, both on the calling
    domain's query cost record; a span per probe lets EXPLAIN ANALYZE
-   attribute B+-tree and buffer-pool work to the index that caused it. *)
-let probed t f = Tm_obs.Obs.with_span ("probe:" ^ t.config.cfg_name) f
+   attribute B+-tree and buffer-pool work to the index that caused it
+   (its name built only while a trace is being captured). *)
+let probed t f =
+  if Tm_obs.Obs.in_trace () then Tm_obs.Obs.with_span ("probe:" ^ t.config.cfg_name) f else f ()
 
 let start_probe () =
   let q = Tm_exec.Stats.current () in
@@ -449,12 +451,11 @@ let scan_value_range t ?head ~lo ~hi ~schema f acc =
   in
   probed t (fun () -> Bptree.fold_range t.tree ~lo:lo_key ~hi:hi_key fold_f acc)
 
-let scan t ?head ?value ?exact_len ~schema f acc =
+let scan t ?head ?value ~schema f acc =
   let q = start_probe () in
   let prefix, was_exact = scan_prefix t ?head ?value schema in
   let fold_f acc key payload =
     let _, v, s = decode_key t key in
-    let len_ok = match exact_len with None -> true | Some n -> Schema_path.length s = n in
     let value_ok =
       (* When the scan prefix stopped before the Value component, enforce
          the value constraint on decoded hits. *)
@@ -468,7 +469,7 @@ let scan t ?head ?value ?exact_len ~schema f acc =
       | Suffix p -> Schema_path.has_suffix s p
       | Any_schema -> true
     in
-    if len_ok && value_ok && schema_ok then
+    if value_ok && schema_ok then
       hit q f acc { h_schema = s; h_value = v; h_ids = decode_ids t payload }
     else acc
   in

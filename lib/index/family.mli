@@ -91,15 +91,13 @@ val scan :
   t ->
   ?head:int ->
   ?value:string option ->
-  ?exact_len:int ->
   schema:schema_probe ->
   ('a -> hit -> 'a) ->
   'a ->
   'a
 (** One index lookup. [~value:(Some v)] selects value rows, [~value:None]
     the structural (null) rows; omitting it leaves the value
-    unconstrained. [exact_len] additionally requires the matched schema
-    path length. The lookup and every hit passed to the fold are
+    unconstrained. The lookup and every hit passed to the fold are
     charged to the calling domain's {!Tm_exec.Stats.current} record
     ([index_lookups], [entries_scanned]).
     @raise Unsupported per the member's layout. *)

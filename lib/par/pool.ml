@@ -230,9 +230,8 @@ let chunk ~pieces xs =
     go 0 xs []
   end
 
-let map_chunked t ?(chunks_per_job = 2) f xs =
-  if t.jobs = 1 then [ f xs ]
-  else map t f (chunk ~pieces:(t.jobs * chunks_per_job) xs)
+let map_chunked t f xs =
+  if t.jobs = 1 then [ f xs ] else map t f (chunk ~pieces:(t.jobs * 2) xs)
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)

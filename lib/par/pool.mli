@@ -55,11 +55,10 @@ val chunk : pieces:int -> 'a list -> 'a list list
 (** Split into at most [pieces] contiguous non-empty slices whose sizes
     differ by at most one. *)
 
-val map_chunked : t -> ?chunks_per_job:int -> ('a list -> 'b) -> 'a list -> 'b list
-(** Fan a long list of small work items out as [jobs *
-    chunks_per_job] contiguous chunks (default 2 chunks per job, to
-    smooth skew); returns one result per chunk, in chunk order. With
-    [jobs = 1], a single chunk processed inline. *)
+val map_chunked : t -> ('a list -> 'b) -> 'a list -> 'b list
+(** Fan a long list of small work items out as [2 * jobs] contiguous
+    chunks (two per job, to smooth skew); returns one result per chunk,
+    in chunk order. With [jobs = 1], a single chunk processed inline. *)
 
 val env_jobs : unit -> int option
 (** [TWIGMATCH_JOBS] as a positive int, if set and well-formed. *)

@@ -573,9 +573,9 @@ let to_list t = List.rev (fold_range t ~lo:"" ~hi:None (fun acc k p -> (k, p) ::
 (** [bulk_load ?prefix_compression ~name pool entries] builds a tree
     bottom-up from [entries], which must be sorted by (key, payload).
     Leaves are packed to a ~90% fill factor. *)
-let bulk_load ?(prefix_compression = true) ?(fill = 0.9) ~name pool entries =
+let bulk_load ?(prefix_compression = true) ~name pool entries =
   let t = create ~prefix_compression ~name pool in
-  let budget = int_of_float (fill *. float_of_int t.page_size) in
+  let budget = t.page_size * 9 / 10 in
   (* Pack leaves greedily. We approximate the encoded size incrementally:
      exact enough because we re-check against the real encoding. *)
   let leaves = ref [] in

@@ -29,13 +29,12 @@ val create : ?prefix_compression:bool -> name:string -> Buffer_pool.t -> t
 
 val bulk_load :
   ?prefix_compression:bool ->
-  ?fill:float ->
   name:string ->
   Buffer_pool.t ->
   (string * string) list ->
   t
 (** Bottom-up build from entries sorted by (key, payload); leaves are
-    packed to [fill] (default 0.9) of a page.
+    packed to 90% of a page.
     @raise Invalid_argument on unsorted input or an oversized entry. *)
 
 val name : t -> string

@@ -255,7 +255,8 @@ let test_dangling_next_detected () =
 (* Flip one stored bit behind every cache (pager-level, after the pool
    is dropped): each read of the page now fails its CRC32. fsck must
    name the page — via the dedicated pager pass and via the tree walk's
-   Corrupt_page guard — instead of crashing. *)
+   Corrupt_page guard — instead of crashing, and must not report the
+   entries of the page its walk skipped as missing rows. *)
 let test_bitflip_checksum_detected () =
   let db = Db.create ~strategies:[ Db.RP ] (xmark ()) in
   let tree = Tm_index.Family.tree (Option.get db.Db.rootpaths) in
@@ -268,11 +269,13 @@ let test_bitflip_checksum_detected () =
   Pager.unsafe_flip_bit db.Db.pager ~page ~bit:100;
   let report = Check.check_database db in
   assert_detected report Check.Checksum ~structure:"pager" ~page ();
-  assert_detected report Check.Checksum ~structure:"rootpaths" ~page ()
+  assert_detected report Check.Checksum ~structure:"rootpaths" ~page ();
+  check Alcotest.bool "no missing_row" false (has report Check.Missing_row ())
 
 (* The same flip in an Edge node-index (backward-link) page: the link
    checks of the ROOTPATHS entries read it through the Edge table, and
-   must list it as a violation rather than raise. *)
+   must list it as a violation rather than raise; the Edge diff must
+   not report the skipped page's entries as missing rows. *)
 let test_bitflip_edge_link_detected () =
   let db = Db.create ~strategies:[ Db.RP ] (xmark ()) in
   let backward = edge_index db "edge_backward" in
@@ -285,7 +288,8 @@ let test_bitflip_edge_link_detected () =
   Pager.unsafe_flip_bit db.Db.pager ~page ~bit:100;
   let report = Check.check_database db in
   assert_detected report Check.Checksum ~structure:"pager" ~page ();
-  assert_detected report Check.Checksum ~structure:"rootpaths" ()
+  assert_detected report Check.Checksum ~structure:"rootpaths" ();
+  check Alcotest.bool "no missing_row" false (has report Check.Missing_row ())
 
 (* Flip a bit of the stored checksum itself (the page bytes stay good):
    the mismatch must be reported all the same. *)

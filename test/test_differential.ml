@@ -186,19 +186,19 @@ let prop_auto_hint =
           (ids_to_string par.Executor.ids)
       else true)
 
-(* The per-query ephemeral-pool path (?jobs) must agree too: it is the
-   CLI's fallback when no persistent pool exists. One case per run is
-   enough — the pool spawn dominates the runtime. *)
-let prop_ephemeral_jobs =
-  QCheck.Test.make ~name:"?jobs ephemeral pool = oracle" ~count:8 arb_case
+(* A pool made for one query and shut down after it must agree too: it
+   is what the CLI does for a single query run with --jobs. One case per
+   run is enough — the pool spawn dominates the runtime. *)
+let prop_ephemeral_pool =
+  QCheck.Test.make ~name:"ephemeral with_pool = oracle" ~count:8 arb_case
     (fun (roots, rt) ->
       let doc = doc_of roots in
       let twig = twig_of rt in
       let db = Database.create ~strategies:Database.[ RP; DP ] doc in
       let expected = Tm_query.Naive.query doc twig in
-      (Executor.run ~jobs ~hint:(Tm_plan.Hint.Force Database.RP) db twig).Executor.ids = expected
-      && (Executor.run ~jobs ~hint:(Tm_plan.Hint.Force Database.DP) db twig).Executor.ids
-         = expected)
+      let ids s pool = (Executor.run ~pool ~hint:(Tm_plan.Hint.Force s) db twig).Executor.ids in
+      Tm_par.Pool.with_pool ~jobs (ids Database.RP) = expected
+      && Tm_par.Pool.with_pool ~jobs (ids Database.DP) = expected)
 
 let () =
   Alcotest.run "differential"
@@ -207,6 +207,6 @@ let () =
         [
           Seed.to_alcotest prop_differential;
           Seed.to_alcotest prop_auto_hint;
-          Seed.to_alcotest prop_ephemeral_jobs;
+          Seed.to_alcotest prop_ephemeral_pool;
         ] );
     ]

@@ -440,22 +440,80 @@ let test_journal_disabled_stays_empty () =
       check Alcotest.int "no entries" 0 (Journal.length ());
       check Alcotest.int "entries list empty" 0 (List.length (Journal.entries ())))
 
+(* Each of Executor.run's three exits — an answer, an expired deadline
+   and an escaping failure — records the query once: one journal entry
+   holding the query's cost record, that record added to the [query.*]
+   totals, and (answer and deadline) a flight event under its trace id. *)
 let test_journal_records_completion () =
+  let module Flight = Tm_obs.Flight in
   let db = Database.create ~strategies:[ Database.RP ] (book_doc ()) in
   let twig = Tm_query.Xpath_parser.parse query in
+  let fields = Tm_exec.Stats.fields in
+  let totals () =
+    List.filter
+      (fun (name, _) -> String.length name > 6 && String.sub name 0 6 = "query.")
+      (Obs.counters ())
+  in
+  Obs.with_enabled true @@ fun () ->
+  Flight.with_enabled true @@ fun () ->
   Journal.with_enabled true (fun () ->
       Journal.clear ();
+      Flight.clear ();
+      let before = totals () in
       let r = Executor.run ~hint:(Tm_plan.Hint.Force Database.RP) db twig in
       check Alcotest.int "one entry" 1 (Journal.length ());
-      match Journal.entries () with
+      (match Journal.entries () with
       | [ e ] ->
         check Alcotest.int "entry id is the trace id" r.Executor.trace_id e.Journal.j_id;
         check Alcotest.string "strategy" (Database.strategy_name Database.RP) e.Journal.j_strategy;
         check Alcotest.int "rows" (List.length r.Executor.ids) e.Journal.j_rows;
         check Alcotest.bool "completed" true (e.Journal.j_outcome = Journal.Completed);
         check Alcotest.bool "latency non-negative" true (e.Journal.j_latency_ms >= 0.0);
-        check Alcotest.bool "not via naive" false e.Journal.j_via_naive
-      | es -> Alcotest.failf "expected exactly one entry, got %d" (List.length es))
+        check Alcotest.bool "not via naive" false e.Journal.j_via_naive;
+        check Alcotest.bool "entry holds the result's record" true
+          (fields e.Journal.j_stats = fields r.Executor.stats)
+      | es -> Alcotest.failf "expected exactly one entry, got %d" (List.length es));
+      let expired =
+        match Executor.run ~deadline_ms:0.0001 ~hint:(Tm_plan.Hint.Force Database.RP) db twig with
+        | _ -> Alcotest.fail "a 0.0001 ms deadline did not expire"
+        | exception Executor.Timeout { stats; _ } -> stats
+      in
+      (match
+         Executor.run ~strict:true ~hint:(Tm_plan.Hint.Force Database.DP) db twig
+       with
+      | _ -> Alcotest.fail "strict forced DP answered without its index"
+      | exception Database.Index_not_built Database.DP -> ());
+      match Journal.entries () with
+      | [ c; t; f ] ->
+        check Alcotest.bool "timed out" true
+          (match t.Journal.j_outcome with Journal.Timed_out _ -> true | _ -> false);
+        check Alcotest.bool "timed-out entry holds the Timeout payload's record" true
+          (fields t.Journal.j_stats = fields expired);
+        check Alcotest.bool "failed" true
+          (match f.Journal.j_outcome with Journal.Failed _ -> true | _ -> false);
+        let recorded name =
+          List.fold_left
+            (fun acc (e : Journal.entry) ->
+              acc
+              + List.fold_left
+                  (fun acc (field, v) -> if "query." ^ field = name then acc + v else acc)
+                  0 (fields e.Journal.j_stats))
+            0 [ c; t; f ]
+        in
+        check
+          Alcotest.(list (pair string int))
+          "query.* totals grow by each run's record"
+          (List.map (fun (name, v) -> (name, v + recorded name)) before)
+          (totals ());
+        let events = Flight.snapshot () in
+        let traced kind id =
+          List.exists (fun e -> e.Flight.e_kind = kind && e.Flight.e_trace = id) events
+        in
+        check Alcotest.bool "query.end carries the trace id" true
+          (traced Flight.Query_end c.Journal.j_id);
+        check Alcotest.bool "cancel.deadline carries the trace id" true
+          (traced Flight.Cancel_deadline t.Journal.j_id)
+      | es -> Alcotest.failf "expected three entries, got %d" (List.length es))
 
 let test_journal_wraps_and_orders () =
   Journal.with_enabled true (fun () ->

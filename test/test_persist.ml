@@ -84,6 +84,21 @@ let test_loaded_snapshot_starts_cold () =
         (r.Executor.stats.Tm_exec.Stats.pool_misses > 0);
       check Alcotest.bool "first Q1x decodes nodes" true (Tm_obs.Obs.value decodes > d0))
 
+(* The plan cache is keyed by (generation, shape), and generations
+   restart in every process, so the generation marshalled with a
+   snapshot may be a live database's in the loading process. Each load
+   mints its own: a built database and two loads of its snapshot are
+   three generations, and no load is served another's cached plans. *)
+let test_load_mints_a_generation () =
+  with_tmp_dir @@ fun dir ->
+  let path = Filename.concat dir "db.snap" in
+  let db = Db.create ~strategies:[ Db.RP ] (xmark ()) in
+  Persist.save db path;
+  let a = Persist.load path and b = Persist.load path in
+  let gens = List.map Db.generation [ db; a; b ] in
+  check Alcotest.int "three distinct generations" 3
+    (List.length (List.sort_uniq Int.compare gens))
+
 (* A checkpoint writes the snapshot from the pager and leaves the pool
    as it was, so a query that ran warm before it runs warm after it. *)
 let test_checkpoint_keeps_pool_warm () =
@@ -223,6 +238,7 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_roundtrip;
           Alcotest.test_case "loaded snapshot starts cold" `Quick test_loaded_snapshot_starts_cold;
+          Alcotest.test_case "load mints a generation" `Quick test_load_mints_a_generation;
           Alcotest.test_case "pool stays warm across a checkpoint" `Quick
             test_checkpoint_keeps_pool_warm;
           Alcotest.test_case "verify reports sections" `Quick test_verify_reports_sections;
