@@ -699,12 +699,13 @@ let run_snapshot file xmark dblp seed out =
   Persist.save db out;
   Printf.printf "snapshot written to %s\n" out
 
-(* Frame-level verification: magic, section lengths, CRCs, footer —
-   without unmarshalling. Damage raises Bad_snapshot -> exit 2. *)
+(* Frame-level verification: magic, section lengths and CRCs, every
+   page image against its CRC, footer — without unmarshalling. Damage
+   raises Bad_snapshot -> exit 2. *)
 let run_snapshot_verify path =
-  let { Persist.sections } = Persist.verify path in
-  Printf.printf "%s: snapshot format v%d, %d sections, frame and checksums ok\n" path
-    Persist.version (List.length sections);
+  let { Persist.sections; pages } = Persist.verify path in
+  Printf.printf "%s: snapshot format v%d, %d sections, %d pages, frame and checksums ok\n" path
+    Persist.version (List.length sections) pages;
   List.iter
     (fun { Persist.name; length; crc } ->
       Printf.printf "  %-10s %10d bytes  crc32 0x%08x\n" name length crc)
@@ -755,10 +756,9 @@ let run_wal_status dir =
   let wpath = Durable.wal_path dir in
   let spath = Durable.snapshot_path dir in
   (match Persist.verify spath with
-  | { Persist.sections } ->
-    let bytes = List.fold_left (fun acc s -> acc + s.Persist.length) 0 sections in
-    Printf.printf "snapshot: %s (%d sections, %d bytes, checksums ok)\n" spath
-      (List.length sections) bytes
+  | { Persist.sections; pages } ->
+    Printf.printf "snapshot: %s (%d sections, %d pages, %d bytes, checksums ok)\n" spath
+      (List.length sections) pages (Unix.stat spath).Unix.st_size
   | exception Persist.Bad_snapshot msg -> Printf.printf "snapshot: DAMAGED (%s)\n" msg);
   let scan = Tm_wal.Wal.scan wpath in
   let size = if Sys.file_exists wpath then (Unix.stat wpath).Unix.st_size else 0 in

@@ -170,6 +170,13 @@ let strategy_size_bytes t strategy =
   | Built_asr a -> Asr.size_bytes a
   | Built_ji j -> Join_index.size_bytes j
 
+let trees t =
+  Edge_table.indices t.edge
+  @ List.filter_map (Option.map Family.tree)
+      [ t.rootpaths; t.datapaths; t.dataguide; t.index_fabric ]
+  @ Option.fold ~none:[] ~some:Asr.trees t.asr_rels
+  @ Option.fold ~none:[] ~some:Join_index.trees t.ji
+
 (** Simulate a cold cache: the buffer pool forgets every resident page
     (it holds no bytes, so nothing is written back). {!Persist.load}
     calls it, so a loaded database starts cold. *)

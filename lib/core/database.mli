@@ -101,6 +101,10 @@ val require : t -> strategy -> built
 val strategy_size_bytes : t -> strategy -> int
 (** Index space per strategy, with Figure 9's accounting. *)
 
+val trees : t -> Tm_storage.Bptree.t list
+(** Every B+-tree of the database: the Edge table's three indices and
+    each built index set's trees. *)
+
 val drop_caches : t -> unit
 (** Simulate a cold cache: the buffer pool forgets which pages are
     resident (it holds no page bytes, so nothing is written back).

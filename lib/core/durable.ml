@@ -1,6 +1,6 @@
 (** The durable write path: a write-ahead-logged database directory.
 
-    A durable handle owns a directory holding a Persist v3 snapshot
+    A durable handle owns a directory holding a Persist v4 snapshot
     ([snapshot.twig]) and a {!Tm_wal.Wal} redo log ([wal.log]). Every
     {!insert_subtree} / {!delete_subtree} is one logged transaction:
 
@@ -37,13 +37,16 @@
     {!checkpoint} folds the log into a fresh snapshot: write the
     snapshot (fsync + atomic rename + directory fsync, see
     {!Persist.save}), truncate the log, and stamp it with a
-    [Checkpoint] frame; the buffer pool stays warm. A crash anywhere in
-    that sequence is safe: the
-    old snapshot survives until the rename, the new one is durable
-    {e before} the truncate can reach the disk (so the log's
-    transactions are never lost to a truncated WAL beside a missing
-    snapshot), and transactions both in the snapshot and still in the
-    log are skipped by the [last_txn] watermark.
+    [Checkpoint] frame. The snapshot writes each page raw under the
+    pager's own CRC and marshals only the rest of the database; the
+    buffer pool and the decoded B+-tree nodes stay warm. A crash
+    anywhere in that sequence is safe: the old snapshot survives until
+    the rename, the new one is durable {e before} the truncate can
+    reach the disk (so the log's transactions are never lost to a
+    truncated WAL beside a missing snapshot), and transactions both in
+    the snapshot and still in the log are skipped by the [last_txn]
+    watermark. A crash mid-save leaves the save's temp file behind;
+    {!open_} removes it.
 
     Failure handling is two-tier. A validation failure
     ([Invalid_argument] from {!Updates} before any page was dirtied)
@@ -221,11 +224,17 @@ let decode_op s =
 (* One writer per directory and per database: [f] runs with both
    claimed, and its failure releases them ({!close} does otherwise). A
    second create, even forced, or an open would rewrite the log a live
-   handle still appends to. *)
+   handle still appends to. Once the directory is claimed no save runs
+   in it, so a snapshot temp file there is one a process left when it
+   died mid-save: as large as the snapshot, and nothing else would ever
+   remove it. *)
 let claiming dir db f =
   let key = try Unix.realpath dir with Unix.Unix_error (_, _, _) -> dir in
   Updates.claim_durable ~dir:key db;
-  match f () with
+  match
+    Persist.remove_temp_files dir;
+    f ()
+  with
   | v -> v
   | exception e ->
     Updates.release_durable db;
@@ -489,7 +498,6 @@ let checkpoint t =
       if t.batch_depth > 0 then invalid_arg "Durable.checkpoint: inside a batch";
       if Pager.in_txn t.db.Database.pager then
         invalid_arg "Durable.checkpoint: a transaction is active";
-      Pager.clear_versions t.db.Database.pager;
       (* [Persist.save] is fsync + atomic rename + directory fsync: a
          crash before it returns leaves the previous snapshot + full
          log; once it returns the new snapshot is durable — only then

@@ -1,7 +1,7 @@
 (** Durable write path: a write-ahead-logged database directory
     (snapshot + redo log) with crash recovery.
 
-    Layout: [<dir>/snapshot.twig] (Persist v3 snapshot) and
+    Layout: [<dir>/snapshot.twig] (Persist v4 snapshot) and
     [<dir>/wal.log] ({!Tm_wal.Wal} frames). Each {!insert_subtree} /
     {!delete_subtree} is one logged transaction — logical [Op] frame,
     one [Page] frame per dirty page (page id and the CRC32 of its
@@ -81,7 +81,9 @@ val open_ : string -> t * recovery
 (** Recover the database under a directory: load the snapshot, replay
     the committed prefix of the log (in commit order, skipping
     transactions the snapshot already contains), discard damaged and
-    uncommitted tails, and reopen the log for appending.
+    uncommitted tails, and reopen the log for appending. Snapshot temp
+    files that a save killed mid-write left in the directory are
+    removed first ({!Persist.remove_temp_files}).
     @raise Persist.Bad_snapshot if the snapshot is damaged.
     @raise Recovery_error if a replayed transaction's [(page, crc)]
     list differs from the logged one, naming the transaction and the
@@ -112,11 +114,14 @@ val batch : t -> (unit -> 'a) -> 'a
     the log itself is what failed — reopen to learn what survived). *)
 
 val checkpoint : t -> unit
-(** Fold the log into a fresh snapshot: drop the pager's old page
-    versions, write the snapshot from the pager (atomic rename; the
-    buffer pool holds no page bytes, so nothing is flushed and it stays
-    warm), truncate the log, stamp it with a [Checkpoint] frame. The
-    log stays small; recovery stays fast.
+(** Fold the log into a fresh snapshot: write the snapshot
+    ({!Persist.save}: each page raw under the pager's CRC, the rest of
+    the database marshalled without page images, version chains or
+    decoded nodes, atomic rename), truncate the log, stamp it with a
+    [Checkpoint] frame. The buffer pool holds no page bytes, so
+    nothing is flushed; it and the decoded B+-tree nodes stay warm, and
+    readers wait only while the database is marshalled. The log stays
+    small; recovery stays fast.
     @raise Invalid_argument inside a {!batch} or an active pager
     transaction. *)
 

@@ -862,8 +862,8 @@ let planner_paths (db : Database.t) cpaths =
       })
     cpaths
 
-(* Plan a compiled twig through the cost model, the journal calibration
-   and the (generation, shape) plan cache. [overrides] carries observed
+(* Plan a compiled twig through the cost model and the (generation,
+   shape) plan cache. [overrides] carries observed
    per-path cardinalities during a mid-query replan (bypasses the
    cache). *)
 let plan_twig ?(overrides = []) (db : Database.t) ~shape cpaths =

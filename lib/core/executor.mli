@@ -63,8 +63,7 @@ val run :
   result
 (** Evaluate a twig under [hint]:
     - {!Tm_plan.Hint.Auto} (default) — the cost-based planner decides,
-      consulting the plan cache and the journal calibration, and
-      adapting mid-query (below);
+      consulting the plan cache, and adapting mid-query (below);
     - [Force s] — execute strategy [s]; cover and join order are still
       computed for display, no costing, no adaptivity;
     - [Pin p] — execute a previously obtained {!Tm_plan.Plan.t}
@@ -127,8 +126,7 @@ val plan : ?hint:Tm_plan.Hint.t -> Database.t -> Tm_query.Twig.t -> Tm_plan.Plan
 (** The plan {!run} starts from under [hint] (default [Auto]) — the
     Lore-style optimizer integration of paper Section 6:
     - [Auto]: the cost-based planner's choice from the pre-collected
-      selectivity statistics (consults and fills the plan cache, applies
-      the journal calibration);
+      selectivity statistics (consults and fills the plan cache);
     - [Force s]: strategy [s], with cover and join order for display;
     - [Pin p]: [p] itself.
 
@@ -140,8 +138,8 @@ val plan : ?hint:Tm_plan.Hint.t -> Database.t -> Tm_query.Twig.t -> Tm_plan.Plan
 
 val explain : ?analyze:bool -> ?hint:Tm_plan.Hint.t -> Database.t -> Tm_query.Twig.t -> string
 (** Human-readable plan: the {!Tm_plan.Plan.t} rendering (shape, join
-    order with per-path estimates, cost comparison, cache/calibration
-    markers) of {!plan} under [hint] (default [Auto]), followed by the
+    order with per-path estimates, cost comparison, cache marker) of
+    {!plan} under [hint] (default [Auto]), followed by the
     strategy's physical plan shape. With [analyze:true] the query is
     also executed with the obs sink enabled, and the recorded span tree
     (per-path and per-join timings, buffer-pool hit rates, row counts)

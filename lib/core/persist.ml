@@ -2,12 +2,15 @@
     catalog, every index's pages and metadata) to a file and reload it
     without re-shredding or re-bulk-loading.
 
-    Format v3 is framed so a damaged file is {e detected}, never fed to
-    [Marshal] (which aborts the process on garbage):
+    A snapshot has two parts: the page store, written page by page as
+    the pager holds it, and the rest of the {!Database.t}, marshalled
+    with the page store detached. Format v4 frames both, so a damaged
+    file is {e detected}, never fed to [Marshal] (which aborts the
+    process on garbage):
 
     {v
       magic   "TWIGMATCH-SNAPSHOT"
-      version u32 = 3
+      version u32 = 4
       count   u32                          number of sections
       section (repeated)
         name-len  u32
@@ -15,31 +18,46 @@
         data-len  u32
         data-crc  u32      CRC32 of the payload bytes
         data      bytes
+      page (repeated, in page-table order)
+        image     page-size bytes, under its page-table CRC
       footer
         end-magic "TWIGEND!"
         table-crc u32      CRC32 over every section's (name, len, crc)
     v}
 
     Sections today: ["meta"] (small, textual — creation parameters for
-    humans and tooling) and ["database"] (the [Marshal] image of the
-    {!Database.t}; one section, because the pager, pools and families
+    humans and tooling), ["database"] (the [Marshal] image of the
+    {!Database.t} without page images, version chains or decoded
+    B+-tree nodes; one section, because the pager, pool and indexes
     share structure that per-structure marshalling would duplicate and
-    un-share). Every payload CRC is verified {e before} any
-    unmarshalling, so truncation or a bit flip anywhere yields
-    {!Bad_snapshot} naming the failing section. {!verify} runs the
-    same frame checks without allocating a database.
+    un-share) and ["page table"] (u32 page size, u32 page count, then a
+    u32 page id and u32 CRC32 per page, covered like every section by
+    its own CRC). Each page image follows raw, under the CRC the pager
+    already keeps for that page, so a save copies no page byte into a
+    string and checksums none a second time. A page the pager holds as
+    damaged is written under the sidecar CRC its image fails, never
+    under one recomputed from its bytes, so the damage shows at load.
 
-    The image stores each page once, in the pager: the buffer pool
-    records only which pages are resident, and B+-trees cache decoded
-    nodes only for pages that were read or committed, never for what a
-    bulk load wrote. [save] leaves the pool warm; [load] forgets the
-    residency it recorded, so a loaded database starts with a cold
-    pool, and the snapshot of a freshly built one with empty node
-    caches.
+    {!load} and {!verify} check every section's CRC, every page image
+    against its page-table CRC, and the footer, before anything is
+    unmarshalled: truncation or a bit flip anywhere yields
+    {!Bad_snapshot} naming the section or page. {!verify} runs the
+    same checks in constant memory, without building a database.
+
+    [save] marshals with the pager's page store and every tree's
+    decoded-node table detached, under the locks that guard them, and
+    restores them after: the buffer pool's residency and the decoded
+    nodes are left as they were, and a reader on another domain that
+    needs page bytes or a decoded node waits for the marshal, not for
+    the write. [load] installs the checked pages into the unmarshalled
+    pager and forgets the residency recorded at save time, so a loaded
+    database starts with a cold pool and empty node caches.
 
     [save] writes to a temp file in the same directory and atomically
     renames it over the target, so a crash mid-save leaves the previous
     snapshot intact — the torn-write crash model at file granularity.
+    The temp file of a save whose process died stays behind until
+    {!remove_temp_files} clears the directory.
 
     The version names the layout of the marshalled image as well as the
     frame's: [Marshal] rebuilds whatever the file holds as a
@@ -60,7 +78,8 @@ open Tm_storage
 
 let magic = "TWIGMATCH-SNAPSHOT"
 let end_magic = "TWIGEND!"
-let version = 3
+let version = 4
+let page_table = "page table"
 
 exception Bad_snapshot of string
 
@@ -94,7 +113,33 @@ let table_crc_step crc (name, len, data_crc) =
   let s = Buffer.contents buf in
   Codec.crc32_update crc (Bytes.unsafe_of_string s) 0 (String.length s)
 
-let write_frame oc sections =
+(* The page table's payload: page size, page count, then each page's
+   id and CRC. *)
+let encode_page_table ~page_size crcs =
+  let buf = Buffer.create (8 + (8 * Array.length crcs)) in
+  Codec.add_u32 buf page_size;
+  Codec.add_u32 buf (Array.length crcs);
+  Array.iteri
+    (fun id crc ->
+      Codec.add_u32 buf id;
+      Codec.add_u32 buf crc)
+    crcs;
+  Buffer.contents buf
+
+(* A full snapshot holds every page, in order. *)
+let decode_page_table s =
+  let u32 pos = fst (Codec.read_u32 s pos) in
+  let len = String.length s in
+  if len < 8 || len <> 8 + (8 * u32 4) then bad "page table of %d bytes is malformed" len;
+  let crcs =
+    Array.init (u32 4) (fun i ->
+        let id = u32 (8 + (8 * i)) in
+        if id <> i then bad "page table entry %d names page %d" i id;
+        u32 (12 + (8 * i)))
+  in
+  (u32 0, crcs)
+
+let write_frame oc sections images =
   output_string oc magic;
   out_u32 oc version;
   out_u32 oc (List.length sections);
@@ -110,39 +155,11 @@ let write_frame oc sections =
         table_crc_step crc (name, String.length data, data_crc))
       0 sections
   in
+  Array.iter (output_bytes oc) images;
   output_string oc end_magic;
   out_u32 oc table_crc
 
-(* Walk the frame, handing each section's (name, len, crc, read_payload)
-   to [f]; [f] decides whether to consume the payload bytes or skip
-   them. Verifies the footer after the last section. *)
-let read_frame ic f =
-  let m =
-    match really_input_string ic (String.length magic) with
-    | m -> m
-    | exception End_of_file -> bad "not a twigmatch snapshot (file shorter than the magic)"
-  in
-  if not (String.equal m magic) then bad "not a twigmatch snapshot";
-  let v = in_u32 ic ~what:"version" in
-  if v <> version then bad "snapshot version %d, expected %d" v version;
-  let count = in_u32 ic ~what:"section count" in
-  if count > 0xFFFF then bad "implausible section count %d (corrupt header)" count;
-  let table_crc = ref 0 in
-  for _ = 1 to count do
-    let name_len = in_u32 ic ~what:"section name length" in
-    if name_len > 0xFFFF then bad "implausible section name length %d (corrupt header)" name_len;
-    let name = in_string ic name_len ~what:"section name" in
-    let len = in_u32 ic ~what:(Printf.sprintf "section %S length" name) in
-    let crc = in_u32 ic ~what:(Printf.sprintf "section %S checksum" name) in
-    table_crc := table_crc_step !table_crc (name, len, crc);
-    f ~name ~len ~crc ic
-  done;
-  let em = in_string ic (String.length end_magic) ~what:"footer magic" in
-  if not (String.equal em end_magic) then bad "bad footer magic (truncated or overwritten tail)";
-  let fc = in_u32 ic ~what:"footer checksum" in
-  if fc <> !table_crc land 0xFFFFFFFF then bad "footer checksum mismatch (section table damaged)"
-
-let skip_section_checked ic ~name ~len ~crc =
+let skip_section_checked ~name ~len ~crc ic =
   (* Stream the CRC in page-sized chunks: verify without holding the
      payload ([verify] and [load] need no section-sized memory). *)
   let chunk = Bytes.create 8192 in
@@ -156,6 +173,70 @@ let skip_section_checked ic ~name ~len ~crc =
     end
   in
   if go len 0 <> crc then bad "section %S failed its checksum (corrupt payload)" name
+
+let read_section_checked ic ~name ~len ~crc =
+  let s = in_string ic len ~what:(Printf.sprintf "section %S payload" name) in
+  if Codec.crc32_string s <> crc then bad "section %S failed its checksum (corrupt payload)" name;
+  s
+
+type section = { name : string; length : int; crc : int }
+
+(* Walk the frame. [section] consumes or skips the payload of each
+   section but the page table, which the walk reads and checks itself;
+   every page image is then checked against its table CRC, each read
+   into a fresh buffer that is returned when [keep_pages], else into
+   one reused buffer. Verifies the footer last. Returns the section
+   table, the page size, the kept images and the page CRCs. *)
+let read_frame ?(keep_pages = false) ic ~section =
+  let m =
+    match really_input_string ic (String.length magic) with
+    | m -> m
+    | exception End_of_file -> bad "not a twigmatch snapshot (file shorter than the magic)"
+  in
+  if not (String.equal m magic) then bad "not a twigmatch snapshot";
+  let v = in_u32 ic ~what:"version" in
+  if v <> version then bad "snapshot version %d, expected %d" v version;
+  let count = in_u32 ic ~what:"section count" in
+  if count > 0xFFFF then bad "implausible section count %d (corrupt header)" count;
+  let table_crc = ref 0 and sections = ref [] and pages = ref None in
+  for _ = 1 to count do
+    let name_len = in_u32 ic ~what:"section name length" in
+    if name_len > 0xFFFF then bad "implausible section name length %d (corrupt header)" name_len;
+    let name = in_string ic name_len ~what:"section name" in
+    let len = in_u32 ic ~what:(Printf.sprintf "section %S length" name) in
+    let crc = in_u32 ic ~what:(Printf.sprintf "section %S checksum" name) in
+    if len > in_channel_length ic - pos_in ic then
+      bad "section %S runs past the end of the file (truncated or corrupt header)" name;
+    table_crc := table_crc_step !table_crc (name, len, crc);
+    sections := { name; length = len; crc } :: !sections;
+    if String.equal name page_table then
+      pages := Some (decode_page_table (read_section_checked ic ~name ~len ~crc))
+    else section ~name ~len ~crc ic
+  done;
+  let page_size, crcs =
+    match !pages with Some p -> p | None -> bad "no %S section in snapshot" page_table
+  in
+  let read_page id buf =
+    (try really_input ic buf 0 page_size with End_of_file -> bad "truncated inside page %d" id);
+    if Codec.crc32 buf <> crcs.(id) then bad "page %d failed its checksum (corrupt image)" id
+  in
+  let images =
+    if keep_pages then
+      Array.init (Array.length crcs) (fun id ->
+          let buf = Bytes.create page_size in
+          read_page id buf;
+          buf)
+    else begin
+      let buf = Bytes.create page_size in
+      Array.iteri (fun id _ -> read_page id buf) crcs;
+      [||]
+    end
+  in
+  let em = in_string ic (String.length end_magic) ~what:"footer magic" in
+  if not (String.equal em end_magic) then bad "bad footer magic (truncated or overwritten tail)";
+  let fc = in_u32 ic ~what:"footer checksum" in
+  if fc <> !table_crc land 0xFFFFFFFF then bad "footer checksum mismatch (section table damaged)";
+  (List.rev !sections, page_size, images, crcs)
 
 let meta_of (db : Database.t) =
   let b = Buffer.create 128 in
@@ -177,16 +258,38 @@ let fsync_dir dir =
       try Unix.fsync fd
       with Unix.Unix_error ((Unix.EINVAL | Unix.EROFS | Unix.EOPNOTSUPP), _, _) -> ())
 
+let temp_prefix = ".twigmatch-snapshot"
+let temp_suffix = ".tmp"
+
+let remove_temp_files dir =
+  Array.iter
+    (fun name ->
+      if String.starts_with ~prefix:temp_prefix name && Filename.check_suffix name temp_suffix then
+        Sys.remove (Filename.concat dir name))
+    (Sys.readdir dir)
+
+let marshal db =
+  try Marshal.to_string db []
+  with Invalid_argument _ ->
+    raise
+      (Bad_snapshot
+         "database contains closures (head_filter / id_keep); pruned databases cannot be \
+          snapshotted")
+
 let save (db : Database.t) path =
-  let image =
-    try Marshal.to_string db []
-    with Invalid_argument _ ->
-      raise
-        (Bad_snapshot
-           "database contains closures (head_filter / id_keep); pruned databases cannot be \
-            snapshotted")
+  let pager = db.Database.pager in
+  let image, images, crcs =
+    Bptree.with_nodes_detached (Database.trees db) (fun () ->
+        Pager.export pager (fun () -> marshal db))
   in
-  let tmp = Filename.temp_file ~temp_dir:(Filename.dirname path) ".twigmatch-snapshot" ".tmp" in
+  let sections =
+    [
+      ("meta", meta_of db);
+      ("database", image);
+      (page_table, encode_page_table ~page_size:(Pager.page_size pager) crcs);
+    ]
+  in
+  let tmp = Filename.temp_file ~temp_dir:(Filename.dirname path) temp_prefix temp_suffix in
   let ok = ref false in
   Fun.protect
     ~finally:(fun () -> if not !ok then Sys.remove tmp)
@@ -195,7 +298,7 @@ let save (db : Database.t) path =
       Fun.protect
         ~finally:(fun () -> close_out oc)
         (fun () ->
-          write_frame oc [ ("meta", meta_of db); ("database", image) ];
+          write_frame oc sections images;
           (* Durability order: the tmp file's bytes must be on disk
              before the rename publishes them — otherwise a crash could
              leave the target name pointing at an empty or partial
@@ -232,15 +335,17 @@ external unmarshal_mapped :
 let load path : Database.t =
   with_snapshot path (fun ic ->
       let image = ref None in
-      read_frame ic (fun ~name ~len ~crc ic ->
-          if String.equal name "database" then image := Some (pos_in ic, len);
-          skip_section_checked ic ~name ~len ~crc);
+      let _, page_size, images, crcs =
+        read_frame ~keep_pages:true ic ~section:(fun ~name ~len ~crc ic ->
+            if String.equal name "database" then image := Some (pos_in ic, len);
+            skip_section_checked ~name ~len ~crc ic)
+      in
       match !image with
       | None -> bad "no %S section in snapshot" "database"
       | Some (pos, len) ->
         (* The frame walk above has verified length and CRC of every
-           byte we are about to unmarshal; Marshal never sees a
-           damaged image. *)
+           byte we are about to unmarshal, and every page image; Marshal
+           never sees a damaged image. *)
         let mapped =
           try
             Unix.map_file (Unix.descr_of_in_channel ic) ~pos:(Int64.of_int pos) Bigarray.char
@@ -248,6 +353,11 @@ let load path : Database.t =
           with Unix.Unix_error (e, _, _) -> bad "cannot map snapshot: %s" (Unix.error_message e)
         in
         let db : Database.t = unmarshal_mapped (Bigarray.array1_of_genarray mapped) in
+        let pager = db.Database.pager in
+        if Pager.page_count pager <> Array.length images || Pager.page_size pager <> page_size then
+          bad "the page table holds %d pages of %d bytes, the database %d of %d"
+            (Array.length images) page_size (Pager.page_count pager) (Pager.page_size pager);
+        Pager.install pager images crcs;
         (* The residency recorded at save time says nothing about this
            process: the loaded database starts cold. Neither does the
            generation: generations restart in every process, so the
@@ -258,13 +368,9 @@ let load path : Database.t =
         db.Database.generation <- Database.fresh_generation ();
         db)
 
-type section = { name : string; length : int; crc : int }
-type summary = { sections : section list }
+type summary = { sections : section list; pages : int }
 
 let verify path =
   with_snapshot path (fun ic ->
-      let acc = ref [] in
-      read_frame ic (fun ~name ~len ~crc ic ->
-          skip_section_checked ic ~name ~len ~crc;
-          acc := { name; length = len; crc } :: !acc);
-      { sections = List.rev !acc })
+      let sections, _, _, crcs = read_frame ic ~section:skip_section_checked in
+      { sections; pages = Array.length crcs })

@@ -15,7 +15,7 @@ type entry = {
   j_id : int;  (** trace id (process-unique, monotonically increasing) *)
   j_time : float;  (** wall-clock completion time (Unix epoch seconds) *)
   j_query : string;
-  j_shape : string;  (** normalized twig shape (the planner's cache/calibration key) *)
+  j_shape : string;  (** normalized twig shape (the planner's cache key) *)
   j_requested : string;  (** the planned strategy *)
   j_strategy : string;  (** the strategy that answered (= requested when healthy) *)
   j_reason : string;  (** planner justification *)

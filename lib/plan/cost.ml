@@ -27,7 +27,7 @@ let probe_cost_entries = 6
 let costed = [ Strategy.RP; Strategy.DP; Strategy.Ji; Strategy.Edge ]
 
 type input = {
-  ests : int array;  (** calibrated per-path estimates, decomposition order *)
+  ests : int array;  (** per-path estimates, decomposition order *)
   lens : int array;  (** per-path step counts *)
 }
 

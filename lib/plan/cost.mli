@@ -8,7 +8,7 @@ val costed : Strategy.t list
     forced. *)
 
 type input = {
-  ests : int array;  (** calibrated per-path estimates, decomposition order *)
+  ests : int array;  (** per-path estimates, decomposition order *)
   lens : int array;  (** per-path step counts *)
 }
 

@@ -6,7 +6,7 @@
 type path_est = {
   p_label : string;  (** rendered path, e.g. [//site/people/person/name] *)
   p_raw_est : int;  (** estimate straight from catalog / Edge statistics *)
-  p_est : int;  (** estimate after journal calibration *)
+  p_est : int;  (** estimate the plan used: raw, or observed on a replan *)
 }
 
 type t = {
@@ -17,7 +17,6 @@ type t = {
   est_rows : int;  (** estimated result cardinality *)
   cost : float;  (** winning cost, in entries-touched units *)
   rivals : (Strategy.t * float) list;  (** every costed strategy, cheapest first *)
-  calibration : float;  (** journal correction factor applied to raw estimates *)
   cached : bool;  (** served from the plan cache *)
   reason : string;  (** one-line justification *)
 }
@@ -31,7 +30,6 @@ let trivial ~shape ~strategy reason =
     est_rows = 0;
     cost = 0.0;
     rivals = [];
-    calibration = 1.0;
     cached = false;
     reason;
   }
@@ -55,8 +53,6 @@ let to_string p =
     add "  costs: %s"
       (String.concat "  "
          (List.map (fun (s, c) -> Printf.sprintf "%s~%.0f" (Strategy.name s) c) rivals)));
-  if not (Float.equal p.calibration 1.0) then
-    add "  journal calibration: x%.2f" p.calibration;
   Buffer.contents buf
 
 let json_string s = Printf.sprintf "%S" s
@@ -88,7 +84,6 @@ let to_json p =
       Printf.sprintf "\"est_rows\":%d," p.est_rows;
       Printf.sprintf "\"cost\":%.1f," p.cost;
       Printf.sprintf "\"rivals\":[%s]," rivals;
-      Printf.sprintf "\"calibration\":%.3f," p.calibration;
       Printf.sprintf "\"cached\":%b," p.cached;
       Printf.sprintf "\"reason\":%s" (json_string p.reason);
       "}";

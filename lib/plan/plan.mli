@@ -4,7 +4,7 @@
 type path_est = {
   p_label : string;  (** rendered path, e.g. [//site/people/person/name] *)
   p_raw_est : int;  (** estimate straight from catalog / Edge statistics *)
-  p_est : int;  (** estimate after journal calibration *)
+  p_est : int;  (** estimate the plan used: raw, or observed on a replan *)
 }
 
 type t = {
@@ -15,7 +15,6 @@ type t = {
   est_rows : int;  (** estimated result cardinality *)
   cost : float;  (** winning cost, in entries-touched units *)
   rivals : (Strategy.t * float) list;  (** every costed strategy, cheapest first *)
-  calibration : float;  (** journal correction factor applied to raw estimates *)
   cached : bool;  (** served from the plan cache *)
   reason : string;  (** one-line justification *)
 }

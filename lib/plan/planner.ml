@@ -1,8 +1,8 @@
 (** The cost-based planner: turns per-path estimates into a {!Plan.t}
-    by calibrating against journal history for the same twig shape,
-    costing every built strategy, and picking cover + join order +
+    by costing every built strategy and picking cover + join order +
     strategy — with a {!Cache} lookup in front keyed by (generation,
-    shape).
+    shape). A plan is a function of the estimates alone, so a cached
+    plan is exactly what a fresh one would be.
 
     Mid-query adaptivity contract: the executor watches each path's
     actual binding-relation cardinality against [cover.(i).p_est] and
@@ -10,8 +10,6 @@
     {!plan} again with [overrides] carrying the observed cardinalities,
     which bypasses the cache (observed numbers are query-specific, not
     shape-general). *)
-
-module Journal = Tm_obs.Journal
 
 type path_input = {
   i_label : string;  (** rendered path, for plan display *)
@@ -35,50 +33,14 @@ let max_replans = 2
 let should_replan ~est ~actual = actual > replan_factor * max est replan_floor
 
 (* ------------------------------------------------------------------ *)
-(* Journal calibration                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Median actual/estimated result-row ratio over completed journal
-   entries of the same shape, clamped to [1/8, 32]. Applied uniformly
-   to the per-path estimates: a uniform factor cannot flip the RP/DP
-   cost comparison (both scale linearly), but it re-anchors the replan
-   thresholds and the reported expectations for shapes the estimator
-   historically got wrong. *)
-let calibration_for shape =
-  if not (Journal.enabled ()) then 1.0
-  else
-    let ratios =
-      Journal.entries ()
-      |> List.filter_map (fun (e : Journal.entry) ->
-             match (e.Journal.j_outcome, e.Journal.j_est_rows) with
-             | Journal.Completed, Some est
-               when String.equal e.Journal.j_shape shape && est > 0 && e.Journal.j_rows > 0
-               ->
-               Some (float_of_int e.Journal.j_rows /. float_of_int est)
-             | _ -> None)
-      |> List.sort Float.compare
-    in
-    match ratios with
-    | [] -> 1.0
-    | _ ->
-      let median = List.nth ratios (List.length ratios / 2) in
-      Float.min 32.0 (Float.max 0.125 median)
-
-(* ------------------------------------------------------------------ *)
 (* Plan construction                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let cover_of ~calibration ~overrides paths =
+let cover_of ~overrides paths =
   Array.of_list
     (List.mapi
        (fun i p ->
-         let est =
-           match List.assoc_opt i overrides with
-           | Some actual -> actual
-           | None ->
-             if Float.equal calibration 1.0 then p.i_est
-             else max 1 (int_of_float (ceil (float_of_int p.i_est *. calibration)))
-         in
+         let est = Option.value ~default:p.i_est (List.assoc_opt i overrides) in
          { Plan.p_label = p.i_label; p_raw_est = p.i_est; p_est = est })
        paths)
 
@@ -87,8 +49,7 @@ let est_rows_of cover =
   else Array.fold_left (fun acc (pe : Plan.path_est) -> min acc pe.Plan.p_est) max_int cover
 
 let fresh ~overrides ~shape ~built ~paths =
-  let calibration = match overrides with [] -> calibration_for shape | _ -> 1.0 in
-  let cover = cover_of ~calibration ~overrides paths in
+  let cover = cover_of ~overrides paths in
   let ests = Array.map (fun (pe : Plan.path_est) -> pe.Plan.p_est) cover in
   let lens = Array.of_list (List.map (fun p -> p.i_len) paths) in
   let strategy, cost, rivals, reason = Cost.choose { Cost.ests; lens } ~built in
@@ -104,7 +65,6 @@ let fresh ~overrides ~shape ~built ~paths =
       est_rows = est_rows_of cover;
       cost;
       rivals;
-      calibration;
       cached = false;
       reason;
     }
@@ -130,7 +90,7 @@ let plan ?(overrides = []) ~generation ~shape ~built ~paths () =
       p)
 
 let forced ~shape ~paths strategy =
-  let cover = cover_of ~calibration:1.0 ~overrides:[] paths in
+  let cover = cover_of ~overrides:[] paths in
   let ests = Array.map (fun (pe : Plan.path_est) -> pe.Plan.p_est) cover in
   {
     Plan.shape;
@@ -140,7 +100,6 @@ let forced ~shape ~paths strategy =
     est_rows = est_rows_of cover;
     cost = 0.0;
     rivals = [];
-    calibration = 1.0;
     cached = false;
     reason = "as requested";
   }

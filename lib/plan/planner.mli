@@ -1,6 +1,5 @@
-(** The cost-based planner: journal-calibrated estimates -> cost model
-    -> cover + join order + strategy, behind the (generation, shape)
-    plan cache. *)
+(** The cost-based planner: estimates -> cost model -> cover + join
+    order + strategy, behind the (generation, shape) plan cache. *)
 
 type path_input = {
   i_label : string;  (** rendered path, for plan display *)

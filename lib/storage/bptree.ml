@@ -52,9 +52,10 @@ type t = {
      it when a reader decodes them or a transaction commits them; a
      write outside a transaction refreshes a cached node but adds none,
      so a bulk load leaves it empty. The lock covers only table lookups
-     and stores (decoding happens outside it). *)
+     and stores (decoding happens outside it), and a snapshot's marshal
+     ([with_nodes_detached]), which must not see the table. *)
   cache_lock : Lock.t;
-  decoded : (int, int * node) Hashtbl.t;
+  mutable decoded : (int, int * node) Hashtbl.t;
   versions : (int, int) Hashtbl.t;
 }
 
@@ -332,6 +333,26 @@ let create ?(prefix_compression = true) ~name pool =
   write_node t root (Leaf { entries = [||]; next = 0 });
   set_m t (fun mt -> { mt with root });
   t
+
+(* A snapshot stores pages, not their decoded forms: the tables are
+   swapped for empty ones while [f] runs, and swapped back, under the
+   locks that guard them, so no reader sees either swap. *)
+let with_nodes_detached trees f =
+  Lock.with_all (List.map (fun t -> t.cache_lock) trees) (fun () ->
+      let saved =
+        List.map
+          (fun t ->
+            let d = t.decoded in
+            t.decoded <- Hashtbl.create 1;
+            d)
+          trees
+      in
+      (* Reattached in reverse, so a tree listed twice gets its own
+         table back last. *)
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter2 (fun t d -> t.decoded <- d) (List.rev trees) (List.rev saved))
+        f)
 
 let name t = t.name
 let entry_count t = (m t).n_entries

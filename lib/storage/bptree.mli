@@ -37,6 +37,13 @@ val bulk_load :
     packed to 90% of a page.
     @raise Invalid_argument on unsorted input or an oversized entry. *)
 
+val with_nodes_detached : t list -> (unit -> 'a) -> 'a
+(** [with_nodes_detached trees f] runs [f] with every tree's
+    decoded-node cache detached, holding each tree's cache lock, so a
+    [Marshal] made by [f] holds no decoded node; the caches are
+    reattached as they were when [f] returns or raises. A reader of one
+    of the trees waits for [f] at its next cache lookup. *)
+
 val name : t -> string
 val entry_count : t -> int
 val page_count : t -> int

@@ -60,3 +60,10 @@ let release t = Mutex.unlock (mutex_of t)
 [@@analyze.manual_lock "split acquire/release primitive; callers pair it or use with_lock"]
 
 let with_lock t f = Mutex.protect (mutex_of t) f
+
+(* Ascending ticket order, each distinct ticket once: two tickets
+   loaded from snapshots may name one mutex, which must not be locked
+   twice. *)
+let with_all ts f =
+  let rec go = function [] -> f () | t :: rest -> with_lock t (fun () -> go rest) in
+  go (List.sort_uniq Int.compare ts)

@@ -16,12 +16,16 @@
     same class:
 
     - [Outer]: buffer-pool stripe and decode-cache locks. A thread
-      holds at most one Outer lock at a time.
-    - [Inner]: pager locks, acquired while holding at most one Outer
-      lock and nothing else; no lock is acquired under an Inner lock.
+      holds at most one Outer lock at a time, except under {!with_all}.
+    - [Inner]: pager locks, acquired while holding Outer locks only;
+      no lock is acquired under an Inner lock.
 
     Sharing within a class keeps the global Outer -> Inner order
-    acyclic, so colliding tickets cannot deadlock. *)
+    acyclic, so colliding tickets cannot deadlock. {!with_all} takes
+    its Outer tickets in ascending order, so a thread waiting in it
+    waits only for a larger ticket than it holds, and the holder of
+    that ticket waits, if at all, for an Inner lock or a larger
+    ticket still. *)
 
 type t
 
@@ -34,3 +38,8 @@ val release : t -> unit
 
 val with_lock : t -> (unit -> 'a) -> 'a
 (** [acquire], run, [release] (also on exception). *)
+
+val with_all : t list -> (unit -> 'a) -> 'a
+(** Run holding every ticket of the list: the Outer locks of a set of
+    structures, taken in ascending ticket order, each distinct ticket
+    once. Inner locks may be taken inside, as under one Outer lock. *)

@@ -261,6 +261,60 @@ let unsafe_flip_crc_bit t ~page ~bit =
       set_damaged t page t.checksums)
 [@@analyze.no_failpoint "test hook: plants the corruption failpoints are meant to simulate"]
 
+(** Run [f] under the lock with the page images, their checksums and
+    the version chains detached, so a [Marshal] made by [f] of a
+    structure reaching [t] holds none of them; reattach them, also when
+    [f] raises. Returns [f]'s result with every page's image and CRC,
+    page [i] at index [i]. The images are the installed buffers, which
+    nothing changes in place, so the caller may write them out after
+    the lock is released. A damaged page keeps the sidecar CRC its
+    image fails, so the damage survives the export; only a pager
+    without checksums has its CRCs computed, here. Readers needing
+    page bytes wait for [f]. *)
+let export t f =
+  let result, images, crcs =
+    locked t (fun () ->
+        let pages = t.pages and crcs = t.crcs and versions = t.versions in
+        t.pages <- [||];
+        t.crcs <- [||];
+        t.versions <- [||];
+        let result =
+          Fun.protect
+            ~finally:(fun () ->
+              t.pages <- pages;
+              t.crcs <- crcs;
+              t.versions <- versions)
+            f
+        in
+        (result, Array.sub pages 0 t.n_pages, Array.sub crcs 0 t.n_pages))
+  in
+  (result, images, if t.checksums then crcs else Array.map Codec.crc32 images)
+
+(** Reattach a page store to a pager that [Marshal] rebuilt from a
+    structure {!export} detached it from. The caller has checked every
+    image against its CRC, so the pager comes back with no damaged
+    page, and quiescent: no version chain, pin or transaction. *)
+let install t images crcs =
+  locked t (fun () ->
+      let n = Array.length images in
+      if n <> t.n_pages || Array.length crcs <> n then
+        invalid_arg
+          (Printf.sprintf "Pager.install: %d images and %d CRCs for %d pages" n
+             (Array.length crcs) t.n_pages);
+      (* [page_epochs] was marshalled at its full capacity. *)
+      let cap = Array.length t.page_epochs in
+      t.pages <- Array.make cap Bytes.empty;
+      t.crcs <- Array.make cap 0;
+      t.versions <- Array.make cap [];
+      Array.blit images 0 t.pages 0 n;
+      Array.blit crcs 0 t.crcs 0 n;
+      Hashtbl.reset t.versioned;
+      Hashtbl.reset t.pins;
+      Hashtbl.reset t.damaged;
+      Atomic.set t.damage 0;
+      Atomic.set t.txn None;
+      Atomic.set t.snapshot_work 0)
+
 let reset_stats t =
   locked t (fun () ->
       t.physical_reads <- 0;
@@ -380,27 +434,6 @@ let unpin t e =
   Tm_obs.Flight.emit Tm_obs.Flight.Epoch_unpin e 0 "";
   if reclaimed > 0 then Tm_obs.Flight.emit Tm_obs.Flight.Epoch_prune e reclaimed ""
 
-(** Drop every version chain unconditionally. Only legal with no
-    registered pins (checkpoint/recovery quiescence); with pins
-    present it degrades to a prune. *)
-let clear_versions t =
-  let epoch, reclaimed =
-    locked t (fun () ->
-        let ids = Hashtbl.fold (fun id () acc -> id :: acc) t.versioned [] in
-        let before = List.length ids in
-        if Hashtbl.length t.pins = 0 then
-          List.iter
-            (fun id ->
-              t.versions.(id) <- [];
-              Hashtbl.remove t.versioned id;
-              Atomic.decr t.snapshot_work)
-            ids
-        else List.iter (fun id -> prune_versions_locked t id) ids;
-        (t.epoch, before - Hashtbl.length t.versioned))
-  in
-  if reclaimed > 0 then Tm_obs.Flight.emit Tm_obs.Flight.Epoch_prune epoch reclaimed ""
-[@@analyze.no_failpoint "version-chain GC: no live page bytes are read or written"]
-
 let begin_txn t =
   let e =
     locked t (fun () ->
@@ -443,18 +476,26 @@ let txn_clean t =
 
 (** The pages written by the active transaction, as [(page, crc32)]
     sorted by page id — the page records a WAL logs before commit and
-    recovery compares a replay against. The CRC is computed from the
-    image itself (not the sidecar), so it is meaningful even with
-    checksums disabled. Only the images are taken under the lock: an
-    installed image is never mutated in place (a write installs a fresh
-    buffer), so it can be checksummed after the lock is released. *)
+    recovery compares a replay against. Each CRC is that of the stored
+    image. With checksums on, the sidecar CRC of a page not marked
+    {!damaged} is exactly that ([alloc], [write], [abort_txn] and the
+    flip hooks keep it so), and it is returned as is; only a damaged
+    page, or every page of a pager without checksums, is checksummed
+    here, after the lock is released: an installed image is never
+    mutated in place (a write installs a fresh buffer). *)
 let txn_dirty t =
   match txn_if_writer t with
   | None -> invalid_arg "Pager.txn_dirty: no transaction, or not the writer domain"
   | Some tx ->
-    locked t (fun () -> Hashtbl.fold (fun id () acc -> (id, t.pages.(id)) :: acc) tx.t_dirty [])
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    |> List.map (fun (id, image) -> (id, Codec.crc32 image))
+    locked t (fun () ->
+        Hashtbl.fold
+          (fun id () acc ->
+            let known = t.checksums && not (Atomic.get t.damage > 0 && Hashtbl.mem t.damaged id) in
+            (id, t.pages.(id), if known then Some t.crcs.(id) else None) :: acc)
+          tx.t_dirty [])
+    |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+    |> List.map (fun (id, image, crc) ->
+           (id, match crc with Some c -> c | None -> Codec.crc32 image))
 [@@analyze.no_failpoint "txn bookkeeping: page CRCs are logged to the WAL, not transferred as I/O"]
 
 (** Publish the transaction's epoch: one field write under the lock

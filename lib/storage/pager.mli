@@ -74,6 +74,26 @@ val unsafe_flip_crc_bit : t -> page:int -> bit:int -> unit
 (** Test hook: flip one bit of the stored checksum itself; the page
     becomes {!damaged}. *)
 
+val export : t -> (unit -> 'a) -> 'a * bytes array * int array
+(** [export t f] runs [f] under the pager lock with the page images,
+    their checksums and the version chains detached from [t], so a
+    [Marshal] made by [f] of a structure reaching [t] holds none of
+    them, then reattaches them (also when [f] raises). Returns [f]'s
+    result with every page's stored image and CRC, page [i] at index
+    [i]: the images are not copied, and the caller must not mutate
+    them. A {!damaged} page keeps the sidecar CRC its image fails; a
+    pager created with [~checksums:false] has its CRCs computed from
+    the images. Readers that need page bytes wait for [f]. *)
+
+val install : t -> bytes array -> int array -> unit
+(** [install t images crcs] gives a pager that [Marshal] rebuilt from
+    a structure {!export} detached its pages from the page store
+    [images] under [crcs], one of each per page. The caller has checked
+    every image against its CRC: no page is {!damaged} afterwards, and
+    the pager has no version chain, pin or transaction.
+    @raise Invalid_argument unless both arrays hold {!page_count}
+    entries. *)
+
 val reset_stats : t -> unit
 val physical_reads : t -> int
 val physical_writes : t -> int
@@ -111,10 +131,6 @@ val unpin : t -> int -> unit
 (** Release one pin at the given epoch; unreachable versions are
     pruned (all of them, once no pins remain). *)
 
-val clear_versions : t -> unit
-(** Drop every version chain (checkpoint/recovery quiescence). With
-    pins still registered this degrades to a prune. *)
-
 val in_txn : t -> bool
 val in_txn_writer : t -> bool
 (** [in_txn_writer t] is [true] iff a transaction is active {e and}
@@ -142,7 +158,9 @@ val txn_dirty : t -> (int * int) list
     image)], sorted by page id — the page records to log before commit,
     and what recovery compares a replayed transaction against. No image
     is copied: recovery re-executes the logged operation, so the log
-    needs each page's id and CRC, not its bytes. *)
+    needs each page's id and CRC, not its bytes. With checksums on, the
+    sidecar CRC is returned for every page not {!damaged}; only damaged
+    pages, or all pages of a pager without checksums, are checksummed. *)
 
 val commit_txn : t -> unit
 (** Publish the reserved epoch, prune version chains against live

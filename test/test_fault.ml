@@ -218,6 +218,34 @@ let test_torn_write_on_resident_page () =
   Buffer_pool.write pool id (page 'z');
   check Alcotest.char "rewritten" 'z' (Bytes.get (Buffer_pool.read pool id) 0)
 
+(* The (page, CRC) list a transaction logs is the CRC of each page's
+   stored image, whether it is read off the sidecar (an undamaged page)
+   or computed (a page a torn write left damaged). *)
+let test_txn_dirty_crcs_match_images () =
+  with_clear @@ fun () ->
+  let pager = Pager.create () in
+  let ids = List.init 4 (fun _ -> Pager.alloc pager) in
+  let page c = Bytes.make (Pager.page_size pager) c in
+  List.iter (fun id -> Pager.write pager id (page 'a')) ids;
+  ignore (Pager.begin_txn pager);
+  let fresh = Pager.alloc pager in
+  Pager.write pager (List.nth ids 0) (page 'b');
+  Fault.inject ~site:"pager.write" ~action:Fault.Torn (Fault.After 0);
+  Pager.write pager (List.nth ids 2) (page 'c');
+  Fault.clear ();
+  check Alcotest.bool "the torn page is damaged" true (Pager.damaged pager (List.nth ids 2));
+  let dirty = Pager.txn_dirty pager in
+  check Alcotest.(list int) "written pages" [ List.nth ids 0; List.nth ids 2; fresh ]
+    (List.map fst dirty);
+  List.iter
+    (fun (id, crc) ->
+      check Alcotest.int
+        (Printf.sprintf "page %d" id)
+        (Tm_storage.Codec.crc32 (Pager.image pager ~epoch:max_int id))
+        crc)
+    dirty;
+  Pager.commit_txn pager
+
 (* Stored damage outranks an injected I/O error: with every second
    pager read failing, the retries of a read of a bit-flipped page
    alternate checksum failures and I/O errors, and the last attempt
@@ -377,6 +405,8 @@ let () =
           Alcotest.test_case "evict failpoint survived" `Quick test_evict_failpoint_survived;
           Alcotest.test_case "torn write on a resident page" `Quick
             test_torn_write_on_resident_page;
+          Alcotest.test_case "txn_dirty CRCs match the stored images" `Quick
+            test_txn_dirty_crcs_match_images;
           Alcotest.test_case "stored damage outranks an I/O error" `Quick
             test_stored_damage_outranks_io_error;
         ] );

@@ -1,4 +1,4 @@
-(* Tests for the framed v3 snapshot format: round-trips, atomicity of
+(* Tests for the framed v4 snapshot format: round-trips, atomicity of
    the save path (no stray temp files), frame verification, and
    rejection of truncated or bit-flipped files with a typed
    Bad_snapshot naming the damage — never a crash, hang, or a database
@@ -100,7 +100,8 @@ let test_load_mints_a_generation () =
     (List.length (List.sort_uniq Int.compare gens))
 
 (* A checkpoint writes the snapshot from the pager and leaves the pool
-   as it was, so a query that ran warm before it runs warm after it. *)
+   and the decoded nodes as they were, so a query that ran warm before
+   it runs warm after it: no page fault, no node decode. *)
 let test_checkpoint_keeps_pool_warm () =
   with_tmp_dir @@ fun dir ->
   let db = Db.create (xmark ~scale:0.05 ()) in
@@ -109,22 +110,69 @@ let test_checkpoint_keeps_pool_warm () =
   let q1x = Tm_datasets.Workload.parse (Tm_datasets.Workload.find "Q1x") in
   ignore (Executor.run db q1x);
   Twigmatch.Durable.checkpoint d;
-  let r = Executor.run db q1x in
-  check Alcotest.int "Q1x misses after the checkpoint" 0
-    r.Executor.stats.Tm_exec.Stats.pool_misses
+  let decodes = Tm_obs.Obs.counter "bptree.node_decodes" in
+  Tm_obs.Obs.with_enabled true (fun () ->
+      let d0 = Tm_obs.Obs.value decodes in
+      let r = Executor.run db q1x in
+      check Alcotest.int "Q1x misses after the checkpoint" 0
+        r.Executor.stats.Tm_exec.Stats.pool_misses;
+      check Alcotest.int "Q1x decodes after the checkpoint" 0 (Tm_obs.Obs.value decodes - d0))
+
+(* The pager's page store: every image and CRC, by page id. *)
+let page_store (db : Db.t) =
+  let (), images, crcs = Tm_storage.Pager.export db.Db.pager (fun () -> ()) in
+  (images, crcs)
+
+(* A checkpoint's snapshot holds the live pager's pages, each under the
+   pager's CRC, and no decoded node. After a warm Q1x and a few durable
+   transactions, the loaded snapshot has every page image and CRC of
+   the live database, fsck finds it clean, and its first Q1x decodes
+   the nodes it reads. *)
+let test_checkpoint_snapshot_holds_the_pages () =
+  with_tmp_dir @@ fun dir ->
+  let db = Db.create (xmark ~scale:0.05 ()) in
+  let d = Twigmatch.Durable.create ~dir db in
+  Fun.protect ~finally:(fun () -> Twigmatch.Durable.close d) @@ fun () ->
+  let q1x = Tm_datasets.Workload.parse (Tm_datasets.Workload.find "Q1x") in
+  ignore (Executor.run db q1x);
+  let parent =
+    List.hd (Executor.run db (Tm_query.Xpath_parser.parse "/site/open_auctions")).Executor.ids
+  in
+  for i = 1 to 3 do
+    ignore
+      (Twigmatch.Durable.insert_subtree d ~parent
+         (Tm_xml.Xml_tree.elem "open_auction"
+            [ Tm_xml.Xml_tree.elem_text "initial" (string_of_int i) ]))
+  done;
+  Twigmatch.Durable.checkpoint d;
+  let loaded = Persist.load (Twigmatch.Durable.snapshot_path dir) in
+  let images, crcs = page_store db and images', crcs' = page_store loaded in
+  check Alcotest.int "page count" (Array.length images) (Array.length images');
+  check Alcotest.bool "every page image" true (Array.for_all2 Bytes.equal images images');
+  check Alcotest.(array int) "every page CRC" crcs crcs';
+  let report = Tm_check.Check.check_database loaded in
+  check Alcotest.bool (Tm_check.Check.report_to_string report) true
+    (Tm_check.Check.is_clean report);
+  let decodes = Tm_obs.Obs.counter "bptree.node_decodes" in
+  Tm_obs.Obs.with_enabled true (fun () ->
+      let d0 = Tm_obs.Obs.value decodes in
+      ignore (Executor.run loaded q1x);
+      check Alcotest.bool "Q1x on the loaded snapshot decodes nodes" true
+        (Tm_obs.Obs.value decodes > d0))
 
 let test_verify_reports_sections () =
   with_tmp_dir @@ fun dir ->
   let path = Filename.concat dir "db.snap" in
   Persist.save (Db.create ~strategies:[ Db.RP ] (xmark ())) path;
-  let { Persist.sections } = Persist.verify path in
+  let { Persist.sections; pages } = Persist.verify path in
   check
     (Alcotest.list Alcotest.string)
-    "section table" [ "meta"; "database" ]
+    "section table" [ "meta"; "database"; "page table" ]
     (List.map (fun s -> s.Persist.name) sections);
   List.iter
     (fun s -> check Alcotest.bool (s.Persist.name ^ " non-empty") true (s.Persist.length > 0))
-    sections
+    sections;
+  check Alcotest.bool "page images checked" true (pages > 0)
 
 (* Chop the file at every 1/8 boundary: whatever frame element the cut
    lands in, load and verify must reject with Bad_snapshot. *)
@@ -172,7 +220,7 @@ let test_bad_snapshot_names_section () =
   let path = Filename.concat dir "db.snap" in
   Persist.save (Db.create ~strategies:[ Db.RP ] (xmark ())) path;
   let whole = file_bytes path in
-  (* flip a bit in the middle of the (large) database section payload *)
+  (* flip a bit in the middle of the file, among the page images *)
   let b = Bytes.of_string whole in
   let pos = String.length whole / 2 in
   Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x01));
@@ -180,9 +228,7 @@ let test_bad_snapshot_names_section () =
   match Persist.verify path with
   | _ -> Alcotest.fail "expected Bad_snapshot"
   | exception Persist.Bad_snapshot msg ->
-    check Alcotest.bool
-      (Printf.sprintf "message %S names the database section" msg)
-      true (contains msg "database")
+    check Alcotest.bool (Printf.sprintf "message %S names a page" msg) true (contains msg "page ")
 
 (* A snapshot another build wrote under an older version may marshal a
    different [Database.t] layout, which [Marshal] would rebuild without
@@ -241,6 +287,8 @@ let () =
           Alcotest.test_case "load mints a generation" `Quick test_load_mints_a_generation;
           Alcotest.test_case "pool stays warm across a checkpoint" `Quick
             test_checkpoint_keeps_pool_warm;
+          Alcotest.test_case "checkpoint snapshot holds the pages" `Quick
+            test_checkpoint_snapshot_holds_the_pages;
           Alcotest.test_case "verify reports sections" `Quick test_verify_reports_sections;
           Alcotest.test_case "truncation rejected at 1/8 steps" `Quick
             test_truncation_rejected_everywhere;

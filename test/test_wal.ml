@@ -342,6 +342,30 @@ let test_checkpoint_truncates_and_is_idempotent () =
         (Durable.database d2).Database.last_txn;
       assert_fsck_clean "after checkpoint + recovery" (Durable.database d2))
 
+(* A save killed mid-write leaves its temp file beside the snapshot,
+   as large as the snapshot, and nothing else would ever delete it.
+   Opening the directory removes it, and only it, and recovers as if it
+   were not there. *)
+let test_open_removes_a_dead_save_temp () =
+  with_dir @@ fun dir ->
+  let db = Database.create ~strategies:Database.[ RP; DP ] (book_doc ()) in
+  let d = Durable.create ~dir db in
+  let book = find_id db.Database.doc "book" in
+  ignore (Durable.insert_subtree d ~parent:book (T.elem_text "note" "a"));
+  Durable.close d;
+  let temp = Filename.concat dir ".twigmatch-snapshot3f2a1c.tmp" in
+  let other = Filename.concat dir "notes.tmp" in
+  write_file temp (read_file (Durable.snapshot_path dir));
+  write_file other "kept";
+  let d2, r = Durable.open_ dir in
+  Fun.protect
+    ~finally:(fun () -> Durable.close d2)
+    (fun () ->
+      check Alcotest.bool "the dead save's temp file is gone" false (Sys.file_exists temp);
+      check Alcotest.bool "another file is kept" true (Sys.file_exists other);
+      check Alcotest.int "replayed" 1 r.Durable.replayed;
+      check Alcotest.int "notes recovered" 1 (note_count (Durable.database d2)))
+
 let test_recovery_skips_snapshotted_txns () =
   with_dir @@ fun dir ->
   let db = Database.create ~strategies:Database.[ RP; DP ] (book_doc ()) in
@@ -822,6 +846,8 @@ let () =
           Alcotest.test_case "group commit recovers whole batch" `Quick test_group_commit_batch;
           Alcotest.test_case "checkpoint truncates, idempotent" `Quick
             test_checkpoint_truncates_and_is_idempotent;
+          Alcotest.test_case "open removes a dead save's temp file" `Quick
+            test_open_removes_a_dead_save_temp;
           Alcotest.test_case "snapshotted txns skipped on replay" `Quick
             test_recovery_skips_snapshotted_txns;
           Alcotest.test_case "clean aborts keep the handle usable" `Quick
