@@ -1,6 +1,6 @@
 (** The durable write path: a write-ahead-logged database directory.
 
-    A durable handle owns a directory holding a Persist v4 snapshot
+    A durable handle owns a directory holding a Persist v5 snapshot
     ([snapshot.twig]) and a {!Tm_wal.Wal} redo log ([wal.log]). Every
     {!insert_subtree} / {!delete_subtree} is one logged transaction:
 

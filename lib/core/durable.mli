@@ -1,7 +1,7 @@
 (** Durable write path: a write-ahead-logged database directory
     (snapshot + redo log) with crash recovery.
 
-    Layout: [<dir>/snapshot.twig] (Persist v4 snapshot) and
+    Layout: [<dir>/snapshot.twig] (Persist v5 snapshot) and
     [<dir>/wal.log] ({!Tm_wal.Wal} frames). Each {!insert_subtree} /
     {!delete_subtree} is one logged transaction — logical [Op] frame,
     one [Page] frame per dirty page (page id and the CRC32 of its

@@ -4,13 +4,13 @@
 
     A snapshot has two parts: the page store, written page by page as
     the pager holds it, and the rest of the {!Database.t}, marshalled
-    with the page store detached. Format v4 frames both, so a damaged
+    with the page store detached. Format v5 frames both, so a damaged
     file is {e detected}, never fed to [Marshal] (which aborts the
     process on garbage):
 
     {v
       magic   "TWIGMATCH-SNAPSHOT"
-      version u32 = 4
+      version u32 = 5
       count   u32                          number of sections
       section (repeated)
         name-len  u32
@@ -78,7 +78,7 @@ open Tm_storage
 
 let magic = "TWIGMATCH-SNAPSHOT"
 let end_magic = "TWIGEND!"
-let version = 4
+let version = 5
 let page_table = "page table"
 
 exception Bad_snapshot of string

@@ -2,7 +2,7 @@
     dictionary, catalog, and every index) without re-shredding or
     re-bulk-loading.
 
-    Format v4 stores the pager's pages raw, each under the CRC32 the
+    Format v5 stores the pager's pages raw, each under the CRC32 the
     pager keeps for it, beside the [Marshal] image of the rest of the
     {!Database.t}: magic, version, sections with a length and CRC32
     each (["meta"], ["database"], and a ["page table"] of page ids and

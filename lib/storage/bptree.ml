@@ -31,97 +31,48 @@ type node =
    by the same single pointer write at commit. *)
 type meta = { root : int; n_entries : int; n_pages : int; height : int }
 
-(* What a transaction wrote to this tree: the staged metadata and the
-   nodes of the pages it wrote. Its reads of those pages must see its
-   own writes, which the shared cache does not hold until commit; every
-   other page it reads through the shared cache like any reader. *)
-type staged = { mutable s_meta : meta; s_nodes : (int, node) Hashtbl.t }
-
 type t = {
   pool : Buffer_pool.t;
   page_size : int;
   prefix_compression : bool;
   mutable meta : meta;
-  mutable staged : staged option;
+  mutable staged : meta option; (* the active transaction's metadata *)
   name : string;
   (* Decoded-node cache. Page I/O accounting still goes through the
      buffer pool on every access; this only memoizes the *parse* of a
      page image into a node, the way a real engine operates directly on
-     the buffered page rather than re-deserializing it. Entries are
-     validated by a per-page version bumped on every write. Nodes enter
-     it when a reader decodes them or a transaction commits them; a
-     write outside a transaction refreshes a cached node but adds none,
-     so a bulk load leaves it empty. The lock covers only table lookups
-     and stores (decoding happens outside it), and a snapshot's marshal
-     ([with_nodes_detached]), which must not see the table. *)
+     the buffered page rather than re-deserializing it. Each node is
+     kept with the image it was decoded from or written as, and is
+     served only when the pool has just returned that same image: the
+     pager never changes an installed image in place, so a write, an
+     abort or a pinned reader's older version all show as another
+     buffer. Nodes enter it when a reader decodes the current image or
+     a transaction writes them; a write outside a transaction refreshes
+     a cached node but adds none, so a bulk load leaves it empty. The
+     lock covers only table lookups and stores (decoding happens
+     outside it), and a snapshot's marshal ([with_nodes_detached]),
+     which must not see the table. *)
   cache_lock : Lock.t;
-  mutable decoded : (int, int * node) Hashtbl.t;
-  versions : (int, int) Hashtbl.t;
+  mutable decoded : (int, bytes * node) Hashtbl.t;
 }
 
 (* True iff the calling domain is the pager transaction's writer: the
-   signal to route metadata and written nodes through [staged]. *)
+   signal to stage metadata and cache written nodes. *)
 let in_txn_writer t = Buffer_pool.in_txn_writer t.pool
 
-(* Caller holds [cache_lock]. *)
-let version t id = Option.value ~default:0 (Hashtbl.find_opt t.versions id)
+(* The transaction's own metadata once it has written this tree. *)
+let m t = match t.staged with Some mt when in_txn_writer t -> mt | Some _ | None -> t.meta
 
-let bump_version t id =
-  let v = 1 + version t id in
-  Hashtbl.replace t.versions id v;
-  v
-
-(* Lazily create the staged state on the transaction's first write to
-   this tree, and register the participant that publishes (commit) or
-   drops (abort) it when the transaction ends. *)
-let ensure_staged t =
-  match t.staged with
-  | Some s -> s
-  | None ->
-    let s = { s_meta = t.meta; s_nodes = Hashtbl.create 32 } in
-    t.staged <- Some s;
-    Buffer_pool.add_participant t.pool (fun ~committed ->
-        (match t.staged with
-        | Some s when committed ->
-          t.meta <- s.s_meta;
-          (* Each written page's version was bumped by its last write,
-             and its node is exactly the image now committed. *)
-          Lock.with_lock t.cache_lock (fun () ->
-              Hashtbl.iter
-                (fun id node -> Hashtbl.replace t.decoded id (version t id, node))
-                s.s_nodes)
-        | Some s ->
-          (* Abort: the pager restored the pre-images, but an unpinned
-             reader racing the transaction may have sampled the
-             already-bumped cache version, decoded the uncommitted
-             bytes, and stored them under it — [read_node]'s
-             sample-before-read only protects against writes that
-             happen after the sample. Bump past that version and evict,
-             so post-abort readers re-decode from the restored bytes;
-             a racing store under the old version can then never be
-             served. *)
-          Lock.with_lock t.cache_lock (fun () ->
-              Hashtbl.iter
-                (fun id _ ->
-                  ignore (bump_version t id);
-                  Hashtbl.remove t.decoded id)
-                s.s_nodes)
-        | None -> ());
-        t.staged <- None);
-    s
-
-(* The transaction's own view of this tree, if it has written it. *)
-let staged_opt t = if in_txn_writer t then t.staged else None
-
-let m t = match staged_opt t with Some s -> s.s_meta | None -> t.meta
-
-let written_node t id =
-  match staged_opt t with Some s -> Hashtbl.find_opt s.s_nodes id | None -> None
-
+(* Inside a transaction, the first change stages the metadata and
+   registers the participant that publishes (commit) or drops (abort)
+   it when the transaction ends. *)
 let set_m t f =
   if in_txn_writer t then begin
-    let s = ensure_staged t in
-    s.s_meta <- f s.s_meta
+    if Option.is_none t.staged then
+      Buffer_pool.add_participant t.pool (fun ~committed ->
+          (match t.staged with Some mt when committed -> t.meta <- mt | Some _ | None -> ());
+          t.staged <- None);
+    t.staged <- Some (f (m t))
   end
   else t.meta <- f t.meta
 
@@ -236,73 +187,39 @@ let c_node_visits = Tm_obs.Obs.counter "bptree.node_visits"
 let c_node_decodes = Tm_obs.Obs.counter "bptree.node_decodes"
 
 let read_node t id =
-  (* Sample the cache version BEFORE the page bytes: a concurrent
-     writer that changes the page after this sample also bumps the
-     version past [v0], so an entry stored under [v0] can never alias
-     bytes newer than it. (Sampling after the read is racy the other
-     way: a node decoded from pre-commit bytes could be cached under
-     the post-commit version and served, stale, forever.) *)
-  let v0 = Lock.with_lock t.cache_lock (fun () -> version t id) in
-  (* the buffer-pool access happens unconditionally so that logical
-     reads and misses are accounted exactly as without the decode cache;
-     a hit fetches no bytes unless the node must be decoded *)
-  let page = Buffer_pool.access t.pool id in
+  (* the buffer-pool read happens unconditionally so that logical reads
+     and misses are accounted exactly as without the decode cache *)
+  let image = Buffer_pool.read t.pool id in
   Tm_obs.Obs.incr c_node_visits;
-  match (written_node t id, page) with
-  | Some node, _ ->
-    (* A page this transaction wrote: the shared cache does not hold
-       its node until commit. *)
-    node
-  | None, Buffer_pool.Pinned bytes ->
-    (* Epoch-pinned snapshot read: the bytes are a superseded version,
-       so they must bypass the (current-version-keyed) decode cache
-       entirely. *)
+  let cached =
+    Lock.with_lock t.cache_lock (fun () ->
+        match Hashtbl.find_opt t.decoded id with
+        | Some (decoded_from, node) when decoded_from == image -> Some node
+        | Some _ | None -> None)
+  in
+  match cached with
+  | Some node -> node
+  | None ->
     Tm_obs.Obs.incr c_node_decodes;
-    decode_node (Bytes.to_string bytes)
-  | None, (Buffer_pool.Resident | Buffer_pool.Loaded _) -> (
-    let cached =
-      Lock.with_lock t.cache_lock (fun () ->
-          match Hashtbl.find_opt t.decoded id with
-          | Some (v, node) when v = v0 -> Some node
-          | _ -> None)
-    in
-    match cached with
-    | Some node -> node
-    | None ->
-      Tm_obs.Obs.incr c_node_decodes;
-      (* A resident page's image is read at the caller's pin, so a
-         transaction that wrote the page since the access above cannot
-         hand a pinned reader its bytes. Decode outside the lock:
-         concurrent readers missing on different pages parse in
-         parallel; racing decoders of the same page just store equal
-         nodes twice. *)
-      let bytes =
-        match page with
-        | Buffer_pool.Loaded b | Pinned b -> b
-        | Resident -> Buffer_pool.image t.pool id
-      in
-      let node = decode_node (Bytes.to_string bytes) in
-      Lock.with_lock t.cache_lock (fun () -> Hashtbl.replace t.decoded id (v0, node));
-      node)
+    (* Decode outside the lock: concurrent readers missing on different
+       pages parse in parallel. The node is kept only if its image is
+       still the page's current one, so neither a pinned reader's older
+       version nor a decode that a writer has overtaken replaces a
+       newer entry; racing decoders of one image store equal nodes. *)
+    let node = decode_node (Bytes.unsafe_to_string image) in
+    Lock.with_lock t.cache_lock (fun () ->
+        if Pager.image (Buffer_pool.pager t.pool) id == image then
+          Hashtbl.replace t.decoded id (image, node));
+    node
 
-(* Store an already-encoded node image and keep the decode cache
-   consistent with it. The pager copies the image, so the fresh string
-   is passed without one. *)
+(* Store an already-encoded node image and cache the node with the
+   image the write installed. The pager copies the image, so the fresh
+   string is passed without one. *)
 let commit_node t id node encoded =
-  Buffer_pool.write t.pool id (Bytes.unsafe_of_string encoded);
-  if in_txn_writer t then begin
-    (* The node stays with the transaction until commit publishes it.
-       The shared entry is evicted under a bumped version now, so no
-       reader can pair the old node with the new bytes. *)
-    Hashtbl.replace (ensure_staged t).s_nodes id node;
-    Lock.with_lock t.cache_lock (fun () ->
-        ignore (bump_version t id);
-        Hashtbl.remove t.decoded id)
-  end
-  else
-    Lock.with_lock t.cache_lock (fun () ->
-        let v = bump_version t id in
-        if Hashtbl.mem t.decoded id then Hashtbl.replace t.decoded id (v, node))
+  let image = Buffer_pool.write t.pool id (Bytes.unsafe_of_string encoded) in
+  let store = in_txn_writer t in
+  Lock.with_lock t.cache_lock (fun () ->
+      if store || Hashtbl.mem t.decoded id then Hashtbl.replace t.decoded id (image, node))
 
 let write_node t id node = commit_node t id node (encode_node t node)
 
@@ -326,7 +243,6 @@ let create ?(prefix_compression = true) ~name pool =
       name;
       cache_lock = Lock.create Lock.Outer;
       decoded = Hashtbl.create 256;
-      versions = Hashtbl.create 256;
     }
   in
   let root = alloc_page t in
@@ -720,8 +636,8 @@ let page_image t page = Bytes.to_string (Buffer_pool.read t.pool page)
 let view_page t page =
   match Buffer_pool.read t.pool page with
   | exception Invalid_argument m -> Error m
-  | bytes -> (
-    match decode_node (Bytes.to_string bytes) with
+  | image -> (
+    match decode_node (Bytes.unsafe_to_string image) with
     | Leaf l ->
       Ok (Leaf_view { entries = l.entries; next = (if l.next = 0 then None else Some (l.next - 1)) })
     | Internal n -> Ok (Internal_view { keys = n.keys; children = n.children })

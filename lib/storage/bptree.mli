@@ -7,8 +7,12 @@
     - Nodes live in fixed-size pages accessed through a {!Buffer_pool},
       so operations incur realistic page costs. A decoded-node cache
       avoids re-parsing buffered pages; I/O accounting is unaffected.
-      A node enters it when a read decodes it or a pager transaction
-      commits it, so {!bulk_load} leaves it empty.
+      A cached node is served only while the page image it came from
+      is installed, so a page whose image changes below the tree (a
+      {!Buffer_pool.write}, an aborted transaction's restore) is
+      decoded afresh. A node enters the cache when a read decodes the
+      page's current image or a pager transaction writes it, so
+      {!bulk_load} leaves it empty.
     - Leaves optionally front-code keys (prefix compression), the
       feature the paper credits for B+-tree space efficiency on path
       keys.

@@ -10,12 +10,12 @@
 
     The pool holds no page bytes. The pager keeps the one copy of every
     page, and a frame records only which page it holds and a CLOCK
-    reference bit. A hit hands out the pager's current image without
-    copying it, or nothing at all to a caller that keeps a decoded form
-    of the page ({!access}). Every write goes straight through to
-    {!Pager.write}, inside a transaction or not, so nothing is ever
-    written back, flushed or invalidated: {!clear} only forgets
-    residency.
+    reference bit. Every read hands out the image the pager has
+    installed, uncopied, so a caller that keeps a decoded form of a page
+    can tell by identity whether it still holds. Every write goes
+    straight through to {!Pager.write}, inside a transaction or not, so
+    nothing is ever written back, flushed or invalidated: {!clear} only
+    forgets residency.
 
     The pool is striped for domain-safety: frames are partitioned over
     [page id mod stripes] sub-pools, each with its own mutex, CLOCK hand
@@ -24,7 +24,7 @@
     readers of the same page serialise briefly on one stripe lock. *)
 
 (* Eviction and retry totals for the metrics sink (gated on it). Reads
-   and misses go to the reading query's cost record ({!access}), which
+   and misses go to the reading query's cost record ({!read}), which
    stays exact per query. *)
 let c_evictions = Tm_obs.Obs.counter "buffer_pool.evictions"
 let c_retries = Tm_obs.Obs.counter "buffer_pool.retries"
@@ -159,8 +159,6 @@ let read_epoch t =
   if (not (Pager.snapshot_active t.pager)) || Pager.in_txn_writer t.pager then max_int
   else match Epoch.pinned_for t.pager with Some e -> e | None -> max_int
 
-type access = Resident | Loaded of bytes | Pinned of bytes
-
 (* Caller holds the stripe lock. The epoch check and the miss path's
    physical read happen under it, and so does every write of the page,
    so a pinned reader sees either the old epoch with the old image or
@@ -168,7 +166,7 @@ type access = Resident | Loaded of bytes | Pinned of bytes
    miss path's read inside the critical section also keeps two domains
    from faulting the same page in twice. Stripe locks never nest and the
    pager's own lock sits strictly below them. *)
-let access_locked t st (q : Tm_exec.Stats.t) id =
+let read_locked t st (q : Tm_exec.Stats.t) id =
   st.logical_reads <- st.logical_reads + 1;
   let e = read_epoch t in
   if e < max_int && Pager.epoch_of_page t.pager id > e then begin
@@ -177,16 +175,19 @@ let access_locked t st (q : Tm_exec.Stats.t) id =
        not become the resident image), counted as a miss. *)
     st.misses <- st.misses + 1;
     q.Tm_exec.Stats.pool_misses <- q.Tm_exec.Stats.pool_misses + 1;
-    Pinned (with_retry st (fun () -> Pager.read_at t.pager ~epoch:e id))
+    with_retry st (fun () -> Pager.read_at t.pager ~epoch:e id)
   end
   else
     let f = frame t st id in
     if f >= 0 then begin
-      (* A hit reads no bytes, so a page whose stored image the pager
-         knows to fail its checksum is read again with its check. *)
-      if Pager.damaged t.pager id then ignore (with_retry st (fun () -> Pager.read t.pager id));
+      (* A hit is not checksummed, so a page whose stored image the
+         pager knows to fail its checksum is read with its check. *)
+      let image =
+        if Pager.damaged t.pager id then with_retry st (fun () -> Pager.read t.pager id)
+        else Pager.image t.pager id
+      in
       st.referenced.(f) <- true;
-      Resident
+      image
     end
     else begin
       st.misses <- st.misses + 1;
@@ -197,15 +198,15 @@ let access_locked t st (q : Tm_exec.Stats.t) id =
             Pager.read t.pager id)
       in
       install t st id;
-      Loaded data
+      data
     end
 
-let access t id =
+let read t id =
   let st = stripe_of t id in
   let q = Tm_exec.Stats.current () in
   q.Tm_exec.Stats.logical_reads <- q.Tm_exec.Stats.logical_reads + 1;
   Lock.acquire st.lock;
-  match access_locked t st q id with
+  match read_locked t st q id with
   | r ->
     Lock.release st.lock;
     r
@@ -213,10 +214,6 @@ let access t id =
     Lock.release st.lock;
     raise e
 [@@analyze.manual_lock "the hit path allocates nothing, so it takes the lock without a closure"]
-
-let image t id = Pager.image t.pager ~epoch:(read_epoch t) id
-
-let read t id = match access t id with Resident -> image t id | Loaded b | Pinned b -> b
 
 let resident t id =
   let st = stripe_of t id in
@@ -227,10 +224,13 @@ let write t id data =
   locked st (fun () ->
       st.logical_reads <- st.logical_reads + 1;
       let f = frame t st id in
-      with_retry st (fun () ->
-          if f < 0 then guard_evict st;
-          Pager.write t.pager id data);
-      if f >= 0 then st.referenced.(f) <- true else install t st id)
+      let image =
+        with_retry st (fun () ->
+            if f < 0 then guard_evict st;
+            Pager.write t.pager id data)
+      in
+      if f >= 0 then st.referenced.(f) <- true else install t st id;
+      image)
 
 let alloc t =
   (* No page id yet, so no stripe to charge: book alloc retries to

@@ -4,9 +4,10 @@
     counted.
 
     The pool holds no page bytes: the pager keeps the one copy of every
-    page, a hit hands out the pager's image without copying it, and
-    every write goes straight through to {!Pager.write}. Nothing is
-    written back, flushed or invalidated; {!clear} forgets residency.
+    page, a read hands out the image the pager has installed without
+    copying it, and every write goes straight through to
+    {!Pager.write}. Nothing is written back, flushed or invalidated;
+    {!clear} forgets residency.
 
     Domain-safe via striped locks: frames are partitioned by
     [page id mod stripes], each stripe with its own mutex, CLOCK hand
@@ -31,42 +32,29 @@ val create : ?capacity:int -> Pager.t -> t
 
 val pager : t -> Pager.t
 
-(** What one logical read found. *)
-type access =
-  | Resident  (** a hit; its bytes were not fetched (see {!image}) *)
-  | Loaded of bytes  (** a miss: the checksummed copy just read, now resident *)
-  | Pinned of bytes
-      (** the caller's {!Epoch} pin predates the page's current image:
-          the pinned version from the pager's version chain, uncached
-          and counted as a miss. Do not cache decoded forms of it under
-          the page's current version. *)
-
-val access : t -> int -> access
-(** One logical read, charged to the stripe and to the calling domain's
-    query cost record ({!Tm_exec.Stats.current}). A hit takes only its
-    stripe's lock and allocates nothing; a caller that keeps a decoded
-    form of the page needs no bytes from it. A hit on a page the pager
-    marks {!Pager.damaged} re-reads it with its checksum, which raises
-    {!Pager.Corrupt_page}. *)
-
-val image : t -> int -> bytes
-(** The bytes of a page {!access} found [Resident], as the caller may
-    see them: the pager's image at the caller's pin (its newest image
-    for an unpinned caller or the transaction's writer), not copied.
-    Must not be mutated. *)
-
 val read : t -> int -> bytes
-(** {!access}, then the page's bytes. The returned bytes must not be
-    mutated; use {!write} to modify a page. *)
+(** One logical read, charged to the stripe and to the calling domain's
+    query cost record ({!Tm_exec.Stats.current}): the page's image at
+    the caller's {!Epoch} pin (its current image for an unpinned caller
+    or the transaction's writer), not copied. A version older than the
+    current image is read from the pager's version chain, counted as a
+    miss and not made resident. A hit takes its stripe's lock, then the
+    pager's, and allocates nothing; a hit on a page the pager marks
+    {!Pager.damaged} re-reads it with its checksum, which raises
+    {!Pager.Corrupt_page}. The bytes must not be mutated; use {!write}
+    to modify a page. *)
 
 val resident : t -> int -> bool
 (** Whether the page is resident. Not counted as an access. *)
 
-val write : t -> int -> bytes -> unit
+val write : t -> int -> bytes -> bytes
 (** Replace a page's contents: the write goes straight through to
-    {!Pager.write}, which copies [data] and, inside a transaction,
-    keeps the pre-image for pinned readers. The page becomes resident.
-    Counted as a logical read on the pool, not on the query record. *)
+    {!Pager.write}, which installs a copy of [data] and, inside a
+    transaction, keeps the pre-image for pinned readers. Returns the
+    installed image, which {!read} returns to a caller reading the
+    current image until another write or an abort replaces it. The
+    page becomes resident. Counted as a logical read on the pool, not
+    on the query record. *)
 
 val in_txn_writer : t -> bool
 (** Passthrough for {!Pager.in_txn_writer} on the underlying pager. *)

@@ -19,14 +19,16 @@
     records which pages are resident but keeps no bytes, and writes go
     straight through to {!write}. An installed image is never changed in
     place (a write, an abort or a test hook installs a fresh buffer), so
-    {!image} can hand a resident page's bytes to a reader without
-    copying them. A hit reads no bytes, so the pager remembers every
+    {!read} and {!image} hand out the installed buffer itself, and the
+    bytes of a buffer never change: the B+-trees serve a decoded node
+    only while the buffer it came from is the page's image. A hit is
+    not checksummed, so the pager remembers every
     page whose stored image does not match its checksum ({!damaged}),
     and the pool verifies such a page on its next read.
 
     A single mutex serialises every operation, making the pager safe to
     share across domains. The lock covers little work: an array slot
-    swap, or a [Bytes.copy] on a pool miss. *)
+    load or swap. *)
 
 exception Corrupt_page of { page : int; detail : string }
 
@@ -191,11 +193,12 @@ let set_damaged t id bad =
 
 let damaged t id = Atomic.get t.damage > 0 && locked t (fun () -> Hashtbl.mem t.damaged id)
 
-(** Physical write: stores a copy of [data] (padded/truncated to page
-    size). The stored checksum is always that of the {e intended} image:
-    a torn/bit-flipped injected write therefore persists bytes that no
-    longer match their CRC, the page is marked {!damaged}, and the
-    damage is detected on the next read — the torn-write crash model. *)
+(** Physical write: installs a copy of [data] (padded/truncated to page
+    size) and returns it. The stored checksum is always that of the
+    {e intended} image: a torn/bit-flipped injected write therefore
+    persists bytes that no longer match their CRC, the page is marked
+    {!damaged}, and the damage is detected on the next read — the
+    torn-write crash model. *)
 let write t id data =
   let intended = Bytes.make t.page_size '\x00' in
   let len = min (Bytes.length data) t.page_size in
@@ -227,7 +230,8 @@ let write t id data =
       t.crcs.(id) <- crc;
       set_damaged t id bad);
   Tm_obs.Obs.incr c_writes;
-  Tm_obs.Obs.add c_write_bytes t.page_size
+  Tm_obs.Obs.add c_write_bytes t.page_size;
+  page
 
 (** Offline integrity check: does the stored image still match its
     checksum? Bypasses failpoints and I/O accounting (it is the fsck
@@ -350,17 +354,17 @@ let version_at t ~epoch id =
     | None -> raise (Corrupt_page { page = id; detail = "no page version at pinned epoch" })
 [@@analyze.no_failpoint "a lookup: [read_at] applies the read failpoint to what it returns"]
 
-(** Snapshot read: a verified copy of the newest image of [id] whose
-    epoch is [<= epoch]. Only successful reads are counted. Raises
-    {!Corrupt_page} if no version covers the requested epoch (a pin
-    taken before the versions were pruned away — callers must hold a
-    registered pin, see {!pin}). *)
+(** Snapshot read: the newest image of [id] whose epoch is [<= epoch],
+    once it matches its checksum. Only successful reads are counted.
+    Raises {!Corrupt_page} if no version covers the requested epoch (a
+    pin taken before the versions were pruned away — callers must hold
+    a registered pin, see {!pin}). *)
 let read_at t ~epoch id =
   let image, crc = locked t (fun () -> version_at t ~epoch id) in
-  (* The failpoint may raise (Fail) or corrupt the copy (Torn/Bitflip);
-     a corrupted copy then fails the checksum below, exactly as a bad
-     sector would. *)
-  let data = Tm_fault.Fault.apply ~site:site_read (Bytes.copy image) in
+  (* The failpoint may raise (Fail) or return a corrupted copy
+     (Torn/Bitflip), which then fails the checksum below, exactly as a
+     bad sector would; it never changes the installed image. *)
+  let data = Tm_fault.Fault.apply ~site:site_read image in
   if t.checksums && Codec.crc32 data <> crc then
     raise (Corrupt_page { page = id; detail = "checksum mismatch on read" });
   locked t (fun () -> t.physical_reads <- t.physical_reads + 1);
@@ -371,8 +375,21 @@ let read_at t ~epoch id =
 (* Physical read of the current image: no version is newer. *)
 let read t id = read_at t ~epoch:max_int id
 
-(* The image [read_at] would copy: the bytes of a buffer-pool hit. *)
-let image t ~epoch id = fst (locked t (fun () -> version_at t ~epoch id))
+(* The current image, unchecked and uncounted: the bytes of a
+   buffer-pool hit. It takes the lock without a closure, so a hit
+   allocates nothing. *)
+let image t id =
+  Lock.acquire t.lock;
+  match check_id t id with
+  | () ->
+    let image = t.pages.(id) in
+    Lock.release t.lock;
+    image
+  | exception e ->
+    Lock.release t.lock;
+    raise e
+[@@analyze.manual_lock "a buffer-pool hit allocates nothing, so it takes the lock without a closure"]
+[@@analyze.no_failpoint "the bytes of a resident page: a hit transfers nothing"]
 
 (* Drop versions of [id] no pin can reach: for each pinned epoch the
    newest version at or below it (when the current image is above it)

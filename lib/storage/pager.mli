@@ -33,16 +33,21 @@ val alloc : t -> int
 
 val read : t -> int -> bytes
 (** Physical read of the current image: [read_at ~epoch:max_int].
-    Counted on success; returns a copy of the page image, verified
-    against the stored checksum.
+    Counted on success; returns the installed image itself once it
+    matches the stored checksum (a torn or bit-flipped [pager.read]
+    fault corrupts a copy, never the image). Installed images are never
+    changed in place; the caller must not mutate the result.
     @raise Corrupt_page on an unallocated page id or checksum mismatch.
     @raise Tm_fault.Fault.Io_error when the [pager.read] failpoint
     fires with the [Fail] action. *)
 
-val write : t -> int -> bytes -> unit
-(** Physical write (counted); stores a padded or truncated copy and
-    records the checksum of the intended image, so an injected torn or
-    bit-flipped write leaves the page {!damaged}. [data] is not kept.
+val write : t -> int -> bytes -> bytes
+(** Physical write (counted); installs a padded or truncated copy of
+    [data] and returns that image, which stays the page's image until
+    the next write, abort or test hook replaces it. The checksum
+    recorded is that of the intended image, so an injected torn or
+    bit-flipped write installs bytes that fail it and leaves the page
+    {!damaged}. [data] is not kept.
     @raise Corrupt_page on an unallocated page id. *)
 
 val damaged : t -> int -> bool
@@ -52,13 +57,11 @@ val damaged : t -> int -> bool
     page on its next read, resident or not. Costs one atomic load while
     no page is damaged; always [false] when checksums are disabled. *)
 
-val image : t -> epoch:int -> int -> bytes
-(** The stored image of the newest version whose epoch is [<= epoch]
-    ([max_int]: the current image), without a copy, a count, a failpoint
-    or a checksum: the bytes of a buffer-pool hit. Installed images are
-    never changed in place; the caller must not mutate them.
-    @raise Corrupt_page on an unallocated page id, or when no version
-    covers [epoch]. *)
+val image : t -> int -> bytes
+(** The current image, without a copy, a count, a failpoint or a
+    checksum: the bytes of a buffer-pool hit. Allocates nothing. The
+    caller must not mutate it.
+    @raise Corrupt_page on an unallocated page id. *)
 
 val verify_page : t -> int -> bool
 (** Offline integrity check: does the stored image match its checksum?
@@ -118,9 +121,10 @@ val epoch_of_page : t -> int -> int
     @raise Corrupt_page on an unallocated page id. *)
 
 val read_at : t -> epoch:int -> int -> bytes
-(** Snapshot read: the newest image whose epoch is [<= epoch]. Counted
-    and failpointed like {!read}. The caller must hold a {!pin} at
-    that epoch or the needed version may have been pruned.
+(** Snapshot read: the newest image whose epoch is [<= epoch]. Counted,
+    failpointed, checked and returned uncopied like {!read}. The caller
+    must hold a {!pin} at that epoch or the needed version may have
+    been pruned.
     @raise Corrupt_page if no version covers the requested epoch. *)
 
 val pin : t -> int
@@ -169,6 +173,8 @@ val commit_txn : t -> unit
 val abort_txn : t -> unit
 (** Restore every touched page to its pre-transaction image (pages
     allocated inside the transaction are re-zeroed) and run
-    participants with [~committed:false]. The buffer pool keeps no
-    bytes, so no cache above the pager needs invalidating; B+-trees
-    drop their staged nodes in their participants. *)
+    participants with [~committed:false]. Each restored page gets an
+    image other than the one the transaction installed, so no cache
+    above the pager needs invalidating: the buffer pool keeps no bytes,
+    and a B+-tree serves a decoded node only with the image it was
+    decoded from. *)

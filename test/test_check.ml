@@ -2,10 +2,11 @@
    clean, and each class of deliberately injected corruption must be
    detected with correct provenance (zero false negatives).
 
-   Corruption is written through [Buffer_pool.write], which bypasses the
-   B+-tree's decoded-node cache version bump — exactly the post-crash /
-   bit-rot scenario where the tree still "works" through its cache but
-   the stored bytes are wrong. The verifier must see the bytes. *)
+   Corruption is written through [Buffer_pool.write], below the B+-tree:
+   the stored bytes are wrong although no tree operation wrote them, the
+   post-crash / bit-rot scenario. The tree's own reads see the new image
+   too, since a decoded node is served only with the image it came
+   from, but the verifier must find the damage from the bytes. *)
 
 open Tm_storage
 open Tm_check
@@ -35,10 +36,11 @@ let find_leaves tree =
   List.rev (go (Bptree.root_page tree) [])
 
 (* Overwrite a leaf page with the canonical encoding of the given view,
-   behind the decode cache's back. *)
+   behind the tree's back. *)
 let rewrite_leaf tree page entries next =
-  Buffer_pool.write (Bptree.pool tree) page
-    (Bytes.of_string (Bptree.encode_view tree (Bptree.Leaf_view { entries; next })))
+  ignore
+    (Buffer_pool.write (Bptree.pool tree) page
+       (Bytes.of_string (Bptree.encode_view tree (Bptree.Leaf_view { entries; next }))))
 
 (* One of the Edge table's three B+-trees, by name. *)
 let edge_index db name =
@@ -224,7 +226,7 @@ let test_roundtrip_detected () =
       Codec.add_lstring buf k;
       Codec.add_lstring buf p)
     stored;
-  Buffer_pool.write pool page (Bytes.of_string (Buffer.contents buf));
+  ignore (Buffer_pool.write pool page (Bytes.of_string (Buffer.contents buf)));
   let violations = Check.check_tree tree in
   check Alcotest.bool "roundtrip violation" true
     (List.exists

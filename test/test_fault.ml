@@ -141,7 +141,7 @@ let make_pool n =
     List.init n (fun i ->
         let id = Buffer_pool.alloc pool in
         let payload = Printf.sprintf "page-%03d" i in
-        Buffer_pool.write pool id (Bytes.of_string payload);
+        ignore (Buffer_pool.write pool id (Bytes.of_string payload));
         (id, payload))
   in
   Buffer_pool.clear pool;
@@ -186,7 +186,7 @@ let test_torn_read_is_corrupt_page () =
   let id = Pager.alloc pager in
   (* fill the whole page: a torn (half-zeroed) copy must actually
      differ from the stored image *)
-  Pager.write pager id (Bytes.make (Pager.page_size pager) 'x');
+  ignore (Pager.write pager id (Bytes.make (Pager.page_size pager) 'x'));
   Fault.inject ~site:"pager.read" ~action:Fault.Torn (Fault.After 0);
   (match Pager.read pager id with
   | _ -> Alcotest.fail "expected Corrupt_page from a torn read"
@@ -206,16 +206,16 @@ let test_torn_write_on_resident_page () =
   let pool = Buffer_pool.create ~capacity:8 pager in
   let id = Buffer_pool.alloc pool in
   let page c = Bytes.make (Pager.page_size pager) c in
-  Buffer_pool.write pool id (page 'x');
+  ignore (Buffer_pool.write pool id (page 'x'));
   ignore (Buffer_pool.read pool id);
   Fault.inject ~site:"pager.write" ~action:Fault.Torn (Fault.After 0);
-  Buffer_pool.write pool id (page 'y');
+  ignore (Buffer_pool.write pool id (page 'y'));
   Fault.clear ();
   check Alcotest.bool "still resident" true (Buffer_pool.resident pool id);
   (match Buffer_pool.read pool id with
   | _ -> Alcotest.fail "expected Corrupt_page from a torn write"
   | exception Pager.Corrupt_page { page; _ } -> check Alcotest.int "page id" id page);
-  Buffer_pool.write pool id (page 'z');
+  ignore (Buffer_pool.write pool id (page 'z'));
   check Alcotest.char "rewritten" 'z' (Bytes.get (Buffer_pool.read pool id) 0)
 
 (* The (page, CRC) list a transaction logs is the CRC of each page's
@@ -226,12 +226,12 @@ let test_txn_dirty_crcs_match_images () =
   let pager = Pager.create () in
   let ids = List.init 4 (fun _ -> Pager.alloc pager) in
   let page c = Bytes.make (Pager.page_size pager) c in
-  List.iter (fun id -> Pager.write pager id (page 'a')) ids;
+  List.iter (fun id -> ignore (Pager.write pager id (page 'a'))) ids;
   ignore (Pager.begin_txn pager);
   let fresh = Pager.alloc pager in
-  Pager.write pager (List.nth ids 0) (page 'b');
+  ignore (Pager.write pager (List.nth ids 0) (page 'b'));
   Fault.inject ~site:"pager.write" ~action:Fault.Torn (Fault.After 0);
-  Pager.write pager (List.nth ids 2) (page 'c');
+  ignore (Pager.write pager (List.nth ids 2) (page 'c'));
   Fault.clear ();
   check Alcotest.bool "the torn page is damaged" true (Pager.damaged pager (List.nth ids 2));
   let dirty = Pager.txn_dirty pager in
@@ -241,7 +241,7 @@ let test_txn_dirty_crcs_match_images () =
     (fun (id, crc) ->
       check Alcotest.int
         (Printf.sprintf "page %d" id)
-        (Tm_storage.Codec.crc32 (Pager.image pager ~epoch:max_int id))
+        (Tm_storage.Codec.crc32 (Pager.image pager id))
         crc)
     dirty;
   Pager.commit_txn pager
@@ -268,7 +268,7 @@ let test_evict_failpoint_survived () =
   let ids =
     List.init 32 (fun i ->
         let id = Buffer_pool.alloc pool in
-        Buffer_pool.write pool id (Bytes.of_string (string_of_int i));
+        ignore (Buffer_pool.write pool id (Bytes.of_string (string_of_int i)));
         id)
   in
   Fault.inject ~site:"buffer_pool.evict" (Fault.Every 3);

@@ -1,4 +1,4 @@
-(* Tests for the framed v4 snapshot format: round-trips, atomicity of
+(* Tests for the framed v5 snapshot format: round-trips, atomicity of
    the save path (no stray temp files), frame verification, and
    rejection of truncated or bit-flipped files with a typed
    Bad_snapshot naming the damage — never a crash, hang, or a database

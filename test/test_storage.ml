@@ -207,8 +207,8 @@ let test_varint_len_and_set () =
 let test_pager_roundtrip () =
   let pager = Pager.create ~page_size:256 () in
   let a = Pager.alloc pager and b = Pager.alloc pager in
-  Pager.write pager a (Bytes.of_string "hello");
-  Pager.write pager b (Bytes.of_string "world");
+  ignore (Pager.write pager a (Bytes.of_string "hello"));
+  ignore (Pager.write pager b (Bytes.of_string "world"));
   check Alcotest.string "page a" "hello" (Bytes.sub_string (Pager.read pager a) 0 5);
   check Alcotest.string "page b" "world" (Bytes.sub_string (Pager.read pager b) 0 5);
   check Alcotest.int "count" 2 (Pager.page_count pager);
@@ -226,7 +226,7 @@ let test_buffer_pool_caching () =
   let pager = Pager.create ~page_size:128 () in
   let pool = Buffer_pool.create ~capacity:2 pager in
   let a = Buffer_pool.alloc pool in
-  Buffer_pool.write pool a (Bytes.of_string "aaa");
+  ignore (Buffer_pool.write pool a (Bytes.of_string "aaa"));
   Pager.reset_stats pager;
   Buffer_pool.reset_stats pool;
   (* Two reads of a resident page: no physical I/O. *)
@@ -247,12 +247,12 @@ let test_buffer_pool_write_through () =
   let a = Buffer_pool.alloc pool in
   let b = Buffer_pool.alloc pool in
   let c = Buffer_pool.alloc pool in
-  Buffer_pool.write pool a (Bytes.of_string "AAA");
+  ignore (Buffer_pool.write pool a (Bytes.of_string "AAA"));
   check Alcotest.bool "a resident" true (Buffer_pool.resident pool a);
   check Alcotest.string "the pager holds a's bytes" "AAA"
-    (Bytes.sub_string (Pager.image pager ~epoch:max_int a) 0 3);
-  Buffer_pool.write pool b (Bytes.of_string "BBB");
-  Buffer_pool.write pool c (Bytes.of_string "CCC");
+    (Bytes.sub_string (Pager.image pager a) 0 3);
+  ignore (Buffer_pool.write pool b (Bytes.of_string "BBB"));
+  ignore (Buffer_pool.write pool c (Bytes.of_string "CCC"));
   check Alcotest.bool "c evicted a" false (Buffer_pool.resident pool a);
   Buffer_pool.reset_stats pool;
   check Alcotest.string "a content" "AAA" (Bytes.sub_string (Buffer_pool.read pool a) 0 3);
@@ -289,14 +289,15 @@ let test_buffer_pool_clock_second_chance () =
   check Alcotest.bool "page 32 stayed" true (resident 32);
   check Alcotest.int "evictions" 2 (Buffer_pool.stats pool).Buffer_pool.evictions
 
-(* A hit takes its stripe's lock and allocates nothing. *)
+(* A hit takes its stripe's lock, then the pager's, and allocates
+   nothing. *)
 let test_buffer_pool_hit_allocates_nothing () =
   let pool = Buffer_pool.create ~capacity:8 (Pager.create ~page_size:128 ()) in
   let id = Buffer_pool.alloc pool in
-  ignore (Buffer_pool.access pool id);
+  ignore (Buffer_pool.read pool id);
   let w0 = Gc.minor_words () in
   for _ = 1 to 1000 do
-    ignore (Buffer_pool.access pool id)
+    ignore (Buffer_pool.read pool id)
   done;
   let words = Gc.minor_words () -. w0 in
   if words > 50.0 then Alcotest.failf "1000 hits allocated %.0f words" words
@@ -405,7 +406,7 @@ let prop_pool_clock_model =
             contents := Array.append !contents [| "" |];
             access id
           | Write (i, data) when Array.length !contents > 0 ->
-            Buffer_pool.write pool (page i) (Bytes.of_string data);
+            ignore (Buffer_pool.write pool (page i) (Bytes.of_string data));
             !contents.(page i) <- data;
             access (page i)
           | Read i when Array.length !contents > 0 ->
@@ -433,7 +434,7 @@ let test_buffer_pool_clear () =
   let pager = Pager.create ~page_size:128 () in
   let pool = Buffer_pool.create ~capacity:8 pager in
   let a = Buffer_pool.alloc pool in
-  Buffer_pool.write pool a (Bytes.of_string "XYZ");
+  ignore (Buffer_pool.write pool a (Bytes.of_string "XYZ"));
   Buffer_pool.clear pool;
   check Alcotest.string "persisted through clear" "XYZ" (Bytes.sub_string (Pager.read pager a) 0 3);
   Buffer_pool.reset_stats pool;
@@ -588,11 +589,10 @@ let test_bptree_delete_then_insert () =
   check Alcotest.(list string) "deleted" [] (Bptree.lookup_all t "k0002")
 
 (* An unpinned reader racing a writer transaction decodes the
-   write-through (uncommitted) page bytes and caches the node under the
-   already-bumped cache version. The abort participant must bump past
-   that version and evict, or the rolled-back node is served from the
-   decode cache indefinitely. *)
-let test_bptree_abort_evicts_decode_cache () =
+   write-through (uncommitted) page image and caches the node with it.
+   The abort installs the pre-images again, so that node, and the ones
+   the transaction wrote, are never served afterwards. *)
+let test_bptree_aborted_write_never_served () =
   let pool = make_pool () in
   let t = Bptree.create ~name:"t" pool in
   Bptree.insert t "a" "1";
@@ -609,6 +609,23 @@ let test_bptree_abort_evicts_decode_cache () =
     (Bptree.lookup_all t "c");
   check Alcotest.(list string) "pre-transaction keys intact" [ "1" ] (Bptree.lookup_all t "a");
   ignore (check_tree t)
+
+(* A cached node is served only with the image it came from: a leaf
+   rewritten straight through the pool, the way fsck's tests plant
+   damage, is read from its new image. *)
+let test_bptree_rewritten_page_read_anew () =
+  let pool = make_pool () in
+  let t = Bptree.create ~name:"t" pool in
+  Bptree.insert t "a" "old";
+  check Alcotest.(list string) "the leaf is cached" [ "old" ] (Bptree.lookup_all t "a");
+  let leaf = Bptree.root_page t in
+  (match Bptree.view_page t leaf with
+  | Ok (Bptree.Leaf_view { entries; next }) ->
+    let entries = Array.map (fun (k, p) -> (k, if String.equal k "a" then "new" else p)) entries in
+    let image = Bptree.encode_view t (Bptree.Leaf_view { entries; next }) in
+    ignore (Buffer_pool.write pool leaf (Bytes.of_string image))
+  | Ok (Bptree.Internal_view _) | Error _ -> Alcotest.fail "expected a leaf root");
+  check Alcotest.(list string) "read from the new image" [ "new" ] (Bptree.lookup_all t "a")
 
 let decodes = Tm_obs.Obs.counter "bptree.node_decodes"
 
@@ -800,38 +817,85 @@ let prop_leaf_encoder_matches_reference =
             (reference_encode_leaf ~prefix_compression entries next))
         trees)
 
-(* qcheck: interleaved inserts/deletes vs a multiset model. *)
+(* qcheck: interleaved inserts, deletes and transactions vs a multiset
+   model. The model keeps the committed multiset and, while a
+   transaction is open, the staged one its writer sees. A lookup after
+   every op puts nodes into the decode cache mid-transaction, and must
+   never be served a node of an aborted write. *)
+type tree_op = Insert | Delete | Begin | Commit | Abort
+
 let prop_bptree_delete_model =
   let gen =
-    QCheck.(
-      list_of_size
-        Gen.(int_range 0 300)
-        (pair bool (pair (string_gen_of_size (Gen.return 2) Gen.printable) (string_gen_of_size (Gen.return 1) Gen.printable))))
+    QCheck.Gen.(
+      list_size (int_range 0 300)
+        (triple
+           (frequency
+              [ (5, return Insert); (3, return Delete); (1, return Begin); (1, return Commit); (1, return Abort) ])
+           (string_size ~gen:printable (return 2))
+           (string_size ~gen:printable (return 1))))
   in
-  QCheck.Test.make ~name:"insert/delete agrees with multiset model" ~count:80 gen (fun ops ->
-      let t = Bptree.create ~name:"m" (make_pool ~page_size:256 ()) in
-      let model = ref [] in
+  let print_op (op, k, v) =
+    match op with
+    | Insert -> Printf.sprintf "insert %S %S" k v
+    | Delete -> Printf.sprintf "delete %S %S" k v
+    | Begin -> "begin"
+    | Commit -> "commit"
+    | Abort -> "abort"
+  in
+  let print ops = String.concat "; " (List.map print_op ops) in
+  QCheck.Test.make ~name:"insert/delete agrees with multiset model" ~count:80 (QCheck.make ~print gen)
+    (fun ops ->
+      let pool = make_pool ~page_size:256 () in
+      let pager = Buffer_pool.pager pool in
+      let t = Bptree.create ~name:"m" pool in
+      let committed = ref [] and staged = ref None in
+      let visible () = Option.value !staged ~default:!committed in
+      let set entries = if Option.is_some !staged then staged := Some entries else committed := entries in
+      let rec remove_one x = function
+        | [] -> []
+        | y :: rest -> if y = x then rest else y :: remove_one x rest
+      in
       List.iter
-        (fun (is_delete, (k, v)) ->
-          if is_delete then begin
-            let found = Bptree.delete t k v in
-            let in_model = List.mem (k, v) !model in
-            if found <> in_model then failwith "delete disagrees";
-            if in_model then begin
-              let rec remove_one = function
-                | [] -> []
-                | x :: rest -> if x = (k, v) then rest else x :: remove_one rest
-              in
-              model := remove_one !model
-            end
-          end
-          else begin
+        (fun (op, k, v) ->
+          (match op with
+          | Insert ->
             Bptree.insert t k v;
-            model := (k, v) :: !model
-          end)
+            set ((k, v) :: visible ())
+          | Delete ->
+            let found = Bptree.delete t k v in
+            let in_model = List.mem (k, v) (visible ()) in
+            if found <> in_model then
+              QCheck.Test.fail_reportf "delete %S %S: found %b, model %b" k v found in_model;
+            if in_model then set (remove_one (k, v) (visible ()))
+          | Begin when Option.is_none !staged ->
+            ignore (Pager.begin_txn pager);
+            staged := Some !committed
+          | Commit when Option.is_some !staged ->
+            Pager.commit_txn pager;
+            committed := visible ();
+            staged := None
+          | Abort when Option.is_some !staged ->
+            Pager.abort_txn pager;
+            staged := None
+          | Begin | Commit | Abort -> ());
+          let want =
+            List.sort String.compare
+              (List.filter_map (fun (k', v') -> if String.equal k k' then Some v' else None) (visible ()))
+          in
+          let got = Bptree.lookup_all t k in
+          if got <> want then
+            QCheck.Test.fail_reportf "after %s: lookup %S gave [%s], model [%s]" (print_op (op, k, v)) k
+              (String.concat "; " got) (String.concat "; " want);
+          if Bptree.entry_count t <> List.length (visible ()) then
+            QCheck.Test.fail_reportf "after %s: %d entries, model %d" (print_op (op, k, v))
+              (Bptree.entry_count t) (List.length (visible ())))
         ops;
+      if Option.is_some !staged then begin
+        Pager.commit_txn pager;
+        committed := visible ()
+      end;
       ignore (check_tree t);
-      List.sort compare (Bptree.to_list t) = List.sort compare !model)
+      List.sort compare (Bptree.to_list t) = List.sort compare !committed)
 
 (* Model-based qcheck test: B+-tree vs sorted association list. *)
 let prop_bptree_model =
@@ -939,8 +1003,10 @@ let suite =
         Alcotest.test_case "delete basic" `Quick test_bptree_delete_basic;
         Alcotest.test_case "delete across leaves" `Quick test_bptree_delete_across_leaves;
         Alcotest.test_case "delete then insert" `Quick test_bptree_delete_then_insert;
-        Alcotest.test_case "abort evicts decode cache" `Quick
-          test_bptree_abort_evicts_decode_cache;
+        Alcotest.test_case "an aborted write is never served" `Quick
+          test_bptree_aborted_write_never_served;
+        Alcotest.test_case "a page rewritten under the tree is read from its new image" `Quick
+          test_bptree_rewritten_page_read_anew;
         Alcotest.test_case "bulk load caches no node" `Quick test_bptree_bulk_load_caches_nothing;
         Alcotest.test_case "transactions share the decode cache" `Quick
           test_bptree_txn_shares_cache;
